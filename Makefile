@@ -26,9 +26,12 @@
 #                equivalence over every study model shape plus the
 #                4x2 lumped-anchor cross-check, heavier than the
 #                two-configuration equivalence test inside `make test`
+#   bench-build  build and vet the separate bench module, which calls
+#                internal APIs (ituadirect, rsm/inject, study, server)
+#                that the root `go build ./...` never compiles it against
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck
+.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build
 
 ci: vet build test race
 
@@ -78,6 +81,9 @@ faultcheck:
 lumpcheck:
 	LUMPCHECK_FULL=1 $(GO) test ./internal/exact -run TestLumpedEquivalenceShapes -count=1 -v -timeout 30m
 	LUMPCHECK_FULL=1 $(GO) test ./internal/integrity -run TestCrossCheckLumpedAnchor -count=1 -v -timeout 30m
+
+bench-build:
+	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sim ./internal/mc

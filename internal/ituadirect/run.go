@@ -7,14 +7,38 @@ import (
 	"ituaval/internal/core"
 )
 
-// transition is one enabled exponential event.
+// kind names one clause of the transition set.
+type kind uint8
+
+const (
+	partitionStart kind = iota
+	partitionHeal
+	campaignHit
+	hostAttack
+	domainSpread
+	systemSpread
+	mgrAttack
+	hostDetect
+	mgrDetect
+	hostFalseAlarm
+	replicaAttack
+	replicaDetect
+	replicaConvict // group conviction or replica false alarm
+	crewRecovery
+	recovery
+)
+
+// transition is one enabled exponential event: a clause of the transition
+// set bound to the host g and/or replica slot (a, r) it acts on. Recording
+// the clause instead of a closure keeps collect allocation-free.
 type transition struct {
-	rate  float64
-	apply func()
+	rate    float64
+	kind    kind
+	g, a, r int
 }
 
 // collect enumerates every enabled transition in the current state.
-func (s *process) collect(buf []transition) []transition {
+func (s *Process) collect(buf []transition) []transition {
 	buf = buf[:0]
 	p := s.p
 
@@ -23,33 +47,21 @@ func (s *process) collect(buf []transition) []transition {
 	// Binomial(CampaignSize, CampaignProb) batch of eligible hosts.
 	if p.PartitionRate > 0 && p.PartitionHealRate > 0 && len(s.domExcluded) > 1 {
 		if s.partA < 0 {
-			buf = append(buf, transition{p.PartitionRate, func() {
-				D := len(s.domExcluded)
-				k := s.envRand().Choose(D * (D - 1) / 2)
-				da := 0
-				for k >= D-1-da {
-					k -= D - 1 - da
-					da++
-				}
-				s.partA, s.partB = da, da+1+k
-			}})
+			buf = append(buf, transition{rate: p.PartitionRate, kind: partitionStart})
 		} else {
-			buf = append(buf, transition{p.PartitionHealRate, func() {
-				s.partA, s.partB = -1, -1
-			}})
+			buf = append(buf, transition{rate: p.PartitionHealRate, kind: partitionHeal})
 		}
 	}
 	if p.CampaignRate > 0 && p.CampaignSize > 0 && p.CampaignProb > 0 {
 		for g := range s.hostStatus {
 			if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
-				buf = append(buf, transition{p.CampaignRate, func() { s.campaign() }})
+				buf = append(buf, transition{rate: p.CampaignRate, kind: campaignHit})
 				break
 			}
 		}
 	}
 
 	for g := range s.hostStatus {
-		g := g
 		if s.hostExcluded[g] {
 			continue
 		}
@@ -58,25 +70,16 @@ func (s *process) collect(buf []transition) []transition {
 		// Host-OS attack (three classes resolved at application time).
 		if s.hostStatus[g] == 0 && s.hostRate > 0 {
 			rate := s.hostRate * (1 + s.spreadBoost(d))
-			buf = append(buf, transition{rate, func() {
-				s.hostStatus[g] = 1 + s.hostRand(g).Category(s.pClass[:])
-				s.intrusions++
-			}})
+			buf = append(buf, transition{rate: rate, kind: hostAttack, g: g})
 		}
 
 		// Spread propagation, once per corrupt host.
 		if s.hostStatus[g] > 0 && !s.propDomDone[g] && p.DomainSpreadRate > 0 {
-			buf = append(buf, transition{p.DomainSpreadRate, func() {
-				s.propDomDone[g] = true
-				s.spreadDom[d]++
-			}})
+			buf = append(buf, transition{rate: p.DomainSpreadRate, kind: domainSpread, g: g})
 		}
 		if s.hostStatus[g] > 0 && !s.propSysDone[g] && p.SystemSpreadRate > 0 &&
 			!s.cutsDomain(d) {
-			buf = append(buf, transition{p.SystemSpreadRate, func() {
-				s.propSysDone[g] = true
-				s.spreadSys++
-			}})
+			buf = append(buf, transition{rate: p.SystemSpreadRate, kind: systemSpread, g: g})
 		}
 
 		// Manager attack.
@@ -85,50 +88,27 @@ func (s *process) collect(buf []transition) []transition {
 			if s.hostStatus[g] > 0 {
 				rate *= p.CorruptionMult
 			}
-			buf = append(buf, transition{rate, func() {
-				s.mgrCorrupt[g] = true
-				s.intrusions++
-			}})
+			buf = append(buf, transition{rate: rate, kind: mgrAttack, g: g})
 		}
 
 		// Host-OS detection trial (one-shot per corruption).
 		if s.hostStatus[g] > 0 && !s.hostDetected[g] && p.HostDetectRate > 0 {
-			buf = append(buf, transition{p.HostDetectRate, func() {
-				s.hostDetected[g] = true
-				class := s.hostStatus[g] - 1
-				if s.hostRand(g).Bernoulli(s.detectClass[class]) &&
-					!s.mgrCorrupt[g] && s.domainGroupOK(d) {
-					s.exclude(g)
-				}
-			}})
+			buf = append(buf, transition{rate: p.HostDetectRate, kind: hostDetect, g: g})
 		}
 
 		// Manager detection trial.
 		if s.mgrCorrupt[g] && !s.mgrDetected[g] && p.MgrDetectRate > 0 {
-			buf = append(buf, transition{p.MgrDetectRate, func() {
-				s.mgrDetected[g] = true
-				if s.mgrRand(g).Bernoulli(p.DetectMgr) &&
-					(s.domainGroupOK(d) || s.globalQuorumOK()) {
-					s.exclude(g)
-				}
-			}})
+			buf = append(buf, transition{rate: p.MgrDetectRate, kind: mgrDetect, g: g})
 		}
 
 		// Host-level false alarm, quenched after the first real intrusion.
 		if s.intrusions == 0 && s.hostFalseRate > 0 {
-			buf = append(buf, transition{s.hostFalseRate, func() {
-				if !s.mgrCorrupt[g] && s.domainGroupOK(d) {
-					s.exclude(g)
-				}
-			}})
+			buf = append(buf, transition{rate: s.hostFalseRate, kind: hostFalseAlarm, g: g})
 		}
 	}
 
 	for a := range s.onHost {
-		a := a
-		for r := range s.onHost[a] {
-			r := r
-			g := s.onHost[a][r]
+		for r, g := range s.onHost[a] {
 			if g < 0 {
 				continue
 			}
@@ -140,38 +120,24 @@ func (s *process) collect(buf []transition) []transition {
 				if s.hostStatus[g] > 0 {
 					rate *= p.CorruptionMult
 				}
-				buf = append(buf, transition{rate, func() {
-					s.repCorrupt[a][r] = true
-					s.undet[a]++
-					s.intrusions++
-					s.checkByzantine(a)
-				}})
+				buf = append(buf, transition{rate: rate, kind: replicaAttack, a: a, r: r})
 			}
 
 			// Replica IDS detection trial.
 			if s.repCorrupt[a][r] && !s.repConvicted[a][r] && !s.repDetected[a][r] && p.ReplicaDetectRate > 0 {
-				buf = append(buf, transition{p.ReplicaDetectRate, func() {
-					s.repDetected[a][r] = true
-					if s.repRand(a, r).Bernoulli(p.DetectReplica) {
-						s.convict(a, r)
-					}
-				}})
+				buf = append(buf, transition{rate: p.ReplicaDetectRate, kind: replicaDetect, a: a, r: r})
 			}
 
 			// Group conviction of a misbehaving corrupt replica, enabled
 			// only while the group has a correct two-thirds quorum.
 			if s.repCorrupt[a][r] && !s.repConvicted[a][r] && p.MisbehaveRate > 0 &&
 				s.running[a] > 3*s.undet[a] {
-				buf = append(buf, transition{p.MisbehaveRate, func() {
-					s.convict(a, r)
-				}})
+				buf = append(buf, transition{rate: p.MisbehaveRate, kind: replicaConvict, a: a, r: r})
 			}
 
 			// Replica false alarm, quenched after the first intrusion.
 			if s.intrusions == 0 && !s.repCorrupt[a][r] && !s.repConvicted[a][r] && s.repFalseRate > 0 {
-				buf = append(buf, transition{s.repFalseRate, func() {
-					s.convict(a, r)
-				}})
+				buf = append(buf, transition{rate: s.repFalseRate, kind: replicaConvict, a: a, r: r})
 			}
 		}
 
@@ -181,25 +147,145 @@ func (s *process) collect(buf []transition) []transition {
 		// otherwise.
 		if p.RepairCrew > 0 {
 			if s.inService[a] && s.globalQuorumOK() && s.qualifyingDomainExists(a) {
-				buf = append(buf, transition{p.RecoveryRate, func() {
-					s.recover(a)
-					s.inService[a] = false
-					s.crewBusy--
-				}})
+				buf = append(buf, transition{rate: p.RecoveryRate, kind: crewRecovery, a: a})
 			}
 		} else if s.needRec[a] > 0 && s.globalQuorumOK() && s.qualifyingDomainExists(a) {
-			buf = append(buf, transition{p.RecoveryRate, func() {
-				s.recover(a)
-			}})
+			buf = append(buf, transition{rate: p.RecoveryRate, kind: recovery, a: a})
 		}
 	}
 	return buf
 }
 
+// apply performs one transition's state update, drawing any outcome trial
+// from the entity's own role stream.
+func (s *Process) apply(tr transition) {
+	g, a, r := tr.g, tr.a, tr.r
+	d := s.domainOf(g)
+	switch tr.kind {
+	case partitionStart:
+		D := len(s.domExcluded)
+		k := s.envRand().Choose(D * (D - 1) / 2)
+		da := 0
+		for k >= D-1-da {
+			k -= D - 1 - da
+			da++
+		}
+		s.partA, s.partB = da, da+1+k
+		if s.h.Partition != nil {
+			s.h.Partition(s.partA, s.partB)
+		}
+	case partitionHeal:
+		s.partA, s.partB = -1, -1
+		if s.h.Heal != nil {
+			s.h.Heal()
+		}
+	case campaignHit:
+		s.campaign()
+	case hostAttack:
+		s.hostStatus[g] = 1 + s.hostRand(g).Category(s.pClass[:])
+		s.intrusions++
+	case domainSpread:
+		s.propDomDone[g] = true
+		s.spreadDom[d]++
+	case systemSpread:
+		s.propSysDone[g] = true
+		s.spreadSys++
+	case mgrAttack:
+		s.mgrCorrupt[g] = true
+		s.intrusions++
+	case hostDetect:
+		s.hostDetected[g] = true
+		class := s.hostStatus[g] - 1
+		if s.hostRand(g).Bernoulli(s.detectClass[class]) &&
+			!s.mgrCorrupt[g] && s.domainGroupOK(d) {
+			s.exclude(g)
+		}
+	case mgrDetect:
+		s.mgrDetected[g] = true
+		if s.mgrRand(g).Bernoulli(s.p.DetectMgr) &&
+			(s.domainGroupOK(d) || s.globalQuorumOK()) {
+			s.exclude(g)
+		}
+	case hostFalseAlarm:
+		if !s.mgrCorrupt[g] && s.domainGroupOK(d) {
+			s.exclude(g)
+		}
+	case replicaAttack:
+		s.repCorrupt[a][r] = true
+		s.undet[a]++
+		s.intrusions++
+		s.checkByzantine(a)
+		if s.h.CorruptReplica != nil {
+			s.h.CorruptReplica(a, r)
+		}
+	case replicaDetect:
+		s.repDetected[a][r] = true
+		if s.repRand(a, r).Bernoulli(s.p.DetectReplica) {
+			s.convict(a, r)
+		}
+	case replicaConvict:
+		s.convict(a, r)
+	case crewRecovery:
+		s.recover(a)
+		s.inService[a] = false
+		s.crewBusy--
+	case recovery:
+		s.recover(a)
+	}
+}
+
+// Step samples the next exponential jump. If it lands within maxDt, the
+// transition is applied (the state visible through the accessors and hooks
+// is then the post-jump state) and Step returns the sojourn time with
+// fired = true. If the jump lands beyond maxDt — or the process is absorbed
+// with nothing enabled — no transition is applied and Step returns
+// (maxDt, false): the state is unchanged through maxDt, and state beyond
+// the horizon is never touched.
+func (s *Process) Step(maxDt float64) (dt float64, fired bool) {
+	dt, ok := s.sojourn()
+	if !ok || dt > maxDt {
+		return maxDt, false
+	}
+	s.jump()
+	return dt, true
+}
+
+// sojourn enumerates the enabled transitions and draws the time to the next
+// jump; ok is false when the process is absorbed with nothing enabled.
+func (s *Process) sojourn() (dt float64, ok bool) {
+	s.buf = s.collect(s.buf)
+	s.total = 0
+	for _, tr := range s.buf {
+		s.total += tr.rate
+	}
+	if s.total <= 0 {
+		return 0, false
+	}
+	return s.timeRand().Expo(s.total), true
+}
+
+// jump selects one of the transitions enumerated by the last sojourn with
+// probability proportional to its rate, applies it, and then retries the
+// responses and repairs it may have unblocked.
+func (s *Process) jump() {
+	u := s.selectRand().Float64() * s.total
+	acc := 0.0
+	idx := len(s.buf) - 1
+	for i, tr := range s.buf {
+		acc += tr.rate
+		if u < acc {
+			idx = i
+			break
+		}
+	}
+	s.apply(s.buf[idx])
+	s.drainPending()
+}
+
 // campaign corrupts a Binomial(CampaignSize, CampaignProb) batch of
 // uniformly chosen eligible (uncorrupted, unexcluded) hosts in one event,
 // mirroring core's env.campaign activity.
-func (s *process) campaign() {
+func (s *Process) campaign() {
 	var eligible []int
 	for g := range s.hostStatus {
 		if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
@@ -231,16 +317,19 @@ func (s *process) campaign() {
 // immediately if the manager quorum permits; otherwise the response fires
 // as soon as a later event makes the quorum condition true (checked in
 // drainPending).
-func (s *process) convict(a, r int) {
+func (s *Process) convict(a, r int) {
 	if s.repCorrupt[a][r] {
 		s.undet[a]--
 	}
 	s.repConvicted[a][r] = true
+	if s.h.ConvictReplica != nil {
+		s.h.ConvictReplica(a, r)
+	}
 	s.respondIfAble(a, r)
 }
 
 // respondIfAble performs the management response to a convicted replica.
-func (s *process) respondIfAble(a, r int) {
+func (s *Process) respondIfAble(a, r int) {
 	g := s.onHost[a][r]
 	if g < 0 || !s.repConvicted[a][r] {
 		return
@@ -259,7 +348,7 @@ func (s *process) respondIfAble(a, r int) {
 // drainPending retries responses for convicted replicas that were blocked
 // on manager quorum, then lets the repair crew claim any newly serviceable
 // recoveries.
-func (s *process) drainPending() {
+func (s *Process) drainPending() {
 	for a := range s.onHost {
 		for r := range s.onHost[a] {
 			if s.repConvicted[a][r] && s.onHost[a][r] >= 0 {
@@ -273,7 +362,7 @@ func (s *process) drainPending() {
 // drainCrew assigns idle repair-crew members to applications with pending,
 // serviceable recoveries, in app order (mirroring core's instantaneous
 // repair_start activity). At most one crew member serves an app at a time.
-func (s *process) drainCrew() {
+func (s *Process) drainCrew() {
 	if s.p.RepairCrew == 0 {
 		return
 	}
@@ -290,7 +379,7 @@ func (s *process) drainCrew() {
 }
 
 // killSlot removes the replica in slot (a, r) and queues a recovery.
-func (s *process) killSlot(a, r int) {
+func (s *Process) killSlot(a, r int) {
 	if s.onHost[a][r] < 0 {
 		return
 	}
@@ -304,10 +393,13 @@ func (s *process) killSlot(a, r int) {
 	s.running[a]--
 	s.needRec[a]++
 	s.checkByzantine(a)
+	if s.h.KillReplica != nil {
+		s.h.KillReplica(a, r)
+	}
 }
 
 // exclude applies the configured exclusion policy to host g.
-func (s *process) exclude(g int) {
+func (s *Process) exclude(g int) {
 	if s.p.Policy == core.HostExclusion {
 		s.exclEvents++
 		s.exclCorruptFrac += s.hostCorruptFrac(g, g+1)
@@ -330,7 +422,7 @@ func (s *process) exclude(g int) {
 
 // hostCorruptFrac computes the fraction of hosts in [lo, hi) with any
 // corrupt component (OS, manager, or a resident replica).
-func (s *process) hostCorruptFrac(lo, hi int) float64 {
+func (s *Process) hostCorruptFrac(lo, hi int) float64 {
 	corrupt := 0
 	for g := lo; g < hi; g++ {
 		bad := s.hostStatus[g] > 0 || (s.mgrCorrupt[g] && !s.hostExcluded[g])
@@ -352,7 +444,7 @@ func (s *process) hostCorruptFrac(lo, hi int) float64 {
 	return float64(corrupt) / float64(hi-lo)
 }
 
-func (s *process) excludeHost(g int) {
+func (s *Process) excludeHost(g int) {
 	if s.hostExcluded[g] {
 		return
 	}
@@ -366,9 +458,12 @@ func (s *process) excludeHost(g int) {
 			}
 		}
 	}
+	if s.h.ExcludeHost != nil {
+		s.h.ExcludeHost(g)
+	}
 }
 
-func (s *process) qualifyingDomainExists(a int) bool {
+func (s *Process) qualifyingDomainExists(a int) bool {
 	for d := range s.domExcluded {
 		if s.domainQualifies(a, d) {
 			return true
@@ -377,7 +472,7 @@ func (s *process) qualifyingDomainExists(a int) bool {
 	return false
 }
 
-func (s *process) domainQualifies(a, d int) bool {
+func (s *Process) domainQualifies(a, d int) bool {
 	if s.domExcluded[d] || s.hasReplica(a, d) {
 		return false
 	}
@@ -392,7 +487,7 @@ func (s *process) domainQualifies(a, d int) bool {
 
 // recover places one replacement replica of app a on a uniformly chosen
 // qualifying domain and a uniformly chosen live host within it.
-func (s *process) recover(a int) {
+func (s *Process) recover(a int) {
 	var doms []int
 	for d := range s.domExcluded {
 		if s.domainQualifies(a, d) {
@@ -409,6 +504,9 @@ func (s *process) recover(a int) {
 			s.onHost[a][r] = g
 			s.running[a]++
 			s.needRec[a]--
+			if s.h.StartReplica != nil {
+				s.h.StartReplica(a, r, g)
+			}
 			return
 		}
 	}
@@ -417,7 +515,10 @@ func (s *process) recover(a int) {
 
 // run executes the SSA loop up to the last horizon. It polls ctx every 256
 // events so cancellation cannot be starved by a high-rate configuration.
-func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
+// It takes Step apart into sojourn and jump so that the horizon test stays
+// on absolute time (now+dt >= last) and the horizons a jump crosses are
+// recorded in the pre-jump state.
+func (s *Process) run(ctx context.Context, horizons []float64) (Result, error) {
 	last := horizons[len(horizons)-1]
 	res := Result{
 		UnavailTime:         make([]float64, len(horizons)),
@@ -428,7 +529,6 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 	cum := 0.0 // improper-service time of app 0 accumulated so far
 	next := 0  // next horizon index to close out
 	events := 0
-	var buf []transition
 
 	// record advances time to upto with the state (hence the improper
 	// indicator) constant over (now, upto], snapshotting at any horizons
@@ -442,7 +542,7 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 			}
 			res.UnavailTime[next] = c
 			res.ByzantineBy[next] = byz
-			res.FracDomainsExcluded[next] = s.fracDomainsExcluded()
+			res.FracDomainsExcluded[next] = s.FracDomainsExcluded()
 			next++
 		}
 		if improperNow {
@@ -457,42 +557,25 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 				return Result{}, err
 			}
 		}
-		buf = s.collect(buf)
-		total := 0.0
-		for _, tr := range buf {
-			total += tr.rate
-		}
-		if total <= 0 {
+		dt, ok := s.sojourn()
+		if !ok {
 			break // absorbed: state frozen until the last horizon
 		}
-		dt := s.timeRand().Expo(total)
 		t := now + dt
-		improper := s.improper(0)
+		improper := s.Improper(0)
 		byz := s.grpFail[0]
 		if t >= last {
 			record(last, improper, byz)
 			break
 		}
 		record(t, improper, byz)
-		// choose the transition
-		u := s.selectRand().Float64() * total
-		acc := 0.0
-		idx := len(buf) - 1
-		for i, tr := range buf {
-			acc += tr.rate
-			if u < acc {
-				idx = i
-				break
-			}
-		}
-		buf[idx].apply()
-		s.drainPending()
+		s.jump()
 	}
 	// absorbed (or finished): close out remaining horizons
-	record(last, s.improper(0), s.grpFail[0])
+	record(last, s.Improper(0), s.grpFail[0])
 	for next < len(horizons) {
 		res.ByzantineBy[next] = s.grpFail[0]
-		res.FracDomainsExcluded[next] = s.fracDomainsExcluded()
+		res.FracDomainsExcluded[next] = s.FracDomainsExcluded()
 		next++
 	}
 	if s.exclEvents > 0 {
@@ -504,7 +587,9 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 	return res, nil
 }
 
-func (s *process) fracDomainsExcluded() float64 {
+// FracDomainsExcluded is the model's excluded-domain fraction measure
+// (zero under host exclusion, as in the paper).
+func (s *Process) FracDomainsExcluded() float64 {
 	if s.p.Policy == core.HostExclusion {
 		return 0
 	}

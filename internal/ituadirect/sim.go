@@ -9,6 +9,11 @@
 //
 // Because every timer in the ITUA model is exponential, the process is a
 // CTMC and the SSA (total-rate jump sampling) is exact.
+//
+// The process is also exported as a steppable Process with lifecycle
+// Hooks: internal/rsm/inject drives the same transition set, one jump at a
+// time, against a live replica group, so the live arm and Run draw the same
+// numbers from the same stream and differ only in what they observe.
 package ituadirect
 
 import (
@@ -35,10 +40,42 @@ type Opts struct {
 	CRN bool
 }
 
-// sim holds the explicit entity state of one replication. Time is in hours.
-type process struct {
+// Hooks notifies an observer (the live cluster of internal/rsm) of replica
+// lifecycle events as the process evolves. Nil hooks are skipped, and no
+// hook consumes randomness, so hooks never change the trajectory. Host
+// indices are flattened g = domain*HostsPerDomain + host, replica slots are
+// per-application.
+type Hooks struct {
+	// StartReplica fires when app's slot is (re)placed on host, at
+	// construction time and on recovery.
+	StartReplica func(app, slot, host int)
+	// CorruptReplica fires when an attack corrupts app's slot.
+	CorruptReplica func(app, slot int)
+	// ConvictReplica fires when the group or the IDS convicts app's slot,
+	// possibly before the management response (KillReplica) can run: the
+	// model then counts the member as running and non-Byzantine, so the
+	// live group masks its Byzantine script until the kill lands.
+	ConvictReplica func(app, slot int)
+	// KillReplica fires when the management response removes app's slot
+	// (conviction response or host exclusion).
+	KillReplica func(app, slot int)
+	// ExcludeHost fires when host g is excluded from the system.
+	ExcludeHost func(host int)
+	// Partition fires when the environment severs domains domA and domB
+	// (at most one partition is active at a time); the live transport
+	// should drop traffic between hosts of the two domains.
+	Partition func(domA, domB int)
+	// Heal fires when the active partition heals; the live transport
+	// should restore all links.
+	Heal func()
+}
+
+// Process holds the explicit entity state of one replication, advanced one
+// exponential jump at a time with Step. Time is in hours.
+type Process struct {
 	p  core.Params
 	rs *rng.Stream
+	h  Hooks
 
 	// CRN role substreams (nil when disabled): see Opts.CRN. Entity roles
 	// are keyed by stable names ("host[g]", "mgr[g]", "app[a].rep[r]",
@@ -96,6 +133,9 @@ type process struct {
 	partA, partB int
 	inService    []bool
 	crewBusy     int
+
+	buf   []transition // enabled transitions of the current state
+	total float64      // their summed rate
 }
 
 // Result collects one replication's measures for the measured application
@@ -139,21 +179,26 @@ func RunContextOpts(ctx context.Context, p core.Params, seed *rng.Stream, horizo
 			res, err = Result{}, fmt.Errorf("ituadirect: panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if err := p.Validate(); err != nil {
-		return Result{}, fmt.Errorf("ituadirect: %w", err)
+	s, err := New(p, seed, o, Hooks{})
+	if err != nil {
+		return Result{}, err
 	}
 	if len(horizons) == 0 {
 		return Result{}, fmt.Errorf("ituadirect: no horizons")
 	}
-	s := newSim(p, seed, o)
 	return s.run(ctx, horizons)
 }
 
-func newSim(p core.Params, rs *rng.Stream, o Opts) *process {
+// New builds the process in its initial state (replicas placed, no
+// corruption) and fires StartReplica for every initial placement.
+func New(p core.Params, rs *rng.Stream, o Opts, h Hooks) (*Process, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("ituadirect: %w", err)
+	}
 	D, H, A, R := p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp
 	n := D * H
-	s := &process{
-		p: p, rs: rs,
+	s := &Process{
+		p: p, rs: rs, h: h,
 		hostStatus:   make([]int, n),
 		hostExcluded: make([]bool, n),
 		hostDetected: make([]bool, n),
@@ -242,61 +287,65 @@ func newSim(p core.Params, rs *rng.Stream, o Opts) *process {
 			k = D
 		}
 		for i := 0; i < k; i++ {
-			s.onHost[a][i] = s.chooseHost(initStream, perm[i])
+			g := s.chooseHost(initStream, perm[i])
+			s.onHost[a][i] = g
 			s.running[a]++
+			if s.h.StartReplica != nil {
+				s.h.StartReplica(a, i, g)
+			}
 		}
 	}
-	return s
+	return s, nil
 }
 
-func (s *process) domainOf(g int) int { return g / s.p.HostsPerDomain }
+func (s *Process) domainOf(g int) int { return g / s.p.HostsPerDomain }
 
 // The *Rand accessors return the stream a given stochastic role draws from:
 // its own substream under CRN, the single replication stream otherwise.
 
-func (s *process) hostRand(g int) *rng.Stream {
+func (s *Process) hostRand(g int) *rng.Stream {
 	if s.crn {
 		return s.hostRoles[g]
 	}
 	return s.rs
 }
 
-func (s *process) mgrRand(g int) *rng.Stream {
+func (s *Process) mgrRand(g int) *rng.Stream {
 	if s.crn {
 		return s.mgrRoles[g]
 	}
 	return s.rs
 }
 
-func (s *process) repRand(a, r int) *rng.Stream {
+func (s *Process) repRand(a, r int) *rng.Stream {
 	if s.crn {
 		return s.repRoles[a][r]
 	}
 	return s.rs
 }
 
-func (s *process) recRand(a int) *rng.Stream {
+func (s *Process) recRand(a int) *rng.Stream {
 	if s.crn {
 		return s.recRoles[a]
 	}
 	return s.rs
 }
 
-func (s *process) timeRand() *rng.Stream {
+func (s *Process) timeRand() *rng.Stream {
 	if s.crn {
 		return s.timeStream
 	}
 	return s.rs
 }
 
-func (s *process) selectRand() *rng.Stream {
+func (s *Process) selectRand() *rng.Stream {
 	if s.crn {
 		return s.selectStream
 	}
 	return s.rs
 }
 
-func (s *process) envRand() *rng.Stream {
+func (s *Process) envRand() *rng.Stream {
 	if s.crn {
 		return s.envStream
 	}
@@ -304,7 +353,7 @@ func (s *process) envRand() *rng.Stream {
 }
 
 // hostLoad counts the replicas currently running on host g.
-func (s *process) hostLoad(g int) int {
+func (s *Process) hostLoad(g int) int {
 	n := 0
 	for a := range s.onHost {
 		for _, h := range s.onHost[a] {
@@ -318,7 +367,7 @@ func (s *process) hostLoad(g int) int {
 
 // chooseHost picks a live host of domain d per the placement strategy,
 // mirroring core's semantics, drawing from the caller's role stream.
-func (s *process) chooseHost(rs *rng.Stream, d int) int {
+func (s *Process) chooseHost(rs *rng.Stream, d int) int {
 	H := s.p.HostsPerDomain
 	var hostsUp []int
 	for h := 0; h < H; h++ {
@@ -347,7 +396,7 @@ func (s *process) chooseHost(rs *rng.Stream, d int) int {
 }
 
 // hasReplica reports whether app a has a running replica in domain d.
-func (s *process) hasReplica(a, d int) bool {
+func (s *Process) hasReplica(a, d int) bool {
 	for _, g := range s.onHost[a] {
 		if g >= 0 && s.domainOf(g) == d {
 			return true
@@ -356,7 +405,7 @@ func (s *process) hasReplica(a, d int) bool {
 	return false
 }
 
-func (s *process) mgrsRunning() int {
+func (s *Process) mgrsRunning() int {
 	n := 0
 	for g := range s.mgrRemoved {
 		if !s.hostExcluded[g] {
@@ -366,7 +415,7 @@ func (s *process) mgrsRunning() int {
 	return n
 }
 
-func (s *process) undetMgrs() int {
+func (s *Process) undetMgrs() int {
 	n := 0
 	for g := range s.mgrCorrupt {
 		if s.mgrCorrupt[g] && !s.hostExcluded[g] {
@@ -376,7 +425,7 @@ func (s *process) undetMgrs() int {
 	return n
 }
 
-func (s *process) globalQuorumOK() bool {
+func (s *Process) globalQuorumOK() bool {
 	// An active partition blocks the system-wide management quorum (the
 	// same conservative reading as core: no global majority view while
 	// any two domains cannot talk).
@@ -388,11 +437,11 @@ func (s *process) globalQuorumOK() bool {
 
 // cutsDomain reports whether domain d is on either side of the active
 // partition.
-func (s *process) cutsDomain(d int) bool {
+func (s *Process) cutsDomain(d int) bool {
 	return s.partA >= 0 && (d == s.partA || d == s.partB)
 }
 
-func (s *process) domainGroupOK(d int) bool {
+func (s *Process) domainGroupOK(d int) bool {
 	H := s.p.HostsPerDomain
 	up, corrupt := 0, 0
 	for h := 0; h < H; h++ {
@@ -407,14 +456,19 @@ func (s *process) domainGroupOK(d int) bool {
 	return 3*corrupt < up
 }
 
-func (s *process) improper(a int) bool {
-	if 3*s.undet[a] >= s.running[a] {
-		return true
-	}
-	// A partition makes service improper when the whole replica group
-	// straddles the cut: every running replica is in one of the severed
-	// domains with at least one on each side, so no relay path exists and
-	// neither side holds a response majority (mirrors core.Model.Improper).
+// Improper is the model's unavailability predicate for app a in the current
+// state: at least one third of the running replicas corrupt undetected
+// (vacuously true with zero replicas running), or the active partition
+// isolating the whole replica group (PartitionIsolated).
+func (s *Process) Improper(a int) bool {
+	return 3*s.undet[a] >= s.running[a] || s.PartitionIsolated(a)
+}
+
+// PartitionIsolated reports whether the whole replica group of app a
+// straddles the active partition: every running replica is in one of the
+// severed domains with at least one on each side, so no relay path exists
+// and neither side holds a response majority (mirrors core.Model.Improper).
+func (s *Process) PartitionIsolated(a int) bool {
 	if s.partA < 0 {
 		return false
 	}
@@ -435,20 +489,51 @@ func (s *process) improper(a int) bool {
 	return sawA && sawB
 }
 
-func (s *process) checkByzantine(a int) {
+// Running returns the number of placed replicas of app a (the model's
+// replicas_running, which still counts convicted-pending members).
+func (s *Process) Running(a int) int { return s.running[a] }
+
+// Undet returns the number of corrupt undetected replicas of app a.
+func (s *Process) Undet(a int) int { return s.undet[a] }
+
+// Byzantine reports whether app a has latched the model's Byzantine-failure
+// flag (undetected corrupt replicas reached one third while nonzero).
+func (s *Process) Byzantine(a int) bool { return s.grpFail[a] }
+
+// Replica returns the state of app a's slot r: its flattened host (-1 when
+// empty), whether it is corrupt, and whether it is convicted with the
+// management response still pending.
+func (s *Process) Replica(a, r int) (host int, corrupt, convicted bool) {
+	return s.onHost[a][r], s.repCorrupt[a][r], s.repConvicted[a][r]
+}
+
+// Partitioned returns the severed domain pair of the active partition, or
+// ok = false while the network is healed.
+func (s *Process) Partitioned() (domA, domB int, ok bool) {
+	if s.partA < 0 {
+		return 0, 0, false
+	}
+	return s.partA, s.partB, true
+}
+
+// CrewBusy returns the number of claimed repair-crew members (always zero
+// with Params.RepairCrew == 0, i.e. unbounded repair capacity).
+func (s *Process) CrewBusy() int { return s.crewBusy }
+
+func (s *Process) checkByzantine(a int) {
 	if s.undet[a] > 0 && 3*s.undet[a] >= s.running[a] {
 		s.grpFail[a] = true
 	}
 }
 
 // spreadBoost is the linear rate increase on host-OS attacks in domain d.
-func (s *process) spreadBoost(d int) float64 {
+func (s *Process) spreadBoost(d int) float64 {
 	return s.p.SpreadRateCoeff * (s.p.DomainSpreadRate*float64(s.spreadDom[d]) +
 		s.p.SystemSpreadRate*float64(s.spreadSys))
 }
 
 // assetBoost is the linear rate increase on replica/manager attacks from
 // intra-domain spread.
-func (s *process) assetBoost(d int) float64 {
+func (s *Process) assetBoost(d int) float64 {
 	return s.p.AssetSpreadCoeff * s.p.DomainSpreadRate * float64(s.spreadDom[d])
 }

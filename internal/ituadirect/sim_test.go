@@ -74,7 +74,7 @@ func TestStateConsistencyAfterRun(t *testing.T) {
 		if i%2 == 1 {
 			p.Policy = core.HostExclusion
 		}
-		s := newSim(p, root.Derive(uint64(i)), Opts{CRN: i%4 >= 2})
+		s := mustNew(t, p, root.Derive(uint64(i)), Opts{CRN: i%4 >= 2})
 		if _, err := s.run(context.Background(), []float64{8}); err != nil {
 			t.Fatal(err)
 		}

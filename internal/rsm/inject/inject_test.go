@@ -2,12 +2,13 @@ package inject
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"ituaval/internal/core"
 	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
-	"ituaval/internal/stats"
 )
 
 func smallParams() core.Params {
@@ -71,6 +72,10 @@ func (m *mirror) hooks() Hooks {
 		ExcludeHost: func(host int) {
 			m.trace = append(m.trace, fmt.Sprintf("exclude host %d", host))
 		},
+		Partition: func(da, db int) {
+			m.trace = append(m.trace, fmt.Sprintf("partition %d|%d", da, db))
+		},
+		Heal: func() { m.trace = append(m.trace, "heal") },
 	}
 }
 
@@ -190,79 +195,116 @@ func TestInjectStepRespectsHorizon(t *testing.T) {
 	}
 }
 
-// The injector is a port of ituadirect with a different draw sequence, so
-// the two must agree statistically: 95% CIs on unavailability,
-// unreliability, and excluded-domain fraction overlap on a small config.
-func TestInjectAgreesWithDirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical comparison")
+// stepTo steps s until the horizon T, returning the time during which the
+// model's improper-service predicate held for app 0 and the (dt, fired)
+// sequence of every Step.
+func stepTo(s *Process, T float64) (bad float64, steps []string) {
+	now := 0.0
+	for {
+		improper := s.Improper(0)
+		dt, fired := s.Step(T - now)
+		steps = append(steps, fmt.Sprintf("%x %v", math.Float64bits(dt), fired))
+		if improper {
+			bad += dt
+		}
+		now += dt
+		if !fired {
+			return bad, steps
+		}
 	}
+}
+
+// sameStreamConfigs covers both exclusion policies, all three placements,
+// and the environment-fault vocabulary with a bounded repair crew.
+func sameStreamConfigs() map[string]core.Params {
+	base := smallParams()
+	base.NumDomains, base.HostsPerDomain, base.RepsPerApp = 4, 2, 4
+	cfgs := map[string]core.Params{"domain": base}
+	host := base
+	host.Policy = core.HostExclusion
+	cfgs["host"] = host
+	weighted := base
+	weighted.Placement = core.WeightedRandomPlacement
+	weighted.NumApps = 2
+	cfgs["weighted"] = weighted
+	least := host
+	least.Placement = core.LeastLoadedPlacement
+	least.NumApps = 2
+	cfgs["least-loaded"] = least
+	faults := base
+	faults.NumApps = 2
+	faults.PartitionRate, faults.PartitionHealRate = 2, 4
+	faults.CampaignRate, faults.CampaignSize, faults.CampaignProb = 0.5, 3, 0.5
+	faults.RepairCrew = 1
+	cfgs["faults"] = faults
+	return cfgs
+}
+
+// The injector steps ituadirect's own process, so on the same stream it
+// must follow ituadirect.Run's trajectory exactly: equal Byzantine flag,
+// excluded-domain fraction, and running replicas at the horizon, and equal
+// unavailability up to summation order (Step accumulates sojourn times,
+// Run integrates on absolute time).
+func TestInjectMatchesDirectSameStream(t *testing.T) {
 	const (
-		reps = 400
+		reps = 300
 		T    = 6.0
 	)
-	p := smallParams()
-
-	var injU, injB, injX stats.Accumulator
-	rootI := rng.New(101)
-	for rep := 0; rep < reps; rep++ {
-		s, err := New(p, rootI.Derive(uint64(rep)), Hooks{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, bad := 0.0, 0.0
-		for {
-			improper := s.Improper(0)
-			dt, fired := s.Step(T - now)
-			if improper {
-				bad += dt
+	for name, p := range sameStreamConfigs() {
+		for rep := 0; rep < reps; rep++ {
+			s, err := New(p, rng.New(101).Derive(uint64(rep)), Hooks{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			now += dt
-			if !fired {
-				break
+			bad, _ := stepTo(s, T)
+			res, err := ituadirect.Run(p, rng.New(101).Derive(uint64(rep)), []float64{T})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Byzantine(0) != res.ByzantineBy[0] ||
+				s.FracDomainsExcluded() != res.FracDomainsExcluded[0] ||
+				s.Running(0) != res.RunningAtEnd ||
+				math.Abs(bad-res.UnavailTime[0]) > 1e-9 {
+				t.Fatalf("%s rep %d: inject (byz %v, excl %v, running %d, unavail %v) != direct (%v, %v, %d, %v)",
+					name, rep, s.Byzantine(0), s.FracDomainsExcluded(), s.Running(0), bad,
+					res.ByzantineBy[0], res.FracDomainsExcluded[0], res.RunningAtEnd, res.UnavailTime[0])
 			}
 		}
-		injU.Add(bad / T)
-		if s.Byzantine(0) {
-			injB.Add(1)
-		} else {
-			injB.Add(0)
-		}
-		injX.Add(s.FracDomainsExcluded())
 	}
+}
 
-	var dirU, dirB, dirX stats.Accumulator
-	rootD := rng.New(202)
-	for rep := 0; rep < reps; rep++ {
-		res, err := ituadirect.Run(p, rootD.Derive(uint64(rep)), []float64{T})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirU.Add(res.UnavailTime[0] / T)
-		if res.ByzantineBy[0] {
-			dirB.Add(1)
-		} else {
-			dirB.Add(0)
-		}
-		dirX.Add(res.FracDomainsExcluded[0])
-	}
-
-	for _, c := range []struct {
-		name     string
-		inj, dir stats.Accumulator
-	}{
-		{"unavail", injU, dirU},
-		{"unrel", injB, dirB},
-		{"excl", injX, dirX},
-	} {
-		im, ih := c.inj.Mean(), c.inj.HalfWidth(0.95)
-		dm, dh := c.dir.Mean(), c.dir.HalfWidth(0.95)
-		gap := im - dm
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap > ih+dh {
-			t.Errorf("%s: inject %.4f±%.4f vs direct %.4f±%.4f — CIs disjoint", c.name, im, ih, dm, dh)
+// Hooks consume no randomness: stepping with the mirror hooks and with no
+// hooks on the same stream gives the same (dt, fired) sequence and the same
+// final state.
+func TestInjectHooksDoNotPerturb(t *testing.T) {
+	const T = 6.0
+	for name, p := range sameStreamConfigs() {
+		for seed := uint64(1); seed <= 30; seed++ {
+			m := newMirror()
+			hooked, err := New(p, rng.New(seed), m.hooks())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := New(p, rng.New(seed), Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hs := stepTo(hooked, T)
+			_, bs := stepTo(bare, T)
+			if strings.Join(hs, ",") != strings.Join(bs, ",") {
+				t.Fatalf("%s seed %d: hooks changed the (dt, fired) sequence", name, seed)
+			}
+			for a := 0; a < p.NumApps; a++ {
+				if fmt.Sprint(hooked.Members(a)) != fmt.Sprint(bare.Members(a)) ||
+					hooked.Byzantine(a) != bare.Byzantine(a) ||
+					hooked.ByzantineBlocked(a) != bare.ByzantineBlocked(a) ||
+					hooked.Improper(a) != bare.Improper(a) {
+					t.Fatalf("%s seed %d: hooks changed app %d's final state", name, seed, a)
+				}
+			}
+			if hooked.FracDomainsExcluded() != bare.FracDomainsExcluded() || hooked.CrewBusy() != bare.CrewBusy() {
+				t.Fatalf("%s seed %d: hooks changed the final system state", name, seed)
+			}
 		}
 	}
 }

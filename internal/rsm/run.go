@@ -3,10 +3,10 @@
 // Bracha's reliable broadcast (internal/groupcomm) over an in-process
 // discrete-event transport with seeded latency, loss, exclusion, and
 // partition support, while the fault injector (internal/rsm/inject) drives
-// the model's stochastic attack process against them: corruptions swap a
-// replica's logic for a Byzantine behavior script, convictions quarantine
-// it, exclusions cut its host off the transport, and recoveries bring fresh
-// replicas up. A synthetic client probes the service after every injected
+// the direct simulator's own attack process (ituadirect.Process) against
+// them through its lifecycle hooks: corruptions swap a replica's logic for
+// a Byzantine behavior script, convictions quarantine it, exclusions cut
+// its host off the transport, and recoveries bring fresh replicas up. A synthetic client probes the service after every injected
 // event; a probe fails when fewer than ⌈(n+1)/2⌉ members answer with one
 // value (unavailability) and is Byzantine when a wrong value reaches that
 // threshold (unreliability). The resulting empirical measures estimate the
