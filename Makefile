@@ -29,9 +29,12 @@
 #   bench-build  build and vet the separate bench module, which calls
 #                internal APIs (ituadirect, rsm/inject, study, server)
 #                that the root `go build ./...` never compiles it against
+#   bench-test   the bench module's own tests: every workload at smoke
+#                size (traced and untraced results must agree exactly)
+#                and the full-size golden values of testdata/golden.json
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build
+.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
 
 ci: vet build test race
 
@@ -84,6 +87,9 @@ lumpcheck:
 
 bench-build:
 	cd bench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+bench-test:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sim ./internal/mc

@@ -23,6 +23,17 @@
 // (least-loaded placement, single-host topologies) fall back to the full
 // chain automatically; Options.NoLump forces the full chain everywhere,
 // which the equivalence tests use.
+//
+// A Solver answers every measure from at most one uniformization walk per
+// operator (mc.Walk): one walk of the plain chain records every
+// application's improper-service indicator and the excluded-domain
+// fraction, and one walk per application makes that application's
+// Byzantine states absorbing. Each walk advances only as far as the
+// largest horizon asked so far, so the paper's measures at 5 h and 10 h
+// cost two passes to the 10 h horizon instead of one pass per measure and
+// horizon, and every value is bit-identical to the matching one-shot mc
+// call (IntervalAverageReward, FirstPassageProb, TransientReward) on the
+// same chain, whatever the order of the calls.
 package exact
 
 import (
@@ -46,14 +57,20 @@ type Options struct {
 }
 
 // Solver holds a generated chain together with the model handles the
-// measure definitions need. Methods are safe to call repeatedly; each
-// runs one numerical solution on the shared chain.
+// measure definitions need, and caches the uniformization walks its
+// measures share: the plain walk, created at the first unavailability or
+// exclusion request, and one first-passage walk per application, created
+// at that application's first unreliability request. Methods may be called
+// repeatedly and in any order; a Solver is not safe for concurrent use.
 type Solver struct {
 	M *core.Model
 	C *mc.CTMC
 	// Lumped reports whether the chain is the symmetry quotient rather
 	// than the full chain.
 	Lumped bool
+
+	plain     *mc.Walk   // rewards: Improper(0..NumApps-1), then excluded fraction
+	byzantine []*mc.Walk // by app: the walk absorbing on Byzantine(app)
 }
 
 // NewSolver builds the composed ITUA model for p (with Analytic forced
@@ -91,26 +108,62 @@ func indicator(pred func(*san.State) bool) func(*san.State) float64 {
 	}
 }
 
+// plainWalk returns the walk of the plain chain, creating it on first use.
+func (s *Solver) plainWalk() *mc.Walk {
+	if s.plain == nil {
+		apps := s.M.Params.NumApps
+		fs := make([]func(*san.State) float64, 0, apps+1)
+		for a := 0; a < apps; a++ {
+			fs = append(fs, indicator(s.M.Improper(a)))
+		}
+		excluded := s.M.DomainsExcluded
+		n := float64(s.M.Params.NumDomains)
+		fs = append(fs, func(st *san.State) float64 {
+			return float64(st.Get(excluded)) / n
+		})
+		s.plain = s.C.RewardWalk(fs...)
+	}
+	return s.plain
+}
+
+// checkApp rejects an application index the model does not have.
+func (s *Solver) checkApp(app int) error {
+	if app < 0 || app >= s.M.Params.NumApps {
+		return fmt.Errorf("exact: application %d out of range [0,%d)", app, s.M.Params.NumApps)
+	}
+	return nil
+}
+
 // Unavailability is the expected fraction of [0, T] during which
 // application app's service is improper — the exact value of
 // core.Model.Unavailability.
 func (s *Solver) Unavailability(app int, T float64) (float64, error) {
-	return s.C.IntervalAverageReward(T, indicator(s.M.Improper(app)))
+	if err := s.checkApp(app); err != nil {
+		return 0, err
+	}
+	return s.plainWalk().IntervalAverage(app, T)
 }
 
 // Unreliability is the probability that application app suffers a
 // Byzantine fault at least once in [0, T] — the exact value of
 // core.Model.Unreliability.
 func (s *Solver) Unreliability(app int, T float64) (float64, error) {
-	return s.C.FirstPassageProb(T, s.M.Byzantine(app))
+	if err := s.checkApp(app); err != nil {
+		return 0, err
+	}
+	if s.byzantine == nil {
+		s.byzantine = make([]*mc.Walk, s.M.Params.NumApps)
+	}
+	w := s.byzantine[app]
+	if w == nil {
+		w = s.C.FirstPassageWalk(s.M.Byzantine(app))
+		s.byzantine[app] = w
+	}
+	return w.Instant(0, T)
 }
 
 // FracDomainsExcluded is the expected fraction of security domains
 // excluded by time T — the exact value of core.Model.FracDomainsExcluded.
 func (s *Solver) FracDomainsExcluded(T float64) (float64, error) {
-	excluded := s.M.DomainsExcluded
-	n := float64(s.M.Params.NumDomains)
-	return s.C.TransientReward(T, func(st *san.State) float64 {
-		return float64(st.Get(excluded)) / n
-	})
+	return s.plainWalk().Instant(s.M.Params.NumApps, T)
 }

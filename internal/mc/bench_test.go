@@ -96,7 +96,7 @@ func BenchmarkMCUniformStep10k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	op, _ := c.uniOperator(nil)
+	op := c.uniOperator(nil, c.uniRate(nil))
 	defer op.stop()
 	v := c.InitialDistribution()
 	out := make([]float64, len(v))

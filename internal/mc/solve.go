@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"ituaval/internal/san"
 )
@@ -14,8 +15,9 @@ import (
 // the window would grow beyond any plausible size — so a uniformization
 // result at the requested accuracy is not available. The old solver
 // silently truncated in this situation; now the error carries through
-// Transient, TransientReward, IntervalAverageReward, and
-// FirstPassageProb.
+// every Walk measure and so through Transient, TransientReward,
+// IntervalAverageReward, and FirstPassageProb. The window is built before
+// the walk advances, so a failed request leaves the walk as it was.
 var ErrPoissonTruncation = errors.New("mc: Poisson window cannot reach the requested probability mass")
 
 // poissonWindow holds the Fox–Glynn-style truncated Poisson(mu) weights:
@@ -29,7 +31,7 @@ var ErrPoissonTruncation = errors.New("mc: Poisson window cannot reach the reque
 // is normalized by its total, so the retained terms sum to one. Left
 // truncation matters at large mu (the uniformized step count is Λt): the
 // weights below left underflow and their steps contribute nothing to the
-// weighted sum, though the transient loop still has to advance the DTMC
+// weighted sum, though the walk (Walk) still has to advance the DTMC
 // through them.
 type poissonWindow struct {
 	left  int
@@ -131,10 +133,12 @@ func (w *poissonWindow) last() int { return w.left + len(w.terms) - 1 }
 //
 // Large chains run the matvec over a static row-block partition balanced
 // by incoming-transition count (a row's cost is its gather length, not 1),
-// executed by a persistent pool of workers that lives for the duration of
-// one solve — the quotient chains the lumped generator produces run tens
-// of thousands of steps, and respawning goroutines per step is measurable
-// at that scale. Callers that obtain an operator must stop() it.
+// executed by a pool of workers started on the first apply and released
+// by stop — the quotient chains the lumped generator produces run tens of
+// thousands of steps, and respawning goroutines per step is measurable at
+// that scale. An operator lives for one extension of a Walk (or one
+// SteadyState call), so no pool outlives the call that needed it. Callers
+// that obtain an operator must stop() it.
 type uniStep struct {
 	n       int
 	stay    []float64
@@ -147,11 +151,15 @@ type uniStep struct {
 	// [blocks[b], blocks[b+1]). Nil when the chain is solved sequentially.
 	blocks []int32
 
-	poolOnce sync.Once
-	jobs     chan int
-	jobWG    sync.WaitGroup
-	v, out   []float64 // current operands, set before jobs are posted
+	jobs   chan int // nil while no pool runs
+	jobWG  sync.WaitGroup
+	poolWG sync.WaitGroup // running pool workers
+	v, out []float64      // current operands, set before jobs are posted
 }
+
+// matvecs counts operator applications, for tests that pin how many
+// uniformization steps a set of measures costs.
+var matvecs atomic.Int64
 
 // parallelSolveMin is the problem size (states + transitions) below which
 // row-parallel matvec is not worth the goroutine handoff.
@@ -176,30 +184,37 @@ func (s *uniStep) makeBlocks(nBlocks int) {
 func (s *uniStep) startPool() {
 	s.jobs = make(chan int)
 	for w := 1; w < len(s.blocks)-1; w++ {
-		go func() {
-			for b := range s.jobs {
+		s.poolWG.Add(1)
+		go func(jobs <-chan int) {
+			defer s.poolWG.Done()
+			for b := range jobs {
 				s.applyRange(s.v, s.out, int(s.blocks[b]), int(s.blocks[b+1]))
 				s.jobWG.Done()
 			}
-		}()
+		}(s.jobs)
 	}
 }
 
-// stop releases the worker pool. Safe to call whether or not the pool
-// started; the operator must not be applied afterwards.
+// stop releases the worker pool and returns once every worker has exited.
+// Safe to call whether or not the pool started; a later apply starts a
+// fresh pool.
 func (s *uniStep) stop() {
 	if s.jobs != nil {
 		close(s.jobs)
 		s.jobs = nil
+		s.poolWG.Wait()
 	}
 }
 
 func (s *uniStep) apply(v, out []float64) {
+	matvecs.Add(1)
 	if s.blocks == nil {
 		s.applyRange(v, out, 0, s.n)
 		return
 	}
-	s.poolOnce.Do(s.startPool)
+	if s.jobs == nil {
+		s.startPool()
+	}
 	s.v, s.out = v, out
 	nb := len(s.blocks) - 1
 	s.jobWG.Add(nb - 1)
@@ -220,12 +235,11 @@ func (s *uniStep) applyRange(v, out []float64, lo, hi int) {
 	}
 }
 
-// uniOperator builds the uniformized step operator. Λ is 1.02× the largest
-// exit rate (strictly above every exit rate, so each state keeps a
-// self-loop and the DTMC is aperiodic). When bad is non-nil, states marked
-// bad absorb: their mass stays put and their outgoing probabilities are
-// zeroed, and Λ is taken over the non-bad states only.
-func (c *CTMC) uniOperator(bad []bool) (*uniStep, float64) {
+// uniRate is the uniformization rate Λ: 1.02× the largest exit rate
+// (strictly above every exit rate, so each state keeps a self-loop and the
+// DTMC is aperiodic). When bad is non-nil, the maximum is taken over the
+// non-bad states only, since bad states absorb.
+func (c *CTMC) uniRate(bad []bool) float64 {
 	lambda := 0.0
 	for i, e := range c.exit {
 		if (bad == nil || !bad[i]) && e > lambda {
@@ -236,6 +250,13 @@ func (c *CTMC) uniOperator(bad []bool) (*uniStep, float64) {
 	if lambda == 0 {
 		lambda = 1 // absorbing-only chain: identity steps
 	}
+	return lambda
+}
+
+// uniOperator builds the uniformized step operator at rate lambda
+// (uniRate). When bad is non-nil, states marked bad absorb: their mass
+// stays put and their outgoing probabilities are zeroed.
+func (c *CTMC) uniOperator(bad []bool, lambda float64) *uniStep {
 	s := &uniStep{
 		n:       c.n,
 		stay:    make([]float64, c.n),
@@ -261,142 +282,7 @@ func (c *CTMC) uniOperator(bad []bool) (*uniStep, float64) {
 	if s.workers > 1 && s.n+len(s.tCols) >= parallelSolveMin {
 		s.makeBlocks(s.workers)
 	}
-	return s, lambda
-}
-
-// Steady-state detection inside the transient loop: once successive
-// uniformized iterates agree to ssTol in max norm the chain has mixed, so
-// the remaining Poisson mass multiplies the current vector and the
-// (possibly very long, Λt-step) iteration exits early.
-const (
-	ssTol        = 1e-12
-	ssCheckFrom  = 32
-	ssCheckEvery = 4
-)
-
-// transientDist runs the uniformization sum Σ_k P(N(Λt)=k)·v_k under the
-// given step operator.
-func transientDist(op *uniStep, v []float64, lambda, t, eps float64) ([]float64, error) {
-	w, err := newPoissonWindow(lambda*t, eps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	next := make([]float64, len(v))
-	cum := 0.0
-	for k := 0; ; k++ {
-		if pk := w.prob(k); pk > 0 {
-			for i := range v {
-				out[i] += pk * v[i]
-			}
-			cum += pk
-		}
-		if k >= w.last() {
-			return out, nil
-		}
-		op.apply(v, next)
-		if k >= ssCheckFrom && k%ssCheckEvery == 0 {
-			diff := 0.0
-			for i := range v {
-				if d := math.Abs(next[i] - v[i]); d > diff {
-					diff = d
-				}
-			}
-			if diff <= ssTol {
-				rem := 1 - cum
-				for i := range out {
-					out[i] += rem * next[i]
-				}
-				return out, nil
-			}
-		}
-		v, next = next, v
-	}
-}
-
-// Transient returns the state distribution at time t, starting from the
-// model's initial distribution, computed by uniformization with Fox–Glynn
-// truncation and steady-state detection.
-func (c *CTMC) Transient(t float64) ([]float64, error) {
-	if t < 0 {
-		return nil, errors.New("mc: negative time")
-	}
-	v := c.InitialDistribution()
-	if t == 0 || c.n == 0 {
-		return v, nil
-	}
-	op, lambda := c.uniOperator(nil)
-	defer op.stop()
-	out, err := transientDist(op, v, lambda, t, 1e-12)
-	if err != nil {
-		return nil, fmt.Errorf("mc: transient at t=%v: %w", t, err)
-	}
-	return out, nil
-}
-
-// TransientReward returns E[f(X_t)].
-func (c *CTMC) TransientReward(t float64, f func(*san.State) float64) (float64, error) {
-	p, err := c.Transient(t)
-	if err != nil {
-		return 0, err
-	}
-	return dot(p, c.RewardVector(f)), nil
-}
-
-// IntervalAverageReward returns (1/T) E[∫₀ᵀ f(X_u) du] using the
-// uniformization formula for accumulated rewards:
-// E[∫₀ᵀ r du] = (1/Λ) Σ_k (vₖ·r) P(N(ΛT) > k).
-//
-// Like transientDist, the loop detects steady state: once successive
-// uniformized iterates agree to ssTol, every remaining step contributes
-// the same reward, and the remaining tail weights sum in closed form to
-// E[N] − Σ seen = ΛT − Σ seen — so the (possibly ΛT-step) iteration
-// exits early with the exact remainder instead of stepping through it.
-func (c *CTMC) IntervalAverageReward(t float64, f func(*san.State) float64) (float64, error) {
-	if t <= 0 {
-		return 0, errors.New("mc: non-positive interval")
-	}
-	r := c.RewardVector(f)
-	v := c.InitialDistribution()
-	op, lambda := c.uniOperator(nil)
-	defer op.stop()
-	w, err := newPoissonWindow(lambda*t, 1e-12)
-	if err != nil {
-		return 0, fmt.Errorf("mc: interval reward over [0,%v]: %w", t, err)
-	}
-	next := make([]float64, len(v))
-	acc := 0.0
-	cum := 0.0
-	tailSum := 0.0 // Σ over seen steps of P(N > k)
-	for k := 0; k <= w.last(); k++ {
-		cum += w.prob(k)
-		tail := 1 - cum
-		if tail < 0 {
-			tail = 0
-		}
-		acc += dot(v, r) * tail
-		tailSum += tail
-		if tail == 0 {
-			break
-		}
-		op.apply(v, next)
-		if k >= ssCheckFrom && k%ssCheckEvery == 0 {
-			diff := 0.0
-			for i := range v {
-				if d := math.Abs(next[i] - v[i]); d > diff {
-					diff = d
-				}
-			}
-			if diff <= ssTol {
-				if rem := lambda*t - tailSum; rem > 0 {
-					acc += dot(next, r) * rem
-				}
-				return acc / lambda / t, nil
-			}
-		}
-		v, next = next, v
-	}
-	return acc / lambda / t, nil
+	return s
 }
 
 // SteadyState returns the stationary distribution by power iteration on the
@@ -411,7 +297,7 @@ func (c *CTMC) SteadyState(tol float64, maxIter int) ([]float64, error) {
 		maxIter = 1_000_000
 	}
 	v := c.InitialDistribution()
-	op, _ := c.uniOperator(nil)
+	op := c.uniOperator(nil, c.uniRate(nil))
 	defer op.stop()
 	next := make([]float64, len(v))
 	for iter := 0; iter < maxIter; iter++ {
@@ -435,39 +321,6 @@ func (c *CTMC) SteadyStateReward(f func(*san.State) float64, tol float64, maxIte
 		return 0, err
 	}
 	return dot(p, c.RewardVector(f)), nil
-}
-
-// FirstPassageProb returns P(pred(X_u) for some u <= t): states satisfying
-// pred are made absorbing and their transient mass at t is summed. States
-// already satisfying pred at time 0 count as absorbed.
-func (c *CTMC) FirstPassageProb(t float64, pred func(*san.State) bool) (float64, error) {
-	if t < 0 {
-		return 0, errors.New("mc: negative time")
-	}
-	bad := make([]bool, c.n)
-	scratch := c.model.NewState()
-	for i := 0; i < c.n; i++ {
-		copy(scratch.Markings(), c.StateMarking(i))
-		scratch.ResetDirty()
-		bad[i] = pred(scratch)
-	}
-	v := c.InitialDistribution()
-	if t > 0 {
-		op, lambda := c.uniOperator(bad)
-		out, err := transientDist(op, v, lambda, t, 1e-12)
-		op.stop()
-		if err != nil {
-			return 0, fmt.Errorf("mc: first passage by t=%v: %w", t, err)
-		}
-		v = out
-	}
-	p := 0.0
-	for i := range v {
-		if bad[i] {
-			p += v[i]
-		}
-	}
-	return p, nil
 }
 
 func dot(a, b []float64) float64 {
