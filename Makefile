@@ -1,9 +1,13 @@
 # Tier-1 verification lanes. `make ci` is what a change must keep green:
-#   vet    static analysis of every package
-#   build  the library, the three binaries, and the examples
-#   test   the full suite (unit, property, cross-implementation, vs-analytic)
-#   race   the concurrency-heavy packages (parallel runner, checkpointing)
-#          under the race detector
+#   fmt          fails if any Go file (bench module included) needs gofmt
+#   vet          static analysis of every package
+#   build        the library, the three binaries, and the examples
+#   bench-build  the separate bench module (see below)
+#   test         the full suite (unit, property, cross-implementation,
+#                vs-analytic)
+#   bench-test   the bench module's tests (see below)
+#   race         the concurrency-heavy packages (parallel runner,
+#                checkpointing) under the race detector
 # Self-checking lanes (also run in CI):
 #   lint-models  static SAN lint over every registered study model shape
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the
@@ -34,9 +38,15 @@
 #                and the full-size golden values of testdata/golden.json
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
+.PHONY: ci fmt vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
 
-ci: vet build test race
+ci: fmt vet build bench-build test bench-test race
+
+fmt:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

@@ -157,9 +157,6 @@ func Replay(spec Spec, rep int) *ReplicationError {
 		return &ReplicationError{Rep: rep, Seed: spec.Seed, Kind: FailureModel,
 			Err: errors.New("sim: Spec.Model must be a finalized model")}
 	}
-	eng := NewEngine(spec.Model, spec.Validate)
-	eng.UseCRN(spec.CRN)
-	eng.SetInvariants(spec.Invariants, spec.InvariantEvery)
-	_, _, ferr := runReplication(context.Background(), eng, &spec, repStream(&spec, rng.New(spec.Seed), rep), rep)
+	_, _, ferr := runReplication(context.Background(), newSpecEngine(&spec), &spec, repStream(&spec, rng.New(spec.Seed), rep), rep)
 	return ferr
 }

@@ -3,16 +3,18 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"ituaval/internal/rng"
+	"ituaval/internal/stats"
 )
 
-// FlatResult is RunFlat's outcome for one spec: exactly the (*Results, error)
-// pair RunContext would have returned for it.
+// FlatResult is RunFlat's outcome for one spec: the (*Results, error) pair
+// RunContext returns for it.
 type FlatResult struct {
 	// Results is non-nil whenever the spec was valid, even when Err != nil,
 	// so callers can always salvage completed work.
@@ -42,20 +44,174 @@ type FlatHooks struct {
 // RunFlat executes several independent studies on one shared worker pool.
 // The (spec, replication) pairs of all specs are flattened into a single
 // work stream, so a sweep of many small points keeps every worker busy to
-// the end instead of paying a synchronization barrier per point.
+// the end instead of paying a synchronization barrier per point. It is the
+// one replication scheduler: RunContext is RunFlat over a single spec.
 //
-// Each result is bit-identical to RunContext(ctx, spec) at Workers == 1 —
-// replication j of every spec draws from the same derived stream and
-// aggregation runs in replication order — and therefore independent of the
-// worker count. (RunContext's non-per-rep results at Workers > 1 aggregate
-// in a worker-strided order instead, so those are the one combination
-// RunFlat intentionally does not reproduce.)
+// Replication j of every spec draws from the same derived stream whichever
+// worker runs it, and each spec folds its finished replications in
+// replication order (see fold), so every result is bit-identical at every
+// worker count. Observations are released as soon as they are folded: a
+// spec's memory does not grow with Reps unless it keeps per-replication
+// values or quantiles.
 //
 // workers <= 0 selects GOMAXPROCS. Cancelling ctx stops the stream
 // gracefully: unattempted replications count as Skipped and every valid
 // spec's Err becomes ctx.Err().
 func RunFlat(ctx context.Context, specs []Spec, workers int) []FlatResult {
 	return RunFlatFunc(ctx, specs, workers, FlatHooks{})
+}
+
+// outcome is one finished replication: its observations and firings when
+// it completed, its failure when it failed, neither when it was skipped.
+type outcome struct {
+	vals    [][]float64
+	firings int64
+	ferr    *ReplicationError
+	done    bool // set once the replication has finished
+}
+
+// fold is one spec's streaming aggregation. Workers hand it outcomes in
+// whatever order they finish; a cursor folds the consecutive run of
+// finished replications in replication order — the one order every worker
+// count produces — and releases each one's observations. Outcomes that
+// finish ahead of the cursor wait in a ring that stays small: it holds only
+// what other workers finished while an earlier replication was still
+// running.
+type fold struct {
+	spec *Spec
+	root *rng.Stream
+
+	mu     sync.Mutex
+	next   int       // batch-local index of the next replication to fold
+	ahead  []outcome // ring: replication r waits in ahead[r%len(ahead)]
+	out    *Results
+	names  []string // of Spec.Vars, taken before any worker starts
+	accums []*stats.Accumulator
+	pooled [][]float64 // observations backing Spec.Quantiles
+}
+
+func newFold(spec *Spec) *fold {
+	f := &fold{spec: spec, root: rng.New(spec.Seed),
+		out: &Results{Reps: spec.Reps, FirstRep: spec.FirstRep,
+			quantiles: len(spec.Quantiles) > 0},
+		names:  make([]string, len(spec.Vars)),
+		accums: make([]*stats.Accumulator, len(spec.Vars))}
+	for i, v := range spec.Vars {
+		f.names[i] = v.Name()
+		f.accums[i] = &stats.Accumulator{}
+	}
+	if len(spec.Quantiles) > 0 {
+		f.pooled = make([][]float64, len(spec.Vars))
+	}
+	if spec.perRep() {
+		f.out.PerRep = make([][]float64, len(spec.Vars))
+		for i := range f.out.PerRep {
+			row := make([]float64, spec.Reps)
+			for j := range row {
+				row[j] = math.NaN()
+			}
+			f.out.PerRep[i] = row
+		}
+	}
+	return f
+}
+
+// add records the outcome of batch-local replication rep and folds every
+// replication the cursor can now reach. It returns the spec's Results once,
+// to the call that folds the last replication, and nil otherwise.
+func (f *fold) add(rep int, o outcome) *Results {
+	o.done = true
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if rep != f.next {
+		f.park(rep, o)
+		return nil
+	}
+	for {
+		f.foldNext(o)
+		f.next++
+		if len(f.ahead) == 0 {
+			break
+		}
+		slot := &f.ahead[f.next%len(f.ahead)]
+		if !slot.done {
+			break
+		}
+		o, *slot = *slot, outcome{}
+	}
+	if f.next < f.spec.Reps {
+		return nil
+	}
+	f.out.Failed = len(f.out.Failures)
+	f.out.setEstimates(f.names, f.spec.Quantiles, f.accums, f.pooled)
+	if f.spec.perRep() {
+		f.out.accums = f.accums
+	}
+	return f.out
+}
+
+// park stores the outcome of a replication ahead of the cursor, growing
+// the ring when rep falls beyond it.
+func (f *fold) park(rep int, o outcome) {
+	if n := len(f.ahead); rep-f.next >= n {
+		grown := make([]outcome, max(8, 2*(rep-f.next+1)))
+		for r := f.next + 1; r < f.next+n; r++ {
+			grown[r%len(grown)] = f.ahead[r%n]
+		}
+		f.ahead = grown
+	}
+	f.ahead[rep%len(f.ahead)] = o
+}
+
+// foldNext aggregates the outcome of replication f.next.
+func (f *fold) foldNext(o outcome) {
+	out, j := f.out, f.next
+	switch {
+	case o.ferr != nil:
+		out.Failures = append(out.Failures, *o.ferr)
+		return
+	case o.vals == nil:
+		out.Skipped++
+		return
+	}
+	out.Completed++
+	out.TotalFirings += o.firings
+	for i, xs := range o.vals {
+		if out.PerRep != nil && len(xs) > 0 {
+			sum := 0.0
+			for _, x := range xs {
+				sum += x
+			}
+			out.PerRep[i][j] = sum / float64(len(xs))
+		}
+		if f.spec.Antithetic {
+			// One observation per complete pair, folded with its odd
+			// member: the mean of the two partners' replication means.
+			// Pairs with a failed, skipped, or observation-less member
+			// contribute nothing.
+			if j%2 == 1 {
+				if a, b := out.PerRep[i][j-1], out.PerRep[i][j]; !math.IsNaN(a) && !math.IsNaN(b) {
+					f.accums[i].Add((a + b) / 2)
+				}
+			}
+			continue
+		}
+		for _, x := range xs {
+			f.accums[i].Add(x)
+		}
+		if f.pooled != nil {
+			f.pooled[i] = append(f.pooled[i], xs...)
+		}
+	}
+}
+
+// newSpecEngine builds an engine configured for spec's sampling mode and
+// invariants.
+func newSpecEngine(spec *Spec) *Engine {
+	eng := NewEngine(spec.Model, spec.Validate)
+	eng.UseCRN(spec.CRN)
+	eng.SetInvariants(spec.Invariants, spec.InvariantEvery)
+	return eng
 }
 
 // RunFlatFunc is RunFlat with progress hooks: per-unit ticks and per-spec
@@ -65,21 +221,7 @@ func RunFlat(ctx context.Context, specs []Spec, workers int) []FlatResult {
 // RunFlat's.
 func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks) []FlatResult {
 	out := make([]FlatResult, len(specs))
-	// Per-spec mutable state, indexed by batch-local replication. Workers
-	// write disjoint slots, so no lock is needed.
-	type flatPoint struct {
-		spec    *Spec
-		root    *rng.Stream
-		repVals [][][]float64
-		repFir  []int64
-		repErr  []*ReplicationError
-		// remaining counts the spec's unfinished units; the worker that
-		// decrements it to zero owns the aggregation (every slot write
-		// happened before its own decrement, so the last decrementer sees
-		// them all).
-		remaining atomic.Int64
-	}
-	pts := make([]*flatPoint, len(specs))
+	folds := make([]*fold, len(specs))
 	// starts[i] is the first flat unit index of spec i; invalid specs own an
 	// empty range. The owning spec of unit u is the last i with starts[i] <= u.
 	starts := make([]int, len(specs)+1)
@@ -92,16 +234,8 @@ func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks
 			}
 			continue
 		}
-		sp := &specs[si]
-		pts[si] = &flatPoint{
-			spec:    sp,
-			root:    rng.New(sp.Seed),
-			repVals: make([][][]float64, sp.Reps),
-			repFir:  make([]int64, sp.Reps),
-			repErr:  make([]*ReplicationError, sp.Reps),
-		}
-		pts[si].remaining.Store(int64(sp.Reps))
-		starts[si+1] += sp.Reps
+		folds[si] = newFold(&specs[si])
+		starts[si+1] += specs[si].Reps
 	}
 	total := starts[len(specs)]
 	if workers <= 0 {
@@ -109,32 +243,6 @@ func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks
 	}
 	if workers > total {
 		workers = total
-	}
-
-	// finalize aggregates one spec whose every unit has finished and
-	// publishes the eager snapshot to the OnSpec hook. out[si] is written by
-	// at most one worker and read by the caller only after wg.Wait.
-	finalize := func(si int) {
-		pt := pts[si]
-		var firings int64
-		completed, skipped := 0, 0
-		var failures []ReplicationError
-		for rep := range pt.repVals {
-			switch {
-			case pt.repVals[rep] != nil:
-				completed++
-				firings += pt.repFir[rep]
-			case pt.repErr[rep] != nil:
-				failures = append(failures, *pt.repErr[rep])
-			default:
-				skipped++
-			}
-		}
-		res := aggregateRepOrder(pt.spec, pt.repVals, firings, completed, skipped, failures)
-		out[si] = FlatResult{Results: res, Err: finishErr(ctx, pt.spec, res)}
-		if hooks.OnSpec != nil {
-			hooks.OnSpec(si, out[si])
-		}
 	}
 
 	var next atomic.Int64
@@ -152,34 +260,32 @@ func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks
 					return
 				}
 				si := sort.SearchInts(starts, u+1) - 1
-				pt := pts[si]
+				f := folds[si]
 				rep := u - starts[si]
+				var o outcome
 				if ctx.Err() == nil {
 					// Attempt the unit; after cancellation the stream just
-					// drains, and unattempted slots stay nil (skipped).
-					eng := engines[si]
-					if eng == nil {
-						eng = NewEngine(pt.spec.Model, pt.spec.Validate)
-						eng.UseCRN(pt.spec.CRN)
-						eng.SetInvariants(pt.spec.Invariants, pt.spec.InvariantEvery)
-						engines[si] = eng
+					// drains, and unattempted units fold as skipped.
+					if engines[si] == nil {
+						engines[si] = newSpecEngine(f.spec)
 					}
-					abs := pt.spec.FirstRep + rep
-					vals, firings, ferr := runReplication(ctx, eng, pt.spec, repStream(pt.spec, pt.root, abs), abs)
-					if ferr != nil {
-						if !errors.Is(ferr.Err, context.Canceled) {
-							pt.repErr[rep] = ferr
-						}
-					} else {
-						pt.repVals[rep] = vals
-						pt.repFir[rep] = firings
+					abs := f.spec.FirstRep + rep
+					var ferr *ReplicationError
+					o.vals, o.firings, ferr = runReplication(ctx, engines[si], f.spec, repStream(f.spec, f.root, abs), abs)
+					if ferr != nil && !errors.Is(ferr.Err, context.Canceled) {
+						o.ferr = ferr
 					}
 				}
 				if hooks.OnRep != nil {
 					hooks.OnRep(si)
 				}
-				if pt.remaining.Add(-1) == 0 {
-					finalize(si)
+				if res := f.add(rep, o); res != nil {
+					// Only this worker sees res; out[si] is read by the
+					// caller after wg.Wait.
+					out[si] = FlatResult{Results: res, Err: finishErr(ctx, f.spec, res)}
+					if hooks.OnSpec != nil {
+						hooks.OnSpec(si, out[si])
+					}
 				}
 			}
 		}()
@@ -191,10 +297,10 @@ func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks
 	// with a nil error, but the returned slice keeps RunFlat's historical
 	// contract that cancellation surfaces as ctx.Err() on every valid spec.
 	for si := range specs {
-		if pts[si] == nil {
+		if folds[si] == nil {
 			continue // invalid spec; Err already set
 		}
-		out[si].Err = finishErr(ctx, pts[si].spec, out[si].Results)
+		out[si].Err = finishErr(ctx, folds[si].spec, out[si].Results)
 	}
 	return out
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"ituaval/internal/reward"
@@ -29,8 +26,9 @@ type Spec struct {
 	Until float64
 	// Reps is the number of independent replications (must be >= 1).
 	Reps int
-	// Seed is the root seed; replication i uses the derived stream i, so
-	// results are reproducible and independent of worker scheduling.
+	// Seed is the root seed; replication i uses the derived stream i and
+	// results aggregate in replication order, so they are reproducible and
+	// bit-identical at every worker count.
 	Seed uint64
 	// Vars are the reward variables to estimate.
 	Vars []reward.Var
@@ -78,9 +76,8 @@ type Spec struct {
 	// KeepPerRep retains one summary value per replication and variable
 	// (the mean of the replication's observations; NaN if it failed, was
 	// skipped, or emitted none) in Results.PerRep — the substrate for
-	// paired comparison and sequential stopping. Aggregation then runs in
-	// replication order, making estimates bit-identical across worker
-	// counts, and Results.Merge can fold contiguous batches together.
+	// paired comparison and sequential stopping — and lets Results.Merge
+	// fold contiguous batches together.
 	KeepPerRep bool
 	// FirstRep is the absolute index of the first replication of this
 	// batch (default 0). Replication j of the batch uses the stream
@@ -246,30 +243,12 @@ func (r *Results) Merge(s *Results) error {
 	r.Failed += s.Failed
 	r.Skipped += s.Skipped
 	r.Failures = append(r.Failures, s.Failures...)
-	sort.Slice(r.Failures, func(i, j int) bool { return r.Failures[i].Rep < r.Failures[j].Rep })
-	r.finalizeEstimates()
+	names := make([]string, len(r.Estimates))
+	for i := range r.Estimates {
+		names[i] = r.Estimates[i].Name
+	}
+	r.setEstimates(names, nil, r.accums, nil)
 	return nil
-}
-
-// finalizeEstimates rebuilds Estimates and the name index from accums,
-// preserving per-variable Quantiles already present.
-func (r *Results) finalizeEstimates() {
-	for i := range r.Estimates {
-		a := r.accums[i]
-		est := &r.Estimates[i]
-		est.N = a.N()
-		est.Mean, est.HalfWidth95, est.Min, est.Max = 0, 0, 0, 0
-		if a.N() > 0 {
-			est.Mean, est.Min, est.Max = a.Mean(), a.Min(), a.Max()
-		}
-		if a.N() >= 2 {
-			est.HalfWidth95 = a.HalfWidth(0.95)
-		}
-	}
-	r.byName = make(map[string]*Estimate, len(r.Estimates))
-	for i := range r.Estimates {
-		r.byName[r.Estimates[i].Name] = &r.Estimates[i]
-	}
 }
 
 // Attempted returns the number of replications actually attempted
@@ -295,8 +274,8 @@ func (r *Results) MustGet(name string) Estimate {
 	return e
 }
 
-// Run executes the study: Spec.Reps replications of Spec.Model, partitioned
-// over workers, aggregating every reward variable. Replication i always
+// Run executes the study: Spec.Reps replications of Spec.Model, shared
+// among workers, aggregating every reward variable. Replication i always
 // uses stream Derive(Seed)(i) regardless of the worker that runs it.
 func Run(spec Spec) (*Results, error) {
 	return RunContext(context.Background(), spec)
@@ -349,240 +328,37 @@ func runReplication(ctx context.Context, eng *Engine, spec *Spec, stream *rng.St
 //   - If the failed fraction exceeds Spec.MaxFailureFrac, the partial
 //     results are returned together with an aggregate error.
 //
-// The returned *Results is non-nil whenever the spec itself is valid, even
-// when err != nil, so callers can always salvage completed work.
+// It is RunFlat over the one spec with Spec.Workers workers, so its results
+// are bit-identical at every worker count. The returned *Results is non-nil
+// whenever the spec itself is valid, even when err != nil, so callers can
+// always salvage completed work.
 func RunContext(ctx context.Context, spec Spec) (*Results, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Reps {
-		workers = spec.Reps
-	}
-
-	root := rng.New(spec.Seed)
-	keepPer := spec.perRep()
-	type workerResult struct {
-		accums    []*stats.Accumulator
-		samples   [][]float64
-		firings   int64
-		completed int
-		skipped   int
-		failures  []ReplicationError
-	}
-	results := make([]workerResult, workers)
-	// In per-replication mode the workers publish each replication's
-	// observations into a shared slice indexed by batch-local replication
-	// (disjoint writes, no lock), and aggregation runs afterwards in
-	// replication order — the order is then independent of the worker
-	// count, which is what makes per-rep results bit-identical across
-	// parallelism levels. nil marks a failed or skipped replication.
-	var repVals [][][]float64
-	if keepPer {
-		repVals = make([][][]float64, spec.Reps)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res := &results[w]
-			if !keepPer {
-				res.accums = make([]*stats.Accumulator, len(spec.Vars))
-				for i := range res.accums {
-					res.accums[i] = &stats.Accumulator{}
-				}
-				if len(spec.Quantiles) > 0 {
-					res.samples = make([][]float64, len(spec.Vars))
-				}
-			}
-			eng := NewEngine(spec.Model, spec.Validate)
-			eng.UseCRN(spec.CRN)
-			eng.SetInvariants(spec.Invariants, spec.InvariantEvery)
-			for rep := w; rep < spec.Reps; rep += workers {
-				if ctx.Err() != nil {
-					// Count this and every remaining strided replication
-					// as skipped so Results never overstates what ran.
-					res.skipped += (spec.Reps - rep + workers - 1) / workers
-					return
-				}
-				abs := spec.FirstRep + rep
-				vals, firings, ferr := runReplication(ctx, eng, &spec, repStream(&spec, root, abs), abs)
-				if ferr != nil {
-					if errors.Is(ferr.Err, context.Canceled) {
-						// The study context was cancelled mid-replication:
-						// incomplete work, not a failure.
-						res.skipped++
-						continue
-					}
-					res.failures = append(res.failures, *ferr)
-					continue
-				}
-				res.completed++
-				res.firings += firings
-				if keepPer {
-					repVals[rep] = vals
-					continue
-				}
-				for i, xs := range vals {
-					for _, x := range xs {
-						res.accums[i].Add(x)
-					}
-					if res.samples != nil {
-						res.samples[i] = append(res.samples[i], xs...)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var out *Results
-	if keepPer {
-		var firings int64
-		completed, skipped := 0, 0
-		var failures []ReplicationError
-		for w := range results {
-			firings += results[w].firings
-			completed += results[w].completed
-			skipped += results[w].skipped
-			failures = append(failures, results[w].failures...)
-		}
-		out = aggregateRepOrder(&spec, repVals, firings, completed, skipped, failures)
-	} else {
-		out = &Results{Reps: spec.Reps, FirstRep: spec.FirstRep,
-			quantiles: len(spec.Quantiles) > 0}
-		merged := make([]*stats.Accumulator, len(spec.Vars))
-		for i := range merged {
-			merged[i] = &stats.Accumulator{}
-		}
-		var pooled [][]float64
-		if len(spec.Quantiles) > 0 {
-			pooled = make([][]float64, len(spec.Vars))
-		}
-		for w := range results {
-			out.TotalFirings += results[w].firings
-			out.Completed += results[w].completed
-			out.Skipped += results[w].skipped
-			out.Failures = append(out.Failures, results[w].failures...)
-			for i := range merged {
-				merged[i].Merge(results[w].accums[i])
-				if pooled != nil && results[w].samples != nil {
-					pooled[i] = append(pooled[i], results[w].samples[i]...)
-				}
-			}
-		}
-		out.Failed = len(out.Failures)
-		sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].Rep < out.Failures[j].Rep })
-		buildEstimates(&spec, out, merged, pooled)
-	}
-	return out, finishErr(ctx, &spec, out)
+	fr := RunFlat(ctx, []Spec{spec}, spec.Workers)[0]
+	return fr.Results, fr.Err
 }
 
-// aggregateRepOrder builds the Results of a study from per-replication
-// observations indexed by batch-local replication (nil marks a failed or
-// skipped replication), folding them in replication order — the one order
-// every worker count produces, which is what makes the result bit-identical
-// across parallelism levels. Shared by RunContext's per-replication path and
-// RunFlat.
-func aggregateRepOrder(spec *Spec, repVals [][][]float64, firings int64, completed, skipped int, failures []ReplicationError) *Results {
-	keepPer := spec.perRep()
-	out := &Results{Reps: spec.Reps, FirstRep: spec.FirstRep,
-		quantiles:    len(spec.Quantiles) > 0,
-		TotalFirings: firings, Completed: completed, Skipped: skipped,
-		Failures: failures}
-	merged := make([]*stats.Accumulator, len(spec.Vars))
-	for i := range merged {
-		merged[i] = &stats.Accumulator{}
-	}
-	var pooled [][]float64
-	if len(spec.Quantiles) > 0 {
-		pooled = make([][]float64, len(spec.Vars))
-	}
-	if keepPer {
-		out.PerRep = make([][]float64, len(spec.Vars))
-		for i := range out.PerRep {
-			row := make([]float64, spec.Reps)
-			for j := range row {
-				row[j] = math.NaN()
-			}
-			out.PerRep[i] = row
-		}
-	}
-	for j := 0; j < spec.Reps; j++ {
-		vals := repVals[j]
-		if vals == nil {
-			continue
-		}
-		for i, xs := range vals {
-			if keepPer && len(xs) > 0 {
-				sum := 0.0
-				for _, x := range xs {
-					sum += x
-				}
-				out.PerRep[i][j] = sum / float64(len(xs))
-			}
-			if spec.Antithetic {
-				continue // aggregated below, by pair
-			}
-			for _, x := range xs {
-				merged[i].Add(x)
-			}
-			if pooled != nil {
-				pooled[i] = append(pooled[i], xs...)
-			}
-		}
-	}
-	if spec.Antithetic {
-		// One observation per complete pair: the mean of the two partners'
-		// replication means. Pairs with a failed, skipped, or
-		// observation-less member contribute nothing.
-		for i := range spec.Vars {
-			row := out.PerRep[i]
-			for p := 0; p+1 < spec.Reps; p += 2 {
-				a, b := row[p], row[p+1]
-				if !math.IsNaN(a) && !math.IsNaN(b) {
-					merged[i].Add((a + b) / 2)
-				}
-			}
-		}
-	}
-	out.Failed = len(out.Failures)
-	sort.Slice(out.Failures, func(i, j int) bool { return out.Failures[i].Rep < out.Failures[j].Rep })
-	buildEstimates(spec, out, merged, pooled)
-	if keepPer {
-		out.accums = merged
-	}
-	return out
-}
-
-// buildEstimates fills out.Estimates and the name index from the merged
-// per-variable accumulators and (optionally) the pooled observations backing
-// the requested quantiles.
-func buildEstimates(spec *Spec, out *Results, merged []*stats.Accumulator, pooled [][]float64) {
-	for i, v := range spec.Vars {
-		a := merged[i]
-		est := Estimate{Name: v.Name(), N: a.N()}
+// setEstimates rebuilds r.Estimates and the name index from one accumulator
+// per variable (parallel to names) and, when quantiles are requested, the
+// pooled observations backing them.
+func (r *Results) setEstimates(names []string, quantiles []float64, accums []*stats.Accumulator, pooled [][]float64) {
+	r.Estimates = make([]Estimate, len(names))
+	r.byName = make(map[string]*Estimate, len(names))
+	for i, a := range accums {
+		est := &r.Estimates[i]
+		est.Name, est.N = names[i], a.N()
 		if a.N() > 0 {
 			est.Mean, est.Min, est.Max = a.Mean(), a.Min(), a.Max()
 		}
 		if a.N() >= 2 {
 			est.HalfWidth95 = a.HalfWidth(0.95)
 		}
-		if pooled != nil && len(pooled[i]) > 0 {
-			est.Quantiles = make([]float64, len(spec.Quantiles))
-			for qi, q := range spec.Quantiles {
+		if len(quantiles) > 0 && len(pooled[i]) > 0 {
+			est.Quantiles = make([]float64, len(quantiles))
+			for qi, q := range quantiles {
 				est.Quantiles[qi] = stats.Quantile(pooled[i], q)
 			}
 		}
-		out.Estimates = append(out.Estimates, est)
-	}
-	out.byName = make(map[string]*Estimate, len(out.Estimates))
-	for i := range out.Estimates {
-		out.byName[out.Estimates[i].Name] = &out.Estimates[i]
+		r.byName[est.Name] = est
 	}
 }
 

@@ -3,16 +3,16 @@ package study
 // Determinism regression harness for the engine hot path. The golden file
 // (testdata/determinism_golden.json) was captured from the engine BEFORE the
 // allocation-free/flattened-scheduling overhaul, so this test proves the
-// optimized engine samples bit-identical trajectories:
+// optimized engine samples bit-identical trajectories. Every scenario has
+// one reference, captured at Workers=1, and must reproduce it at Workers 1,
+// 2 and 8 — the one replication scheduler (sim.RunFlat) folds every
+// study's replications in replication order, so no result depends on the
+// worker count:
 //
-//   - fixed-seed figure panels (fig3/fig4/fig5) must reproduce the golden
-//     values at Workers=1 AND Workers=8 — the flattened sweep scheduler
-//     aggregates in replication order, so results are worker-count-invariant
-//     and equal to the sequential (Workers=1) reference;
-//   - sim.RunContext in CRN and non-CRN mode is pinned per worker count
-//     (its strided aggregation is intentionally unchanged);
+//   - fixed-seed figure panels (fig3/fig4/fig5);
+//   - sim.RunContext in CRN and non-CRN mode;
 //   - an integrity.CrossCheck smoke (SAN engine vs the independent direct
-//     simulator) is pinned per worker count.
+//     simulator).
 //
 // Every float is compared by its IEEE-754 bit pattern, not by tolerance.
 // Regenerate with `go test ./internal/study -run TestDeterminismGolden
@@ -81,9 +81,7 @@ func detParams() core.Params {
 	return p
 }
 
-// detSim pins sim.RunContext itself (the strided worker partition, which
-// the sweep flattening intentionally leaves untouched) in both sampling
-// modes and at two worker counts.
+// detSim pins sim.RunContext itself in both sampling modes.
 func detSim(t *testing.T, workers int, crn bool) []string {
 	t.Helper()
 	m, err := core.Build(detParams())
@@ -129,21 +127,22 @@ func detCross(t *testing.T, workers int) []string {
 	return out
 }
 
-// captureGolden produces the reference scenarios: figures at Workers=1 (the
-// sequential order every worker count must reproduce), sim and crosscheck
-// per worker count (their strided aggregation is worker-count-specific by
-// design, but stable for a fixed count).
+// detWorkers are the worker counts every scenario must reproduce its
+// Workers=1 reference at.
+var detWorkers = []int{1, 2, 8}
+
+// captureGolden produces the reference scenarios, all at Workers=1 (the
+// sequential order every worker count must reproduce). The sim and
+// crosscheck keys keep their historical "workers=1" names.
 func captureGolden(t *testing.T) map[string][]string {
 	g := make(map[string][]string)
 	for _, id := range detFigureIDs {
 		g[id] = detFigure(t, id, 1)
 	}
-	for _, w := range []int{1, 8} {
-		for _, crn := range []bool{false, true} {
-			g[fmt.Sprintf("sim/workers=%d/crn=%v", w, crn)] = detSim(t, w, crn)
-		}
-		g[fmt.Sprintf("crosscheck/workers=%d", w)] = detCross(t, w)
+	for _, crn := range []bool{false, true} {
+		g[fmt.Sprintf("sim/workers=1/crn=%v", crn)] = detSim(t, 1, crn)
 	}
+	g["crosscheck/workers=1"] = detCross(t, 1)
 	return g
 }
 
@@ -191,19 +190,14 @@ func TestDeterminismGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Figures: the same golden (captured sequentially) must hold at every
-	// worker count — the flattened scheduler's invariance guarantee.
-	for _, id := range detFigureIDs {
-		for _, w := range []int{1, 8} {
+	for _, w := range detWorkers {
+		for _, id := range detFigureIDs {
 			compareLines(t, fmt.Sprintf("%s/workers=%d", id, w), detFigure(t, id, w), want[id])
 		}
-	}
-	for _, w := range []int{1, 8} {
 		for _, crn := range []bool{false, true} {
-			key := fmt.Sprintf("sim/workers=%d/crn=%v", w, crn)
-			compareLines(t, key, detSim(t, w, crn), want[key])
+			key := fmt.Sprintf("sim/workers=1/crn=%v", crn)
+			compareLines(t, fmt.Sprintf("sim/workers=%d/crn=%v", w, crn), detSim(t, w, crn), want[key])
 		}
-		key := fmt.Sprintf("crosscheck/workers=%d", w)
-		compareLines(t, key, detCross(t, w), want[key])
+		compareLines(t, fmt.Sprintf("crosscheck/workers=%d", w), detCross(t, w), want["crosscheck/workers=1"])
 	}
 }

@@ -6,13 +6,11 @@
 package study
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
-	"ituaval/internal/core"
 	"ituaval/internal/precision"
 	"ituaval/internal/reward"
 	"ituaval/internal/sim"
@@ -231,71 +229,6 @@ func newPointResult(res *sim.Results) *PointResult {
 	}
 	return &PointResult{Est: est, Reps: res.Reps,
 		Completed: res.Completed, Failed: res.Failed, Skipped: res.Skipped}
-}
-
-// point runs one sweep point and returns its estimates and replication
-// accounting. When cfg.Checkpoint is set, a point whose exact spec (params,
-// horizon, reps, precision targets, seed) was already completed is returned
-// from the checkpoint without simulating, and a freshly computed point is
-// persisted before returning — the unit of resume granularity for
-// interrupted sweeps. With a precision target configured the point runs
-// sequentially (internal/precision) instead of at a fixed replication
-// count.
-func point(ctx context.Context, cfg Config, p core.Params, until float64, seedOffset uint64,
-	vars func(m *core.Model) []reward.Var) (*PointResult, error) {
-	var key string
-	if cfg.Checkpoint != nil {
-		key = pointKey(cfg, p, until, seedOffset)
-		if pr, ok := cfg.Checkpoint.lookup(key); ok {
-			return pr, nil
-		}
-	}
-	m, err := core.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	spec := sim.Spec{
-		Model:          m.SAN,
-		Until:          until,
-		Reps:           cfg.Reps,
-		Seed:           cfg.Seed + seedOffset,
-		Workers:        cfg.Workers,
-		Vars:           vars(m),
-		RepDeadline:    cfg.RepDeadline,
-		MaxFailureFrac: cfg.MaxFailureFrac,
-	}
-	var res *sim.Results
-	if cfg.precisionMode() {
-		pres, err := precision.Run(ctx, precision.Spec{
-			Sim:         spec,
-			Targets:     cfg.targets(spec.Vars),
-			InitialReps: cfg.Reps,
-			MaxReps:     cfg.MaxReps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !pres.Met {
-			cfg.warnf("study: precision target (rel %g, abs %g) not reached at this sweep point after %d replications",
-				cfg.TargetRelHW, cfg.TargetAbsHW, pres.Results.Reps)
-		}
-		res = pres.Results
-	} else {
-		if res, err = sim.RunContext(ctx, spec); err != nil {
-			return nil, err
-		}
-	}
-	if res.Failed > 0 {
-		cfg.warnf("study: %d of %d replications failed at this sweep point; estimates use the %d survivors (first failure: %v)",
-			res.Failed, res.Reps, res.Completed, &res.Failures[0])
-	}
-	pr := newPointResult(res)
-	if cfg.Checkpoint != nil {
-		if err := cfg.Checkpoint.store(key, pr); err != nil {
-			return nil, err
-		}
-	}
-	return pr, nil
 }
 
 // appendCell pushes one fully specified point onto a series.

@@ -232,6 +232,18 @@ func TestWriters(t *testing.T) {
 	}
 }
 
+// runPoint runs a one-point sweep at horizon T.
+func runPoint(t *testing.T, cfg Config, p core.Params, T float64, vars func(m *core.Model) []reward.Var) *PointResult {
+	t.Helper()
+	var pr *PointResult
+	sw := newSweep(cfg)
+	sw.add(&pr, "point", cfg, p, T, 0, vars)
+	if err := sw.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
 // TestPointPrecisionMode drives one sweep point under a relative half-width
 // target: the replication count must grow geometrically from Reps until the
 // target holds for every measure (or the cap is hit).
@@ -243,12 +255,9 @@ func TestPointPrecisionMode(t *testing.T) {
 	p.RepsPerApp = 4
 	const T = 5.0
 	cfg := Config{Reps: 50, Seed: 3, TargetRelHW: 0.25, MaxReps: 6400}
-	pr, err := point(context.Background(), cfg, p, T, 0, func(m *core.Model) []reward.Var {
+	pr := runPoint(t, cfg, p, T, func(m *core.Model) []reward.Var {
 		return []reward.Var{m.Unavailability("u", 0, 0, T)}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if pr.Reps < cfg.Reps {
 		t.Fatalf("precision point ran %d reps, below the initial batch %d", pr.Reps, cfg.Reps)
 	}
@@ -355,12 +364,9 @@ func TestCrossValidationWithPlacementStrategies(t *testing.T) {
 		p.RepsPerApp = 4
 		p.Placement = placement
 		const T, reps = 6.0, 1200
-		pr, err := point(context.Background(), Config{Reps: reps, Seed: 21}, p, T, 0, func(m *core.Model) []reward.Var {
+		pr := runPoint(t, Config{Reps: reps, Seed: 21}, p, T, func(m *core.Model) []reward.Var {
 			return []reward.Var{m.Unavailability("u", 0, 0, T)}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		est := pr.Est
 		var acc stats.Accumulator
 		root := rng.New(77)

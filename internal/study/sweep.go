@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"ituaval/internal/core"
+	"ituaval/internal/precision"
 	"ituaval/internal/reward"
 	"ituaval/internal/sim"
 )
@@ -13,10 +14,10 @@ import (
 // sweep collects the points of one figure and runs them on a single flat
 // worker pool (sim.RunFlat): the (point, replication) pairs of the whole
 // figure form one work stream, so workers stay busy to the end instead of
-// paying a synchronization barrier per point. Results are bit-identical to
-// running the points sequentially through point() — each replication draws
-// from the same derived stream and each point aggregates in replication
-// order — and independent of the worker count.
+// paying a synchronization barrier per point. Each point's results are
+// bit-identical to sim.RunContext on its spec, and so independent of the
+// worker count. In precision mode the points run one after another through
+// internal/precision instead.
 type sweep struct {
 	cfg   Config
 	reqs  []sweepReq
@@ -55,26 +56,16 @@ func (sw *sweep) notifyPoint(i int, pr *PointResult) {
 	}
 }
 
-// run executes every scheduled point. In precision mode the points run
-// sequentially through point() — sequential stopping decides each point's
-// replication count adaptively, which has no fixed flat decomposition —
-// otherwise all points share one sim.RunFlat pool. Checkpointed points are
-// restored without simulating, and freshly computed points are persisted
-// before run returns; a point that fully completed before a cancellation is
-// persisted too, so resumed sweeps lose none of the finished work.
+// run executes every scheduled point. Checkpointed points are restored
+// without simulating. In precision mode the remaining points run one after
+// another through internal/precision — sequential stopping decides each
+// point's replication count adaptively, which has no fixed flat
+// decomposition — and the first error aborts the sweep; otherwise they all
+// share one sim.RunFlat pool and the sweep salvages every point it can.
+// Freshly computed points are persisted before run returns; a point that
+// fully completed before a cancellation is persisted too, so resumed sweeps
+// lose none of the finished work.
 func (sw *sweep) run(ctx context.Context) error {
-	if sw.cfg.precisionMode() {
-		for i := range sw.reqs {
-			req := &sw.reqs[i]
-			pr, err := point(ctx, req.cfg, req.params, req.until, req.seedOffset, req.vars)
-			if err != nil {
-				return fmt.Errorf("%s: %w", req.label, err)
-			}
-			*req.out = pr
-			sw.notifyPoint(i, pr)
-		}
-		return nil
-	}
 	var pending []*sweepReq
 	var pendIdx []int
 	var specs []sim.Spec
@@ -107,6 +98,45 @@ func (sw *sweep) run(ctx context.Context) error {
 		pending = append(pending, req)
 		pendIdx = append(pendIdx, i)
 		keys = append(keys, key)
+	}
+	// commit warns about failed replications, persists the point, and
+	// publishes it.
+	commit := func(i int, res *sim.Results) error {
+		req := pending[i]
+		if res.Failed > 0 {
+			req.cfg.warnf("study: %d of %d replications failed at this sweep point; estimates use the %d survivors (first failure: %v)",
+				res.Failed, res.Reps, res.Completed, &res.Failures[0])
+		}
+		pr := newPointResult(res)
+		if req.cfg.Checkpoint != nil {
+			if err := req.cfg.Checkpoint.store(keys[i], pr); err != nil {
+				return fmt.Errorf("%s: %w", req.label, err)
+			}
+		}
+		*req.out = pr
+		return nil
+	}
+	if sw.cfg.precisionMode() {
+		for i, req := range pending {
+			pres, err := precision.Run(ctx, precision.Spec{
+				Sim:         specs[i],
+				Targets:     req.cfg.targets(specs[i].Vars),
+				InitialReps: req.cfg.Reps,
+				MaxReps:     req.cfg.MaxReps,
+			})
+			if err != nil {
+				return fmt.Errorf("%s: %w", req.label, err)
+			}
+			if !pres.Met {
+				req.cfg.warnf("study: precision target (rel %g, abs %g) not reached at this sweep point after %d replications",
+					req.cfg.TargetRelHW, req.cfg.TargetAbsHW, pres.Results.Reps)
+			}
+			if err := commit(i, pres.Results); err != nil {
+				return err
+			}
+			sw.notifyPoint(pendIdx[i], *req.out)
+		}
+		return nil
 	}
 	if len(pending) == 0 {
 		return nil
@@ -152,20 +182,9 @@ func (sw *sweep) run(ctx context.Context) error {
 				continue
 			}
 		}
-		if res.Failed > 0 {
-			req.cfg.warnf("study: %d of %d replications failed at this sweep point; estimates use the %d survivors (first failure: %v)",
-				res.Failed, res.Reps, res.Completed, &res.Failures[0])
+		if err := commit(i, res); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		pr := newPointResult(res)
-		if req.cfg.Checkpoint != nil {
-			if err := req.cfg.Checkpoint.store(keys[i], pr); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", req.label, err)
-				}
-				continue
-			}
-		}
-		*req.out = pr
 	}
 	return firstErr
 }
