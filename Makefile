@@ -7,7 +7,9 @@
 #                vs-analytic)
 #   bench-test   the bench module's tests (see below)
 #   race         the concurrency-heavy packages (parallel runner,
-#                checkpointing) under the race detector
+#                checkpointing) and the symmetry canonicalizer, which
+#                lumped generation calls from every worker, under the
+#                race detector
 # Self-checking lanes (also run in CI):
 #   lint-models  static SAN lint over every registered study model shape
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the
@@ -59,6 +61,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/study/... ./internal/precision/... ./internal/mc/... ./internal/exact/... ./internal/rsm/... ./internal/server/... ./internal/scenario/...
+	$(GO) test -race -run 'Canon' ./internal/core
 
 lint-models:
 	$(GO) test ./internal/study -run TestLintRegisteredModels -count=1

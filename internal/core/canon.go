@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
 	"sync"
 
 	"ituaval/internal/san"
@@ -194,10 +193,7 @@ func (c *Canonicalizer) Canonicalize(m []san.Marking) {
 		s.hostOrd[g] = int32(g)
 	}
 	for d := 0; d < c.d; d++ {
-		blk := s.hostOrd[d*c.h : (d+1)*c.h]
-		sort.Slice(blk, func(i, j int) bool {
-			return bytes.Compare(hostSig(blk[i]), hostSig(blk[j])) < 0
-		})
+		sortBySig(s.hostOrd[d*c.h:(d+1)*c.h], s.sigBuf, s.sigOff)
 	}
 
 	// Domain signatures: domain-local values, partition membership, then
@@ -222,13 +218,10 @@ func (c *Canonicalizer) Canonicalize(m []san.Marking) {
 		}
 		s.domOff[d+1] = int32(len(s.domBuf))
 	}
-	domSig := func(d int32) []byte { return s.domBuf[s.domOff[d]:s.domOff[d+1]] }
 	for d := range s.domOrd {
 		s.domOrd[d] = int32(d)
 	}
-	sort.Slice(s.domOrd, func(i, j int) bool {
-		return bytes.Compare(domSig(s.domOrd[i]), domSig(s.domOrd[j])) < 0
-	})
+	sortBySig(s.domOrd, s.domBuf, s.domOff)
 
 	// Compose the permutation: domain dOld moves to position dNew, and its
 	// h-th smallest host moves to slot h of the new block.
@@ -241,6 +234,28 @@ func (c *Canonicalizer) Canonicalize(m []san.Marking) {
 	}
 
 	c.permute(m, s)
+}
+
+// sortBySig insertion-sorts ids by their signatures, id i's being
+// buf[off[i]:off[i+1]]. The blocks are short (a domain's hosts, the domain
+// list), and a hand sort allocates nothing where sort.Slice and its
+// closures did. Which of two tied ids comes first does not matter: ties
+// are byte-identical signatures, and swapping such blocks is the identity
+// on the marking.
+func sortBySig(ids []int32, buf []byte, off []int32) {
+	for i := 1; i < len(ids); i++ {
+		x := ids[i]
+		sig := buf[off[x]:off[x+1]]
+		j := i
+		for ; j > 0; j-- {
+			prev := ids[j-1]
+			if bytes.Compare(sig, buf[off[prev]:off[prev+1]]) >= 0 {
+				break
+			}
+			ids[j] = prev
+		}
+		ids[j] = x
+	}
 }
 
 // permute applies the permutation in s (perm over hosts, dPerm over

@@ -290,3 +290,93 @@ func hashBytes(b []byte) uint64 {
 	}
 	return h
 }
+
+// partitionCorpus generates the lumped chain of a trimmed 4x2 topology
+// with network partitions and a repair crew, so its reachable markings
+// exercise every reference rewrite: replica slots on hosts and, in the
+// states with a partition open, the partition pair.
+func partitionCorpus(t *testing.T) (*Model, *Canonicalizer, *mc.CTMC) {
+	t.Helper()
+	p := canonParams(4, 2, 1, 2)
+	canonTrim(&p)
+	p.PartitionRate = 0.1
+	p.PartitionHealRate = 2
+	p.RepairCrew = 1
+	m := mustBuild(t, p)
+	canon := NewCanonicalizer(m)
+	c, err := mc.Generate(m.SAN, mc.Options{MaxStates: 1 << 19, Canon: canon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, canon, c
+}
+
+// TestCanonicalizeAllocFree pins that Canonicalize, once its pooled
+// scratch has grown, allocates nothing: it runs once per explored
+// successor of lumped generation.
+func TestCanonicalizeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	m, canon, c := partitionCorpus(t)
+	var marking []san.Marking
+	for id := 0; id < c.NumStates(); id++ {
+		if c.StateMarking(id)[m.PartitionA.Index()] != 0 {
+			marking = append([]san.Marking(nil), c.StateMarking(id)...)
+			break
+		}
+	}
+	if marking == nil {
+		t.Fatal("no reachable state has a partition open")
+	}
+	hp, dp := randomGroupElement(rand.New(rand.NewSource(7)), 4, 2)
+	applyGroupElement(canon, marking, hp, dp)
+	work := append([]san.Marking(nil), marking...)
+	canon.Canonicalize(work)
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(work, marking)
+		canon.Canonicalize(work)
+	}); allocs != 0 {
+		t.Fatalf("Canonicalize allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestCanonicalizeConcurrent exercises the documented concurrency
+// contract directly (lumped generation calls Canonicalize from every
+// worker): eight goroutines canonicalize group-permuted reachable
+// markings and must reproduce the sequential representatives. Run it
+// under -race (make race).
+func TestCanonicalizeConcurrent(t *testing.T) {
+	_, canon, c := partitionCorpus(t)
+	r := rand.New(rand.NewSource(11))
+	n := c.NumStates()
+	inputs := make([][]san.Marking, n)
+	want := make([][]san.Marking, n)
+	for id := range inputs {
+		inputs[id] = append([]san.Marking(nil), c.StateMarking(id)...)
+		hp, dp := randomGroupElement(r, 4, 2)
+		applyGroupElement(canon, inputs[id], hp, dp)
+		want[id] = append([]san.Marking(nil), inputs[id]...)
+		canon.Canonicalize(want[id])
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work := make([]san.Marking, len(inputs[0]))
+			for k := 0; k < n; k++ {
+				id := (k + w*n/goroutines) % n
+				copy(work, inputs[id])
+				canon.Canonicalize(work)
+				if !markingsEqual(work, want[id]) {
+					t.Errorf("goroutine %d, state %d: got %v, want %v", w, id, work, want[id])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("%d goroutines x %d markings", goroutines, n)
+}

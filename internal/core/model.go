@@ -435,7 +435,8 @@ func Build(p Params) (*Model, error) {
 	// to the configured placement strategy.
 	chooseHost := func(ctx *san.Context, d int) int {
 		st := ctx.State
-		var hostsUp []int
+		var upBuf [8]int
+		hostsUp := upBuf[:0]
 		for h := 0; h < H; h++ {
 			if st.Get(m.HostExcluded[d*H+h]) == 0 {
 				hostsUp = append(hostsUp, d*H+h)
@@ -451,7 +452,8 @@ func Build(p Params) (*Model, error) {
 			}
 			return best
 		case WeightedRandomPlacement:
-			weights := make([]float64, len(hostsUp))
+			var wBuf [8]float64
+			weights := append(wBuf[:0], make([]float64, len(hostsUp))...)
 			for i, g := range hostsUp {
 				weights[i] = 1 / (1 + float64(st.Get(m.NumReplicas[g])))
 			}
@@ -473,7 +475,10 @@ func Build(p Params) (*Model, error) {
 		if D < k {
 			k = D
 		}
-		domPerm := make([]int, D)
+		// Stack buffer: under the analytic resolver this hook runs once
+		// per enumerated placement branch (D!^A of them).
+		var permBuf [16]int
+		domPerm := append(permBuf[:0], make([]int, D)...)
 		for a := 0; a < A; a++ {
 			ctx.Permute(domPerm)
 			for i := 0; i < k; i++ {

@@ -2,3 +2,8 @@ package mc
 
 // Matvecs reports how many uniformization steps the package has applied.
 func Matvecs() int64 { return matvecs.Load() }
+
+// CSR returns the generator's row-major arrays (aliased; do not modify).
+func (c *CTMC) CSR() (rowPtr, cols []int32, rates []float64) {
+	return c.rowPtr, c.cols, c.rates
+}

@@ -190,7 +190,7 @@ type generator struct {
 	failed  error
 	done    bool
 
-	total int // interned states, guarded by mu? no — see intern
+	total int // interned states, guarded by mu (incremented in intern)
 }
 
 // intern returns the provisional id for key (hash-sharded), interning the
@@ -461,21 +461,35 @@ func Generate(model *san.Model, opts Options) (c *CTMC, err error) {
 
 	// Initial stable distribution: run the init hook and enumerate every
 	// instantaneous (and in-effect choice) resolution, sequentially, so
-	// the renumber seeds are deterministic.
+	// the renumber seeds are deterministic. A symmetric init hook can
+	// enumerate far more branches than distinct raw markings (a uniform
+	// domain permutation per application), so rawPID memoizes each raw
+	// marking's state: it is canonicalized and interned on first sight
+	// only. Every branch still adds its own probability in enumeration
+	// order, so the initial distribution is the same sum of the same terms.
 	seedWorker := newGenWorker(g)
 	var initPairs []pair
 	initAgg := make(map[uint32]int)
+	rawPID := make(map[string]uint32)
 	initState := model.NewState()
 	err = seedWorker.res.Resolve(initState, nil, 0, model.Init(), func(st *san.State, prob float64) error {
-		ms := seedWorker.canonical(st)
-		seedWorker.keyBuf = san.AppendMarkingKey(seedWorker.keyBuf[:0], ms)
-		pid, fresh, ierr := g.intern(seedWorker.keyBuf, ms)
-		if ierr != nil {
-			return ierr
-		}
-		if fresh {
-			g.queue = append(g.queue, pid)
-			g.pending++
+		seedWorker.keyBuf = san.AppendMarkingKey(seedWorker.keyBuf[:0], st.Markings())
+		pid, seen := rawPID[string(seedWorker.keyBuf)]
+		if !seen {
+			rawKey := string(seedWorker.keyBuf)
+			ms := seedWorker.canonical(st)
+			seedWorker.keyBuf = san.AppendMarkingKey(seedWorker.keyBuf[:0], ms)
+			var fresh bool
+			var ierr error
+			pid, fresh, ierr = g.intern(seedWorker.keyBuf, ms)
+			if ierr != nil {
+				return ierr
+			}
+			if fresh {
+				g.queue = append(g.queue, pid)
+				g.pending++
+			}
+			rawPID[rawKey] = pid
 		}
 		if j, ok := initAgg[pid]; ok {
 			initPairs[j].rate += prob

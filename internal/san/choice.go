@@ -52,13 +52,14 @@ func (ctx *Context) Permute(p []int) {
 }
 
 // choicePoint records one decision made while executing an effect under
-// enumeration: which alternative was taken, how many there were, and the
-// weights (nil for uniform), so the driver can fork the remaining
-// alternatives afterwards.
+// enumeration: which alternative was taken, how many there were, and, for
+// a weighted choice, where its n weights start in the chooser's weight
+// buffer, so the driver can fork the remaining alternatives afterwards.
 type choicePoint struct {
-	taken int
-	n     int
-	w     []float64
+	taken    int
+	n        int
+	weighted bool
+	wOff     int
 }
 
 // enumChooser implements script-replay enumeration of an effect's choice
@@ -68,15 +69,22 @@ type choicePoint struct {
 // alternative of every fresh point. prob accumulates the probability of
 // the decisions along the way.
 type enumChooser struct {
-	script []int
-	path   []choicePoint
-	prob   float64
+	script  []int
+	path    []choicePoint
+	weights []float64 // copies of the weighted choices' weights, in path order
+	prob    float64
 }
 
 func (e *enumChooser) reset(script []int) {
 	e.script = script
 	e.path = e.path[:0]
+	e.weights = e.weights[:0]
 	e.prob = 1
+}
+
+// weight returns alternative alt's weight at the weighted choice point cp.
+func (e *enumChooser) weight(cp choicePoint, alt int) float64 {
+	return e.weights[cp.wOff+alt]
 }
 
 // take records one choice among n alternatives (weighted by w when
@@ -97,8 +105,8 @@ func (e *enumChooser) take(n int, w []float64) int {
 			}
 		}
 	}
+	cp := choicePoint{taken: idx, n: n}
 	p := 1 / float64(n)
-	var wCopy []float64
 	if w != nil {
 		total := 0.0
 		for _, wi := range w {
@@ -111,9 +119,10 @@ func (e *enumChooser) take(n int, w []float64) int {
 			panic("san: enumerable weighted choice with non-positive total weight")
 		}
 		p = w[idx] / total
-		wCopy = append([]float64(nil), w...)
+		cp.weighted, cp.wOff = true, len(e.weights)
+		e.weights = append(e.weights, w...)
 	}
-	e.path = append(e.path, choicePoint{taken: idx, n: n, w: wCopy})
+	e.path = append(e.path, cp)
 	e.prob *= p
 	return idx
 }

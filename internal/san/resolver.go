@@ -16,9 +16,11 @@ const maxEnumDepth = 64
 // analytic-path counterpart of Stabilize and the engine under
 // EnumerateStable and mc.Generate.
 //
-// A Resolver is single-use-at-a-time and not safe for concurrent use; the
-// state and buffer pools inside make the common case — a firing with no
-// branching — free of per-call allocation.
+// A Resolver is single-use-at-a-time and not safe for concurrent use. Its
+// per-depth states, script stacks and choice buffers are reused across
+// calls and branches, so once they have grown to the model's widest
+// enumeration a resolution allocates nothing, however many branches it
+// forks.
 type Resolver struct {
 	m      *Model
 	ec     enumChooser
@@ -27,13 +29,20 @@ type Resolver struct {
 }
 
 // resolveFrame holds the per-depth scratch: the working state executions
-// at this depth mutate, the instantaneous-activity buffer, and the stack
-// of pending choice scripts.
+// at this depth mutate, the context they run in, the instantaneous-activity
+// buffer, and the stack of pending choice scripts. A script is a span of
+// the arena; spans are pushed and popped LIFO, so a popped script's ints
+// are always the arena's tail and the arena shrinks back over them.
 type resolveFrame struct {
-	state   *State
-	insts   []*Activity
-	scripts [][]int
+	state *State
+	ctx   Context
+	insts []*Activity
+	arena []int
+	spans []scriptSpan
 }
+
+// scriptSpan locates one pending choice script in its frame's arena.
+type scriptSpan struct{ off, n int }
 
 // NewResolver returns a resolver for m, which must be finalized.
 func NewResolver(m *Model) *Resolver {
@@ -75,44 +84,43 @@ func (r *Resolver) fire(depth int, base *State, a *Activity, ci int, fn func(*Co
 		return fmt.Errorf("%w (enumeration depth > %d)", ErrUnstable, maxEnumDepth)
 	}
 	f := r.frame(depth)
-	scripts := append(f.scripts[:0], nil)
-	for len(scripts) > 0 {
-		script := scripts[len(scripts)-1]
-		scripts = scripts[:len(scripts)-1]
+	f.arena = f.arena[:0]
+	f.spans = append(f.spans[:0], scriptSpan{})
+	for len(f.spans) > 0 {
+		sp := f.spans[len(f.spans)-1]
+		f.spans = f.spans[:len(f.spans)-1]
 		st := f.state
 		st.CopyFrom(base)
-		r.ec.reset(script)
-		ctx := Context{State: st, enum: &r.ec}
+		r.ec.reset(f.arena[sp.off : sp.off+sp.n])
+		f.ctx = Context{State: st, enum: &r.ec}
 		switch {
 		case a != nil:
-			a.Fire(&ctx, ci)
+			a.Fire(&f.ctx, ci)
 		case fn != nil:
-			fn(&ctx)
+			fn(&f.ctx)
 		}
-		// Fork the untaken alternatives of every fresh choice point now:
-		// the recursion below reuses the shared chooser.
-		for j := len(script); j < len(r.ec.path); j++ {
+		// The script has been replayed: release its ints, then fork the
+		// untaken alternatives of every fresh choice point now, since the
+		// recursion below reuses the shared chooser.
+		f.arena = f.arena[:sp.off]
+		for j := sp.n; j < len(r.ec.path); j++ {
 			cp := r.ec.path[j]
 			for alt := cp.taken + 1; alt < cp.n; alt++ {
-				if cp.w != nil && !(cp.w[alt] > 0) {
+				if cp.weighted && !(r.ec.weight(cp, alt) > 0) {
 					continue
 				}
-				ns := make([]int, j+1)
+				off := len(f.arena)
 				for i := 0; i < j; i++ {
-					ns[i] = r.ec.path[i].taken
+					f.arena = append(f.arena, r.ec.path[i].taken)
 				}
-				ns[j] = alt
-				scripts = append(scripts, ns)
+				f.arena = append(f.arena, alt)
+				f.spans = append(f.spans, scriptSpan{off: off, n: j + 1})
 			}
 		}
-		p := prob * r.ec.prob
-		f.scripts = scripts // keep ownership across the recursion
-		if err := r.settle(depth, st, p); err != nil {
+		if err := r.settle(depth, st, prob*r.ec.prob); err != nil {
 			return err
 		}
-		scripts = f.scripts
 	}
-	f.scripts = scripts[:0]
 	return nil
 }
 

@@ -282,3 +282,65 @@ func TestJoinDeterministicOrder(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestResolverAllocsConstant pins that forking does not allocate per
+// branch: a free function with a uniform choice over n alternatives and a
+// weighted choice over ten (one of them zero-weight), each outcome then
+// settled by a two-case instantaneous activity, resolves with the same
+// allocation count at 108 and at 432 choice branches once the resolver's
+// buffers have grown.
+func TestResolverAllocsConstant(t *testing.T) {
+	m := NewModel("fork")
+	pick := m.Place("pick", 0)
+	class := m.Place("class", 0)
+	flag := m.Place("flag", 0)
+	m.AddActivity(ActivityDef{
+		Name: "settle", Kind: Instant,
+		Enabled: func(s *State) bool { return s.Get(flag) == 1 },
+		Reads:   []*Place{flag},
+		Cases: []Case{
+			{Prob: 0.25, Effect: func(ctx *Context) { ctx.State.Set(flag, 2) }},
+			{Prob: 0.75, Effect: func(ctx *Context) { ctx.State.Set(flag, 3) }},
+		},
+	})
+	if err := m.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	weights := []float64{1, 2, 0, 3, 1, 1, 2, 4, 1, 5}
+	n := 0
+	fn := func(ctx *Context) {
+		ctx.State.Set(pick, Marking(ctx.Choose(n)))
+		ctx.State.Set(class, Marking(ctx.ChooseWeighted(weights)))
+		ctx.State.Set(flag, 1)
+	}
+	var visits int
+	var total float64
+	visit := func(_ *State, p float64) error {
+		visits++
+		total += p
+		return nil
+	}
+	r := NewResolver(m)
+	base := m.NewState()
+	resolve := func() {
+		visits, total = 0, 0
+		if err := r.Resolve(base, nil, 0, fn, visit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := make(map[int]float64)
+	for _, n = range []int{12, 48} { // 9 positive weights: 108 and 432 choice branches
+		resolve()
+		if want := 2 * 9 * n; visits != want {
+			t.Fatalf("n=%d: %d stable outcomes, want %d", n, visits, want)
+		}
+		if math.Abs(total-1) > 1e-12 {
+			t.Fatalf("n=%d: probabilities sum to %v", n, total)
+		}
+		allocs[n] = testing.AllocsPerRun(20, resolve)
+	}
+	if allocs[12] != allocs[48] {
+		t.Fatalf("allocations grow with the branch count: %v at 108 branches, %v at 432", allocs[12], allocs[48])
+	}
+	t.Logf("%v allocations per resolution", allocs[48])
+}
