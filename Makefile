@@ -1,10 +1,14 @@
 # Tier-1 verification lanes. `make ci` is what a change must keep green:
 #   fmt          fails if any Go file (bench module included) needs gofmt
-#   vet          static analysis of every package
-#   build        the library, the three binaries, and the examples
+#   vet          static analysis of every package; it type-checks every
+#                _test.go, so it also catches a build break in the one
+#                surviving `go test -bench` micro-benchmark
+#                (mc's BenchmarkMCUniformStep10k)
+#   build        the library, the four binaries, and the examples
 #   bench-build  the separate bench module (see below)
 #   test         the full suite (unit, property, cross-implementation,
-#                vs-analytic)
+#                vs-analytic), including the allocation-free engine
+#                replication gate and every figure runner
 #   bench-test   the bench module's tests (see below)
 #   race         the concurrency-heavy packages (parallel runner,
 #                checkpointing) and the symmetry canonicalizer, which
@@ -29,18 +33,21 @@
 #                SAN vs direct vs live vs exact), heavier than the
 #                fault smoke variant inside `make test`
 #   lumpcheck    symmetry-lumping gate: exhaustive lumped-vs-full
-#                equivalence over every study model shape plus the
-#                4x2 lumped-anchor cross-check, heavier than the
-#                two-configuration equivalence test inside `make test`
+#                equivalence over every study model shape, the full
+#                4x1 chain's state and transition counts, and the 4x2
+#                lumped-anchor cross-check, heavier than the
+#                two-configuration equivalence and lumped-count tests
+#                inside `make test`
 #   bench-build  build and vet the separate bench module, which calls
 #                internal APIs (ituadirect, rsm/inject, study, server)
 #                that the root `go build ./...` never compiles it against
 #   bench-test   the bench module's own tests: every workload at smoke
 #                size (traced and untraced results must agree exactly)
 #                and the full-size golden values of testdata/golden.json
+# Performance has one benchmark: `bash bench/run.sh` (see bench/README.md).
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
+.PHONY: ci fmt vet build test race lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
 
 ci: fmt vet build bench-build test bench-test race
 
@@ -93,9 +100,12 @@ faultcheck:
 # counts 1 and 4, agreement to 1e-12), plus the 4-domain x 2-host anchor
 # cross-check — a topology whose full chain is far beyond the default
 # MaxStates, solved exactly on the quotient and required to land inside
-# the SAN and direct simulators' confidence-interval union.
+# the SAN and direct simulators' confidence-interval union. It also pins
+# the size of the full 4-domain x 1-host chain (806,275 states) that the
+# 39,062-state quotient in `make test` is measured against.
 lumpcheck:
 	LUMPCHECK_FULL=1 $(GO) test ./internal/exact -run TestLumpedEquivalenceShapes -count=1 -v -timeout 30m
+	LUMPCHECK_FULL=1 $(GO) test ./internal/mc -run TestITUAFullChainSize -count=1 -v -timeout 30m
 	LUMPCHECK_FULL=1 $(GO) test ./internal/integrity -run TestCrossCheckLumpedAnchor -count=1 -v -timeout 30m
 
 bench-build:
@@ -103,30 +113,3 @@ bench-build:
 
 bench-test:
 	cd bench && $(GO) test ./...
-
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sim ./internal/mc
-
-# bench-json runs the benchmark suite and archives the results as
-# BENCH_<date>.json (name, ns/op, reps, allocation stats, custom metrics)
-# for diffing across commits. See cmd/benchjson. Set BENCHJSON_FLAGS to
-# pass options through, e.g.
-#   make bench-json BENCHJSON_FLAGS='-o BENCH_PR4.json -baseline BENCH_old.json'
-# to write a named report embedding a before/after comparison.
-bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/sim ./internal/mc | $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS)
-
-# bench-mc runs only the analytic-path (state-space generation +
-# uniformization) benchmarks — including the ITUA full-vs-lumped pair —
-# and writes BENCH_PR9.json with the speedup over the checked-in
-# pre-lumping baseline BENCH_PR9_baseline.json.
-bench-mc:
-	$(GO) test -bench 'BenchmarkMC' -benchmem -timeout 40m -run=^$$ ./internal/mc | \
-		$(GO) run ./cmd/benchjson -o BENCH_PR9.json -baseline BENCH_PR9_baseline.json
-
-# perf-smoke is the fast CI lane: one iteration of the engine hot-path
-# benchmarks plus one full figure panel, enough to catch a build break or a
-# gross allocation regression without the cost of the full suite.
-perf-smoke:
-	$(GO) test -bench 'BenchmarkEngine(Step|Replication)' -benchtime 1x -benchmem -run=^$$ ./internal/sim
-	$(GO) test -bench 'BenchmarkFig3aUnavailability' -benchtime 1x -benchmem -run=^$$ .

@@ -1,13 +1,10 @@
 package mc
 
-// Benchmarks of the analytic path on a chain big enough to be
-// representative (a three-stage tandem Jackson network with finite
-// buffers: (K+1)^3 = 10648 states, ~40k transitions). The three lanes
-// cover the pipeline: BenchmarkMCGenerate10k is state-space generation
-// alone (states/sec), BenchmarkMCUniformStep10k is one uniformized
-// matvec (the solver inner loop), and BenchmarkMCTransient10k is the
-// end-to-end analytic solve (generation + transient solution), the
-// number tracked in BENCH_PR5.json.
+// A micro-benchmark of the uniformization inner loop on a chain big enough
+// to be representative (a three-stage tandem Jackson network with finite
+// buffers: (K+1)^3 = 10648 states, ~40k transitions).
+// BenchmarkMCUniformStep10k is one uniformized matvec, the one layer the
+// end-to-end benchmark in bench/ does not time on its own.
 
 import (
 	"testing"
@@ -18,12 +15,6 @@ import (
 
 // benchTandemK sizes the tandem network: (benchTandemK+1)^3 states.
 const benchTandemK = 21
-
-// benchTransientT is the end-to-end solve horizon. With Λ ≈ 5 the
-// uniformization sum nominally spans ~15000 steps, the long-horizon
-// regime the paper's interval measures live in — where Fox–Glynn left
-// truncation and steady-state detection earn their keep.
-const benchTransientT = 3000.0
 
 // buildTandem builds a three-stage tandem queue with per-stage buffer
 // bound K: external arrivals to stage 1, service moving jobs to the next
@@ -76,20 +67,6 @@ func readsOf(ps ...*san.Place) []*san.Place {
 	return out
 }
 
-func BenchmarkMCGenerate10k(b *testing.B) {
-	model := buildTandem(benchTandemK)
-	b.ReportAllocs()
-	var states int
-	for i := 0; i < b.N; i++ {
-		c, err := Generate(model, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		states = c.NumStates()
-	}
-	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/sec")
-}
-
 func BenchmarkMCUniformStep10k(b *testing.B) {
 	model := buildTandem(benchTandemK)
 	c, err := Generate(model, Options{})
@@ -105,19 +82,5 @@ func BenchmarkMCUniformStep10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		op.apply(v, out)
 		v, out = out, v
-	}
-}
-
-func BenchmarkMCTransient10k(b *testing.B) {
-	model := buildTandem(benchTandemK)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c, err := Generate(model, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Transient(benchTransientT); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -40,7 +40,7 @@ var descriptions = map[string]string{
 	"live":          "SAN model vs a real fault-injected replica group (internal/rsm) on a 2-domain configuration",
 	"faults":        "environment faults (partitions x campaigns, bounded repair crew): SAN vs direct vs live, exact anchor",
 	"xval":          "cross-validation: SAN engine vs the independent direct simulator on a shared baseline",
-	"numval":        "numerical validation: reduced SAN vs closed-form birth-process results",
+	"numval":        "numerical validation: simulator vs uniformization of the reduced failure/detection/recovery CTMC",
 	"abl-detect":    "ablation: sweep the detection-pipeline rate calibrated for the paper's figures",
 	"abl-split":     "ablation: sweep the host/replica attack-split weight",
 	"abl-convict":   "ablation: exclusion-on-replica-conviction response variants",

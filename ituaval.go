@@ -97,8 +97,7 @@ type StudyConfig = study.Config
 // Figure is a reproduced paper figure (panels of series with CIs).
 type Figure = study.Figure
 
-// Experiments returns the registered experiment ids (fig3, fig4, fig5,
-// xval, numval, abl-*).
+// Experiments returns every id in the study registry, sorted (study.IDs).
 func Experiments() []string { return study.IDs() }
 
 // RunExperiment reproduces one registered experiment.
