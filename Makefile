@@ -7,8 +7,9 @@
 #   build        the library, the four binaries, and the examples
 #   bench-build  the separate bench module (see below)
 #   test         the full suite (unit, property, cross-implementation,
-#                vs-analytic), including the allocation-free engine
-#                replication gate and every figure runner
+#                vs-analytic), including the allocation gates (engine
+#                replication, live transport send/deliver, client probe)
+#                and every figure runner
 #   bench-test   the bench module's tests (see below)
 #   race         the concurrency-heavy packages (parallel runner,
 #                checkpointing) and the symmetry canonicalizer, which
@@ -39,8 +40,9 @@
 #                two-configuration equivalence and lumped-count tests
 #                inside `make test`
 #   bench-build  build and vet the separate bench module, which calls
-#                internal APIs (ituadirect, rsm/inject, study, server)
-#                that the root `go build ./...` never compiles it against
+#                internal APIs (ituadirect, rsm transport and codec,
+#                rsm/inject, groupcomm, study, server) that the root
+#                `go build ./...` never compiles it against
 #   bench-test   the bench module's own tests: every workload at smoke
 #                size (traced and untraced results must agree exactly)
 #                and the full-size golden values of testdata/golden.json

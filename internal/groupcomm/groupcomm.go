@@ -146,7 +146,7 @@ func (n *Network) Quiet() bool { return len(n.pending) == 0 }
 // Bracha is the per-process state machine of Bracha's reliable broadcast,
 // usable over any message layer: feed every received protocol message to
 // Step and multicast whatever it returns. The zero value is not usable;
-// construct instances with NewBracha.
+// construct instances with NewBracha (or Reset an existing one).
 type Bracha struct {
 	self      ProcessID
 	n, f      int
@@ -154,37 +154,76 @@ type Bracha struct {
 	sentReady bool
 	delivered bool
 	value     string
-	echoes    map[string]map[ProcessID]bool
-	readies   map[string]map[ProcessID]bool
+	// echoes and readies tally, per value, the distinct senders seen.
+	// Honest runs carry one or two values, so a short slice scanned
+	// linearly beats a map; Reset keeps the backing arrays.
+	echoes  []senders
+	readies []senders
+	out     [1]Message // Step's return buffer
+}
+
+// senders is the set of distinct processes that sent one value.
+type senders struct {
+	value string
+	ids   []ProcessID
 }
 
 // NewBracha returns the protocol state of process self in a group of n
 // members configured to tolerate f Byzantine members.
 func NewBracha(self ProcessID, n, f int) *Bracha {
-	return &Bracha{
-		self: self, n: n, f: f,
-		echoes:  make(map[string]map[ProcessID]bool),
-		readies: make(map[string]map[ProcessID]bool),
-	}
+	b := new(Bracha)
+	b.Reset(self, n, f)
+	return b
+}
+
+// Reset reinitializes b as NewBracha(self, n, f) would, reusing its tally
+// storage.
+func (b *Bracha) Reset(self ProcessID, n, f int) {
+	b.self, b.n, b.f = self, n, f
+	b.sentEcho, b.sentReady, b.delivered = false, false, false
+	b.value = ""
+	b.echoes, b.readies = b.echoes[:0], b.readies[:0]
 }
 
 // Delivered reports the value this process delivered, if any.
 func (b *Bracha) Delivered() (string, bool) { return b.value, b.delivered }
 
+// record adds from to v's sender set and returns the set's size.
+func record(set *[]senders, v string, from ProcessID) int {
+	s := *set
+	for i := range s {
+		if s[i].value != v {
+			continue
+		}
+		for _, id := range s[i].ids {
+			if id == from {
+				return len(s[i].ids)
+			}
+		}
+		s[i].ids = append(s[i].ids, from)
+		return len(s[i].ids)
+	}
+	if len(s) < cap(s) {
+		s = s[:len(s)+1] // reuse the slot, and its ids array, from before Reset
+	} else {
+		s = append(s, senders{})
+	}
+	last := &s[len(s)-1]
+	last.value = v
+	last.ids = append(last.ids[:0], from)
+	*set = s
+	return 1
+}
+
 // Step consumes one received message and returns the messages to multicast
 // (one copy per group member is produced by the caller; the returned
 // messages carry no To). sender is the designated broadcast originator:
-// only its INIT counts, which is the authentication assumption.
+// only its INIT counts, which is the authentication assumption. The
+// returned slice is reused by the next Step call.
 func (b *Bracha) Step(m Message, sender ProcessID) (broadcast []Message) {
-	record := func(set map[string]map[ProcessID]bool, v string, from ProcessID) int {
-		if set[v] == nil {
-			set[v] = make(map[ProcessID]bool)
-		}
-		set[v][from] = true
-		return len(set[v])
-	}
 	mark := func(t MsgType, v string) {
-		broadcast = append(broadcast, Message{From: b.self, Type: t, Value: v})
+		b.out[0] = Message{From: b.self, Type: t, Value: v}
+		broadcast = b.out[:]
 	}
 	switch m.Type {
 	case MsgInit:
@@ -194,14 +233,14 @@ func (b *Bracha) Step(m Message, sender ProcessID) (broadcast []Message) {
 			mark(MsgEcho, m.Value)
 		}
 	case MsgEcho:
-		count := record(b.echoes, m.Value, m.From)
+		count := record(&b.echoes, m.Value, m.From)
 		// Echo threshold: > (n+f)/2 distinct echoes.
 		if !b.sentReady && 2*count > b.n+b.f {
 			b.sentReady = true
 			mark(MsgReady, m.Value)
 		}
 	case MsgReady:
-		count := record(b.readies, m.Value, m.From)
+		count := record(&b.readies, m.Value, m.From)
 		if !b.sentReady && count > b.f {
 			// Ready amplification: f+1 readies prove a correct process
 			// committed, so join.
@@ -499,7 +538,7 @@ func (r RandomLiar) Act(self ProcessID, group []ProcessID, round int, _ []Messag
 	if round > 6 || len(r.Values) == 0 {
 		return nil
 	}
-	var out []Message
+	out := make([]Message, 0, len(group))
 	for _, to := range group {
 		v := r.Values[r.Stream.Intn(len(r.Values))]
 		t := MsgEcho
@@ -531,7 +570,7 @@ func (c Collude) Act(self ProcessID, group []ProcessID, round int, _ []Message) 
 	if round > 4 {
 		return nil
 	}
-	var out []Message
+	out := make([]Message, 0, 2*len(group))
 	for _, to := range group {
 		out = append(out, Message{To: to, Type: MsgEcho, Value: c.Value})
 		out = append(out, Message{To: to, Type: MsgReady, Value: c.Value})

@@ -245,3 +245,47 @@ func TestConvictionVoteOneThirdBound(t *testing.T) {
 		}
 	}
 }
+
+// A reset Bracha behaves exactly like a fresh one: the tallies of an
+// earlier instance (other values, other senders, a delivery) leave no
+// trace in the outputs or the delivered value.
+func TestBrachaResetMatchesNew(t *testing.T) {
+	script := []Message{
+		{From: 0, Type: MsgInit, Value: "v"},
+		{From: 1, Type: MsgEcho, Value: "v"},
+		{From: 2, Type: MsgEcho, Value: "x"},
+		{From: 1, Type: MsgEcho, Value: "v"}, // duplicate sender
+		{From: 2, Type: MsgEcho, Value: "v"},
+		{From: 3, Type: MsgEcho, Value: "v"},
+		{From: 3, Type: MsgReady, Value: "x"},
+		{From: 1, Type: MsgReady, Value: "v"},
+		{From: 1, Type: MsgReady, Value: "v"},
+		{From: 2, Type: MsgReady, Value: "v"},
+		{From: 3, Type: MsgReady, Value: "v"},
+	}
+	run := func(b *Bracha) []string {
+		var out []string
+		for i, m := range script {
+			for _, o := range b.Step(m, 0) {
+				out = append(out, fmt.Sprintf("step %d: %v:%v:%s", i, o.From, o.Type, o.Value))
+			}
+			if v, ok := b.Delivered(); ok {
+				out = append(out, fmt.Sprintf("step %d: delivered %q", i, v))
+			}
+		}
+		return out
+	}
+	want := run(NewBracha(2, 4, 1))
+	used := NewBracha(0, 7, 2)
+	for from := ProcessID(0); from < 7; from++ {
+		used.Step(Message{From: from, Type: MsgReady, Value: "old"}, 0)
+		used.Step(Message{From: from, Type: MsgEcho, Value: "v"}, 0)
+	}
+	if _, ok := used.Delivered(); !ok {
+		t.Fatal("setup: the used instance did not deliver")
+	}
+	used.Reset(2, 4, 1)
+	if got := run(used); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reset instance: %v, fresh instance: %v", got, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MsgKind is the wire-level message type of the replicated service: the
@@ -60,46 +61,68 @@ const headerLen = 1 + 8 + 1 + 4 + 2
 
 // Encode serializes m. It panics if the value exceeds MaxValueLen (a caller
 // bug: the service never orders values that long).
-func (m WireMsg) Encode() []byte {
+func (m WireMsg) Encode() []byte { return m.AppendEncode(nil) }
+
+// AppendEncode appends the serialization of m to dst and returns the
+// extended buffer; it panics like Encode.
+func (m WireMsg) AppendEncode(dst []byte) []byte {
 	if len(m.Value) > MaxValueLen {
 		panic(fmt.Sprintf("rsm: value length %d exceeds MaxValueLen", len(m.Value)))
 	}
-	b := make([]byte, headerLen+len(m.Value))
-	b[0] = byte(m.Kind)
-	binary.BigEndian.PutUint64(b[1:], m.Probe)
-	b[9] = m.Attempt
-	binary.BigEndian.PutUint32(b[10:], uint32(m.From))
-	binary.BigEndian.PutUint16(b[14:], uint16(len(m.Value)))
-	copy(b[headerLen:], m.Value)
-	return b
+	dst = append(slices.Grow(dst, headerLen+len(m.Value)), byte(m.Kind))
+	dst = binary.BigEndian.AppendUint64(dst, m.Probe)
+	dst = append(dst, m.Attempt)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.From))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Value)))
+	return append(dst, m.Value...)
 }
 
 // ErrBadMessage reports a malformed wire message.
 var ErrBadMessage = errors.New("rsm: malformed wire message")
 
-// Decode parses one wire message. Every field is bounds-checked: a
+// wireView is a parsed wire message whose Value aliases the frame: the
+// probe loop reads messages through it without allocating.
+type wireView struct {
+	Kind    MsgKind
+	Probe   uint64
+	Attempt uint8
+	From    int32
+	Value   []byte
+}
+
+// parse checks and splits one frame. Every field is bounds-checked: a
 // truncated, oversized, or unknown-kind payload yields ErrBadMessage, never
-// a panic — the fuzz target FuzzWireMsg enforces this.
-func Decode(b []byte) (WireMsg, error) {
+// a panic — the fuzz target FuzzWireMsg enforces this through Decode.
+func parse(b []byte) (wireView, error) {
 	if len(b) < headerLen {
-		return WireMsg{}, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadMessage, len(b), headerLen)
+		return wireView{}, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadMessage, len(b), headerLen)
 	}
 	k := MsgKind(b[0])
 	if k < KindRequest || k > KindResponse {
-		return WireMsg{}, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, b[0])
+		return wireView{}, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, b[0])
 	}
 	vlen := int(binary.BigEndian.Uint16(b[14:]))
 	if vlen > MaxValueLen {
-		return WireMsg{}, fmt.Errorf("%w: value length %d exceeds %d", ErrBadMessage, vlen, MaxValueLen)
+		return wireView{}, fmt.Errorf("%w: value length %d exceeds %d", ErrBadMessage, vlen, MaxValueLen)
 	}
 	if len(b) != headerLen+vlen {
-		return WireMsg{}, fmt.Errorf("%w: %d bytes, want %d", ErrBadMessage, len(b), headerLen+vlen)
+		return wireView{}, fmt.Errorf("%w: %d bytes, want %d", ErrBadMessage, len(b), headerLen+vlen)
 	}
-	return WireMsg{
+	return wireView{
 		Kind:    k,
 		Probe:   binary.BigEndian.Uint64(b[1:]),
 		Attempt: b[9],
 		From:    int32(binary.BigEndian.Uint32(b[10:])),
-		Value:   string(b[headerLen:]),
+		Value:   b[headerLen:],
 	}, nil
+}
+
+// Decode parses one wire message into an owned WireMsg; see parse for the
+// checks.
+func Decode(b []byte) (WireMsg, error) {
+	v, err := parse(b)
+	if err != nil {
+		return WireMsg{}, err
+	}
+	return WireMsg{Kind: v.Kind, Probe: v.Probe, Attempt: v.Attempt, From: v.From, Value: string(v.Value)}, nil
 }

@@ -47,7 +47,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 }
 
 // FuzzWireMsg asserts Decode never panics and that every accepted payload
-// re-encodes to the identical bytes (a parsed message is canonical).
+// re-encodes to the identical bytes (a parsed message is canonical), both
+// into a fresh buffer and appended after existing bytes.
 func FuzzWireMsg(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((WireMsg{Kind: KindRequest, Probe: 9, From: int32(ClientID), Value: "v9"}).Encode())
@@ -58,8 +59,12 @@ func FuzzWireMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := m.Encode(); string(got) != string(b) {
+		if got := m.AppendEncode(nil); string(got) != string(b) {
 			t.Fatalf("accepted payload not canonical: % x -> %+v -> % x", b, m, got)
+		}
+		prefix := []byte("prefix")
+		if got := m.AppendEncode(prefix); string(got) != "prefix"+string(b) {
+			t.Fatalf("AppendEncode after a prefix: % x, want prefix + % x", got, b)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package rsm
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"ituaval/internal/groupcomm"
 	"ituaval/internal/rng"
@@ -10,8 +10,9 @@ import (
 
 // node is one live replica process of the measured application.
 type node struct {
-	slot int
-	host int
+	slot   int
+	host   int
+	placed bool // a replica occupies the slot
 	// behavior is nil for an honest replica; otherwise the Byzantine script
 	// the corrupted replica runs (the groupcomm repertoire).
 	behavior groupcomm.Behavior
@@ -22,8 +23,9 @@ type node struct {
 	// keeps it as a member with its Byzantine script masked (see convict).
 	convicted bool
 
-	// Per-attempt protocol state of an honest replica.
-	bracha    *groupcomm.Bracha
+	// Per-attempt protocol state of an honest replica, reset (not
+	// reallocated) at every attempt.
+	bracha    groupcomm.Bracha
 	probe     uint64
 	attempt   uint8
 	expected  string
@@ -31,6 +33,7 @@ type node struct {
 	index     groupcomm.ProcessID // this node's index within the attempt group
 	inited    bool
 	responded bool
+	answered  bool // the client has tallied this replica's response
 }
 
 // ProbeOutcome classifies one client probe of the live service.
@@ -73,12 +76,28 @@ type clusterSpec struct {
 // cluster is the live replica group of the measured application plus the
 // synthetic client. The fault injector mutates it through hook calls; the
 // client probes it through the transport.
+//
+// Replica slots are 0..RepsPerApp-1, so per-replica state lives in slices
+// indexed by slot and is reused across probes and attempts.
 type cluster struct {
 	rs    *rng.Stream
 	tr    *Transport
 	spec  clusterSpec
-	nodes map[int]*node // by slot
+	slots []node // by slot
 	probe uint64
+
+	// Probe scratch, reused across probes.
+	members []*node // placed replicas in slot order
+	group   []groupcomm.ProcessID
+	tally   []valueCount
+	values  []string // wire values seen this probe, interned
+	wire    []byte   // encode buffer; Send copies it
+}
+
+// valueCount is the client's running count of responses carrying one value.
+type valueCount struct {
+	value string
+	n     int
 }
 
 func newCluster(rs *rng.Stream, tr *Transport, spec clusterSpec) *cluster {
@@ -93,18 +112,31 @@ func newCluster(rs *rng.Stream, tr *Transport, spec clusterSpec) *cluster {
 			return groupcomm.Collude{Value: "byz"}
 		}
 	}
-	return &cluster{rs: rs, tr: tr, spec: spec, nodes: make(map[int]*node)}
+	return &cluster{rs: rs, tr: tr, spec: spec}
+}
+
+// node returns the replica placed at slot id, or nil (the client, or an
+// empty slot).
+func (c *cluster) node(id NodeID) *node {
+	if id < 0 || int(id) >= len(c.slots) || !c.slots[id].placed {
+		return nil
+	}
+	return &c.slots[id]
 }
 
 // Lifecycle hooks, driven by inject.Hooks.
 
 func (c *cluster) start(slot, host int) {
-	c.nodes[slot] = &node{slot: slot, host: host}
+	for slot >= len(c.slots) {
+		c.slots = append(c.slots, node{slot: len(c.slots)})
+	}
+	n := &c.slots[slot]
+	n.host, n.placed, n.behavior, n.convicted = host, true, nil, false
 	c.tr.Register(NodeID(slot), host)
 }
 
 func (c *cluster) corrupt(slot int) {
-	if n := c.nodes[slot]; n != nil {
+	if n := c.node(NodeID(slot)); n != nil {
 		n.behavior = c.spec.behavior(slot, c.rs)
 	}
 }
@@ -116,25 +148,30 @@ func (c *cluster) corrupt(slot int) {
 // undet, still counted running) until the kill lands. A convicted replica
 // cannot be re-attacked (the model's attack guard), so masking is stable.
 func (c *cluster) convict(slot int) {
-	if n := c.nodes[slot]; n != nil {
+	if n := c.node(NodeID(slot)); n != nil {
 		n.convicted = true
 		n.behavior = nil
 	}
 }
 
 func (c *cluster) kill(slot int) {
-	delete(c.nodes, slot)
+	if n := c.node(NodeID(slot)); n != nil {
+		n.placed, n.behavior = false, nil
+	}
 	c.tr.Unregister(NodeID(slot))
 }
 
-// members returns the probe group: the placed replicas in slot order.
-func (c *cluster) members() []*node {
-	out := make([]*node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		out = append(out, n)
+// intern returns a string equal to b, allocating only for a value not yet
+// seen this probe.
+func (c *cluster) intern(b []byte) string {
+	for _, v := range c.values {
+		if v == string(b) {
+			return v
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].slot < out[j].slot })
-	return out
+	v := string(b)
+	c.values = append(c.values, v)
+	return v
 }
 
 // Probe issues one client request against the current group and reports the
@@ -144,20 +181,26 @@ func (c *cluster) members() []*node {
 // within its fault threshold) with idle backoff between attempts.
 func (c *cluster) Probe() ProbeOutcome {
 	c.probe++
-	members := c.members()
-	n := len(members)
+	c.members = c.members[:0]
+	for i := range c.slots {
+		if c.slots[i].placed {
+			c.members = append(c.members, &c.slots[i])
+		}
+	}
+	n := len(c.members)
 	if n == 0 {
 		return ProbeUnavailable
 	}
 	f := groupcomm.MaxTolerance(n)
 	attempts := f + 1 + c.spec.probeAttempts
-	expected := fmt.Sprintf("v%d", c.probe)
+	expected := string(strconv.AppendUint(append(c.wire[:0], 'v'), c.probe, 10))
+	c.values = append(c.values[:0], expected)
 	for at := 0; at < attempts; at++ {
 		if at > 0 {
 			c.tr.AdvanceIdle(float64(at) * 4 * c.tr.latencyMean) // retry backoff
 		}
-		leader := members[at%n]
-		if outcome, decided := c.attempt(members, leader, uint8(at), expected, n, f); decided {
+		leader := c.members[at%n]
+		if outcome, decided := c.attempt(leader, uint8(at), expected, n, f); decided {
 			return outcome
 		}
 	}
@@ -167,21 +210,21 @@ func (c *cluster) Probe() ProbeOutcome {
 // attempt runs one leader-rotation attempt. decided = false means the
 // attempt was inconclusive (no value certified before the transport went
 // quiet or the batch budget ran out) and the caller should rotate.
-func (c *cluster) attempt(members []*node, leader *node, at uint8, expected string, n, f int) (ProbeOutcome, bool) {
-	group := make([]groupcomm.ProcessID, n)
-	bySlot := make(map[NodeID]*node, n)
+func (c *cluster) attempt(leader *node, at uint8, expected string, n, f int) (ProbeOutcome, bool) {
+	members := c.members
+	c.group = c.group[:0]
 	for i, m := range members {
-		group[i] = groupcomm.ProcessID(i)
-		bySlot[NodeID(m.slot)] = m
+		c.group = append(c.group, groupcomm.ProcessID(i))
 		m.index = groupcomm.ProcessID(i)
-		m.probe, m.attempt = c.probe, at
+		m.probe, m.attempt, m.answered = c.probe, at, false
 		if m.behavior == nil {
-			m.bracha = groupcomm.NewBracha(m.index, n, f)
+			m.bracha.Reset(m.index, n, f)
 			m.expected = expected
 			m.leader = leader.index
 			m.inited, m.responded = false, false
 		}
 	}
+	c.tally = c.tally[:0]
 
 	// The adversary speaks first: corrupted members inject their script's
 	// messages for the early protocol rounds up front, with the scheduling
@@ -191,10 +234,10 @@ func (c *cluster) attempt(members []*node, leader *node, at uint8, expected stri
 			continue
 		}
 		for round := 0; round <= 6; round++ {
-			for _, gm := range m.behavior.Act(m.index, group, round, nil) {
+			for _, gm := range m.behavior.Act(m.index, c.group, round, nil) {
 				gm.From = m.index // authenticated channels
-				if int(gm.To) < n {
-					c.sendWire(m, members[gm.To], gm, !c.spec.fairAdversary)
+				if int(gm.To) < n && c.encodeGroupMsg(m, gm) {
+					c.tr.Send(NodeID(m.slot), NodeID(members[gm.To].slot), c.wire, !c.spec.fairAdversary)
 				}
 			}
 		}
@@ -202,109 +245,116 @@ func (c *cluster) attempt(members []*node, leader *node, at uint8, expected stri
 
 	// The client multicasts its request.
 	req := WireMsg{Kind: KindRequest, Probe: c.probe, Attempt: at, From: int32(ClientID), Value: expected}
+	c.wire = req.AppendEncode(c.wire[:0])
 	for _, m := range members {
-		c.tr.Send(ClientID, NodeID(m.slot), req.Encode(), false)
+		c.tr.Send(ClientID, NodeID(m.slot), c.wire, false)
 	}
 
-	// Event loop: drain the transport, dispatch, tally responses.
-	responses := make(map[int]string, n) // responder slot → value
-	threshold := n/2 + 1                 // ⌈(n+1)/2⌉
+	// Event loop: drain the transport, dispatch, tally responses. The
+	// verdict is read only at batch boundaries, so every packet of the
+	// deciding batch is still dispatched (and draws its randomness).
+	threshold := n/2 + 1 // ⌈(n+1)/2⌉
+	certified := -1      // index into c.tally of the value at threshold
 	for batch := 0; batch < c.spec.probeBatches && !c.tr.Quiet(); batch++ {
 		for _, pkt := range c.tr.DeliverBatch() {
-			wm, err := Decode(pkt.Payload)
-			if err != nil || wm.Probe != c.probe || wm.Attempt != at {
+			wv, err := parse(pkt.Payload)
+			if err != nil || wv.Probe != c.probe || wv.Attempt != at {
 				continue // stale traffic from an earlier attempt, or garbage
 			}
 			if pkt.To == ClientID {
-				if wm.Kind == KindResponse && bySlot[pkt.From] != nil {
-					if _, dup := responses[int(pkt.From)]; !dup {
-						responses[int(pkt.From)] = wm.Value
+				if from := c.node(pkt.From); wv.Kind == KindResponse && from != nil && !from.answered {
+					from.answered = true
+					if k := c.count(wv.Value); c.tally[k].n == threshold {
+						certified = k
 					}
 				}
 				continue
 			}
-			m := bySlot[pkt.To]
+			m := c.node(pkt.To)
 			if m == nil {
 				continue
 			}
 			if m.behavior != nil {
-				c.dispatchByzantine(m, wm)
+				c.dispatchByzantine(m, wv)
 				continue
 			}
 			// Authenticated channels: the sender identity is the transport
 			// source, never the (forgeable) wire From field.
 			var sender groupcomm.ProcessID
-			switch {
+			switch from := c.node(pkt.From); {
 			case pkt.From == ClientID:
-				if wm.Kind != KindRequest {
+				if wv.Kind != KindRequest {
 					continue
 				}
-			case bySlot[pkt.From] != nil:
-				sender = bySlot[pkt.From].index
-				if wm.Kind == KindRequest {
+			case from != nil:
+				sender = from.index
+				if wv.Kind == KindRequest {
 					continue // only the client issues requests
 				}
 			default:
 				continue
 			}
-			c.dispatchHonest(m, members, wm, sender)
+			c.dispatchHonest(m, wv, sender)
 		}
-		counts := make(map[string]int)
-		for _, v := range responses {
-			counts[v]++
-		}
-		for v, k := range counts {
-			if k >= threshold {
-				if v == expected {
-					return ProbeCorrect, true
-				}
-				return ProbeWrong, true
+		if certified >= 0 {
+			if c.tally[certified].value == expected {
+				return ProbeCorrect, true
 			}
+			return ProbeWrong, true
 		}
 	}
 	return ProbeUnavailable, false
 }
 
+// count adds one response carrying v to the running tally and returns the
+// value's tally index.
+func (c *cluster) count(v []byte) int {
+	for k := range c.tally {
+		if c.tally[k].value == string(v) {
+			c.tally[k].n++
+			return k
+		}
+	}
+	c.tally = append(c.tally, valueCount{value: c.intern(v), n: 1})
+	return len(c.tally) - 1
+}
+
 // dispatchHonest feeds one message to an honest replica's protocol state.
 // sender is the authenticated group index of the source (ignored for
 // client requests).
-func (c *cluster) dispatchHonest(m *node, members []*node, wm WireMsg, sender groupcomm.ProcessID) {
-	switch wm.Kind {
+func (c *cluster) dispatchHonest(m *node, wv wireView, sender groupcomm.ProcessID) {
+	switch wv.Kind {
 	case KindRequest:
 		// External validity anchor: the replica now knows the client's
 		// value. The leader orders it; everyone else waits for the INIT.
 		if m.index == m.leader && !m.inited {
 			m.inited = true
-			init := groupcomm.Message{From: m.index, Type: groupcomm.MsgInit, Value: m.expected}
-			for _, to := range members {
-				c.sendWire(m, to, init, false)
-			}
+			c.multicast(m, groupcomm.Message{From: m.index, Type: groupcomm.MsgInit, Value: m.expected})
 		}
 	case KindInit, KindEcho, KindReady:
-		gm := groupcomm.Message{From: sender, To: m.index, Value: wm.Value}
-		switch wm.Kind {
+		gm := groupcomm.Message{From: sender, To: m.index}
+		switch wv.Kind {
 		case KindInit:
 			// External validity: only the designated leader's INIT of the
 			// client's own value enters the protocol — a corrupt leader
 			// cannot get honest echoes for a forged value.
-			if wm.Value != m.expected {
+			if string(wv.Value) != m.expected {
 				return
 			}
-			gm.Type = groupcomm.MsgInit
+			gm.Type, gm.Value = groupcomm.MsgInit, m.expected
 		case KindEcho:
-			gm.Type = groupcomm.MsgEcho
+			gm.Type, gm.Value = groupcomm.MsgEcho, c.intern(wv.Value)
 		case KindReady:
-			gm.Type = groupcomm.MsgReady
+			gm.Type, gm.Value = groupcomm.MsgReady, c.intern(wv.Value)
 		}
 		for _, out := range m.bracha.Step(gm, m.leader) {
-			for _, to := range members {
-				c.sendWire(m, to, out, false)
-			}
+			c.multicast(m, out)
 		}
 		if v, ok := m.bracha.Delivered(); ok && !m.responded {
 			m.responded = true
 			resp := WireMsg{Kind: KindResponse, Probe: m.probe, Attempt: m.attempt, From: int32(m.slot), Value: v}
-			c.tr.Send(NodeID(m.slot), ClientID, resp.Encode(), false)
+			c.wire = resp.AppendEncode(c.wire[:0])
+			c.tr.Send(NodeID(m.slot), ClientID, c.wire, false)
 		}
 	}
 }
@@ -312,24 +362,37 @@ func (c *cluster) dispatchHonest(m *node, members []*node, wm WireMsg, sender gr
 // dispatchByzantine handles traffic to a corrupted replica. Its agreement
 // messages were injected up front; here it only answers the client, per its
 // behavior's Responder extension (silent if the behavior has none).
-func (c *cluster) dispatchByzantine(m *node, wm WireMsg) {
-	if wm.Kind != KindRequest {
+func (c *cluster) dispatchByzantine(m *node, wv wireView) {
+	if wv.Kind != KindRequest {
 		return
 	}
 	r, ok := m.behavior.(groupcomm.Responder)
 	if !ok {
 		return
 	}
-	v, answer := r.Respond(wm.Probe)
+	v, answer := r.Respond(wv.Probe)
 	if !answer {
 		return
 	}
-	resp := WireMsg{Kind: KindResponse, Probe: wm.Probe, Attempt: wm.Attempt, From: int32(m.slot), Value: v}
-	c.tr.Send(NodeID(m.slot), ClientID, resp.Encode(), !c.spec.fairAdversary)
+	resp := WireMsg{Kind: KindResponse, Probe: wv.Probe, Attempt: wv.Attempt, From: int32(m.slot), Value: v}
+	c.wire = resp.AppendEncode(c.wire[:0])
+	c.tr.Send(NodeID(m.slot), ClientID, c.wire, !c.spec.fairAdversary)
 }
 
-// sendWire encodes a groupcomm message from m to the member to and sends it.
-func (c *cluster) sendWire(m *node, to *node, gm groupcomm.Message, urgent bool) {
+// multicast sends a groupcomm message from m to every member, in slot
+// order, at normal latency.
+func (c *cluster) multicast(m *node, gm groupcomm.Message) {
+	if !c.encodeGroupMsg(m, gm) {
+		return
+	}
+	for _, to := range c.members {
+		c.tr.Send(NodeID(m.slot), NodeID(to.slot), c.wire, false)
+	}
+}
+
+// encodeGroupMsg encodes a groupcomm message from m into c.wire. It
+// reports false for a message type with no wire kind, which is not sent.
+func (c *cluster) encodeGroupMsg(m *node, gm groupcomm.Message) bool {
 	var kind MsgKind
 	switch gm.Type {
 	case groupcomm.MsgInit:
@@ -339,8 +402,9 @@ func (c *cluster) sendWire(m *node, to *node, gm groupcomm.Message, urgent bool)
 	case groupcomm.MsgReady:
 		kind = KindReady
 	default:
-		return
+		return false
 	}
 	wm := WireMsg{Kind: kind, Probe: c.probe, Attempt: m.attempt, From: int32(gm.From), Value: gm.Value}
-	c.tr.Send(NodeID(m.slot), NodeID(to.slot), wm.Encode(), urgent)
+	c.wire = wm.AppendEncode(c.wire[:0])
+	return true
 }

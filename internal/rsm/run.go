@@ -137,10 +137,23 @@ type Result struct {
 	// the injector state over the same trajectories. Live and oracle means
 	// coincide (up to Divergences) under the default adversary.
 	PredUnavail, PredUnrel stats.Accumulator
+
+	// Panic is the first "panic" failure — the lowest replication index,
+	// so the same at any worker count — with its value and stack; nil when
+	// no replication panicked. It is diagnostics, never serialized.
+	Panic *RepPanic `json:"-"`
+}
+
+// RepPanic is a panic recovered from one replication.
+type RepPanic struct {
+	Rep   int    // replication index
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack at recovery
 }
 
 type repOut struct {
-	fail                string // failure kind, "" = ok
+	fail                string    // failure kind, "" = ok
+	panic               *RepPanic // set with fail == "panic"
 	unavail, fracExcl   float64
 	wrong               bool
 	predUnavail         float64
@@ -165,7 +178,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for rep := range reps {
-				outs[rep] = runRep(ctx, spec, root.Derive(uint64(rep)))
+				outs[rep] = runRep(ctx, spec, rep, root.Derive(uint64(rep)))
 			}
 		}()
 	}
@@ -185,6 +198,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		if o.fail != "" {
 			res.Failed++
 			res.Failures[o.fail]++
+			if res.Panic == nil {
+				res.Panic = o.panic
+			}
 			continue
 		}
 		res.Reps++
@@ -195,8 +211,12 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		res.PredUnrel.Add(b01(o.predWrong))
 	}
 	if frac := float64(res.Failed) / float64(spec.Reps); frac > spec.MaxFailureFrac {
-		return res, fmt.Errorf("rsm: %d of %d replications failed (%v), above the %.0f%% budget",
+		err := fmt.Errorf("rsm: %d of %d replications failed (%v), above the %.0f%% budget",
 			res.Failed, spec.Reps, res.Failures, 100*spec.MaxFailureFrac)
+		if p := res.Panic; p != nil {
+			err = fmt.Errorf("%w; replication %d panicked: %v", err, p.Rep, p.Value)
+		}
+		return res, err
 	}
 	return res, nil
 }
@@ -210,12 +230,12 @@ func b01(b bool) float64 {
 
 // runRep boots one replica group, drives the attack process to the horizon,
 // and probes the live service after every injected event. A panic, event
-// budget, or wall deadline degrades to a recorded failure.
-func runRep(ctx context.Context, spec Spec, stream *rng.Stream) (out repOut) {
+// budget, or wall deadline degrades to a recorded failure; a panic keeps its
+// value and stack.
+func runRep(ctx context.Context, spec Spec, rep int, stream *rng.Stream) (out repOut) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = repOut{fail: "panic"}
-			_ = debug.Stack()
+			out = repOut{fail: "panic", panic: &RepPanic{Rep: rep, Value: r, Stack: debug.Stack()}}
 		}
 	}()
 	start := time.Now()

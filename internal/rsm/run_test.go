@@ -2,6 +2,8 @@ package rsm
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,5 +129,62 @@ func TestRunCancellation(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled run did not return")
+	}
+}
+
+// panicky is a Byzantine script that crashes the replication it runs in.
+type panicky struct{}
+
+func (panicky) Act(groupcomm.ProcessID, []groupcomm.ProcessID, int, []groupcomm.Message) []groupcomm.Message {
+	panic("panicky behavior")
+}
+
+// A panicking replication is recorded as a "panic" failure that keeps the
+// first (lowest-index) panic's value and stack on the result, at any worker
+// count, and the diagnostics stay out of the serialized result.
+func TestRunPanicKeepsValueAndStack(t *testing.T) {
+	spec := Spec{
+		Params: smallParams(), T: 6, Reps: 12, Seed: 31, MaxFailureFrac: 1,
+		Behavior: func(int, *rng.Stream) groupcomm.Behavior { return panicky{} },
+	}
+	filled := spec
+	filled.fill()
+	first := -1
+	for rep := 0; rep < spec.Reps && first < 0; rep++ {
+		if runRep(context.Background(), filled, rep, rng.New(spec.Seed).Derive(uint64(rep))).fail == "panic" {
+			first = rep
+		}
+	}
+	if first < 0 {
+		t.Fatal("no replication corrupted a replica; pick another seed")
+	}
+	for _, workers := range []int{1, 3} {
+		spec.Workers = workers
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		p := res.Panic
+		if res.Failures["panic"] == 0 || p == nil {
+			t.Fatalf("workers=%d: failures %v, panic %+v", workers, res.Failures, p)
+		}
+		if p.Rep != first || p.Value != "panicky behavior" {
+			t.Errorf("workers=%d: panic in rep %d with %v, want rep %d with %q", workers, p.Rep, p.Value, first, "panicky behavior")
+		}
+		if !strings.Contains(string(p.Stack), "panicky.Act") {
+			t.Errorf("workers=%d: stack does not name the panicking Act:\n%s", workers, p.Stack)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), "panicky") {
+			t.Errorf("workers=%d: panic diagnostics serialized: %s", workers, data)
+		}
+	}
+	// Over the failure budget, the error names the panicking replication.
+	spec.MaxFailureFrac = 0
+	if _, err := Run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "panicky behavior") {
+		t.Errorf("budget error %v does not carry the panic value", err)
 	}
 }

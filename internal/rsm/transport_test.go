@@ -7,10 +7,15 @@ import (
 	"ituaval/internal/rng"
 )
 
+// drain delivers until quiet. A batch's payloads belong to the transport
+// only until the next DeliverBatch, so drain copies them.
 func drain(t *Transport) []Packet {
 	var out []Packet
 	for !t.Quiet() {
-		out = append(out, t.DeliverBatch()...)
+		for _, p := range t.DeliverBatch() {
+			p.Payload = append([]byte(nil), p.Payload...)
+			out = append(out, p)
+		}
 	}
 	return out
 }
@@ -104,5 +109,36 @@ func TestTransportLoss(t *testing.T) {
 	got := drain(tr)
 	if len(got) != 1 || string(got[0].Payload) != "kept" {
 		t.Fatalf("loss filtering wrong: %v", got)
+	}
+}
+
+// Send copies the payload: a caller reusing its buffer right after Send
+// cannot change what is delivered. A delivered batch stays intact while
+// the receiver sends more traffic, until the next DeliverBatch.
+func TestTransportOwnsPayloads(t *testing.T) {
+	tr := NewTransport(rng.New(4), 1e-6, 0)
+	tr.Register(0, 0)
+	tr.Register(1, 1)
+	buf := []byte("first")
+	tr.Send(0, 1, buf, true)
+	copy(buf, "XXXXX")
+	tr.Send(1, 0, buf, true)
+	copy(buf, "YYYYY")
+	batch := tr.DeliverBatch()
+	if len(batch) != 2 || string(batch[0].Payload) != "first" || string(batch[1].Payload) != "XXXXX" {
+		t.Fatalf("delivered %q, want the bytes as of each Send", batch)
+	}
+	for i := 0; i < 8; i++ {
+		tr.Send(0, 1, []byte("overwrite"), false)
+	}
+	if string(batch[0].Payload) != "first" || string(batch[1].Payload) != "XXXXX" {
+		t.Fatalf("later Sends overwrote the current batch: %q", batch)
+	}
+	// Appending to a delivered payload must not spill into the slab.
+	_ = append(batch[0].Payload, "!!!!!!!!"...)
+	for _, p := range drain(tr) {
+		if string(p.Payload) != "overwrite" {
+			t.Fatalf("delivered %q, want %q", p.Payload, "overwrite")
+		}
 	}
 }
