@@ -2,6 +2,7 @@ package exact_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -148,8 +149,9 @@ func TestSolverReleasesGoroutines(t *testing.T) {
 }
 
 // TestSolverPoissonTruncation: a horizon whose Poisson window cannot be
-// built fails with mc.ErrPoissonTruncation through every Solver entry
-// point and leaves the cached walks usable.
+// built fails through every Solver entry point — with
+// mc.ErrPoissonTruncation when it is too large, with a plain error when it
+// is NaN or infinite — and leaves the cached walks usable.
 func TestSolverPoissonTruncation(t *testing.T) {
 	p := study.AnalyticAnchorParams()
 	p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp = 2, 2, 2, 2
@@ -166,6 +168,11 @@ func TestSolverPoissonTruncation(t *testing.T) {
 	for _, name := range []string{"u", "r", "excl"} {
 		if _, err := (measure{name, huge}).solve(s); !errors.Is(err, mc.ErrPoissonTruncation) {
 			t.Fatalf("%s at t=%g: err = %v, want ErrPoissonTruncation", name, huge, err)
+		}
+		for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := (measure{name, h}).solve(s); err == nil || errors.Is(err, mc.ErrPoissonTruncation) {
+				t.Fatalf("%s at t=%v: err = %v, want a non-truncation error", name, h, err)
+			}
 		}
 	}
 	for _, m := range benchMeasures {

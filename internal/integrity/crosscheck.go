@@ -10,7 +10,6 @@ import (
 	"ituaval/internal/exact"
 	"ituaval/internal/ituadirect"
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/rsm"
 	"ituaval/internal/sim"
 	"ituaval/internal/stats"
@@ -218,20 +217,9 @@ func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*Cross
 			res.Failed, res.Reps, &res.Failures[0])
 	}
 
-	var unavail, unrel, excl stats.Accumulator
-	root := rng.New(o.Seed + 1)
-	for rep := 0; rep < o.Reps; rep++ {
-		dr, err := ituadirect.RunContext(ctx, p, root.Derive(uint64(rep)), []float64{T})
-		if err != nil {
-			return nil, fmt.Errorf("integrity: direct simulator: %w", err)
-		}
-		unavail.Add(dr.UnavailTime[0] / T)
-		if dr.ByzantineBy[0] {
-			unrel.Add(1)
-		} else {
-			unrel.Add(0)
-		}
-		excl.Add(dr.FracDomainsExcluded[0])
+	direct, err := ituadirect.Replicate(ctx, p, o.Seed+1, o.Reps, T)
+	if err != nil {
+		return nil, fmt.Errorf("integrity: direct simulator: %w", err)
 	}
 
 	// Optional live arm: the same measures observed on a real replica group
@@ -300,7 +288,7 @@ func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*Cross
 		name string
 		acc  *stats.Accumulator
 	}{
-		{"unavail", &unavail}, {"unrel", &unrel}, {"excl", &excl},
+		{"unavail", &direct.Unavail}, {"unrel", &direct.Unrel}, {"excl", &direct.FracExcl},
 	} {
 		est := res.MustGet(c.name)
 		ma := MeasureAgreement{

@@ -23,6 +23,7 @@ import (
 
 	"ituaval/internal/core"
 	"ituaval/internal/rng"
+	"ituaval/internal/stats"
 )
 
 // Opts configures optional behaviour of one replication.
@@ -170,6 +171,38 @@ func Run(p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
 // as an error carrying the stack.
 func RunContext(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
 	return RunContextOpts(ctx, p, seed, horizons, Opts{})
+}
+
+// Estimate accumulates the measures of many replications at one horizon
+// T, named like the live arm's (rsm.Result).
+type Estimate struct {
+	// Unavail is app 0's improper-service fraction of [0, T], Unrel is 1
+	// when app 0 suffered a Byzantine fault by T (else 0), and FracExcl is
+	// the fraction of domains excluded at T.
+	Unavail, Unrel, FracExcl stats.Accumulator
+}
+
+// Replicate runs reps replications of p to horizon T, replication rep on
+// stream rng.New(seed).Derive(rep), and accumulates their measures in
+// replication order, so the estimate is a function of (p, seed, reps, T)
+// alone. The first failed replication stops the run with its error.
+func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T float64) (*Estimate, error) {
+	var e Estimate
+	root := rng.New(seed)
+	for rep := 0; rep < reps; rep++ {
+		r, err := RunContext(ctx, p, root.Derive(uint64(rep)), []float64{T})
+		if err != nil {
+			return nil, fmt.Errorf("ituadirect: replication %d: %w", rep, err)
+		}
+		e.Unavail.Add(r.UnavailTime[0] / T)
+		if r.ByzantineBy[0] {
+			e.Unrel.Add(1)
+		} else {
+			e.Unrel.Add(0)
+		}
+		e.FracExcl.Add(r.FracDomainsExcluded[0])
+	}
+	return &e, nil
 }
 
 // RunContextOpts is RunContext with explicit options (see Opts).

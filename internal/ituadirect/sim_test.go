@@ -137,6 +137,33 @@ func aggregate(t *testing.T, p core.Params, nReps int, T float64, seed uint64) (
 	return unavail, unrel, excl, corrFrac
 }
 
+// TestReplicate: Replicate folds the same streams in the same order as
+// per-replication Run calls, so its accumulators are bit-identical to
+// theirs, and an invalid configuration fails at the first replication.
+func TestReplicate(t *testing.T) {
+	p := testParams()
+	const T, reps, seed = 6.0, 200, 77
+	got, err := Replicate(context.Background(), p, seed, reps, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unavail, unrel, excl, _ := aggregate(t, p, reps, T, seed)
+	for _, c := range []struct {
+		name      string
+		got, want *stats.Accumulator
+	}{
+		{"Unavail", &got.Unavail, unavail}, {"Unrel", &got.Unrel, unrel}, {"FracExcl", &got.FracExcl, excl},
+	} {
+		if *c.got != *c.want {
+			t.Errorf("%s: Replicate %+v, per-replication Run %+v", c.name, *c.got, *c.want)
+		}
+	}
+	p.NumDomains = 0
+	if e, err := Replicate(context.Background(), p, seed, reps, T); err == nil || e != nil {
+		t.Fatalf("invalid params: estimate %v, err %v; want nil and an error", e, err)
+	}
+}
+
 // TestAgreesWithSANModel is the X1 cross-validation experiment: the SAN
 // encoding (internal/core + internal/sim) and this direct SSA encoding of
 // the ITUA process must agree on every measure within statistical error.

@@ -43,6 +43,12 @@ type poissonWindow struct {
 const windowGrowthCap = 10_000_000
 
 func newPoissonWindow(mu, eps float64) (*poissonWindow, error) {
+	// A non-finite mean has no mode (int(mu) is undefined): without this
+	// check a NaN window grows to its cap and fails with a misleading
+	// ErrPoissonTruncation.
+	if math.IsNaN(mu) || math.IsInf(mu, 0) {
+		return nil, errors.New("mc: non-finite horizon")
+	}
 	if mu < 0 {
 		panic("mc: negative Poisson mean")
 	}

@@ -8,16 +8,6 @@ import (
 	"ituaval/internal/san"
 )
 
-// Steady-state detection inside the walk: once successive uniformized
-// iterates agree to ssTol in max norm the chain has mixed, so every later
-// iterate is taken to equal the current one and the (possibly very long,
-// Λt-step) walk stops early.
-const (
-	ssTol        = 1e-12
-	ssCheckFrom  = 32
-	ssCheckEvery = 4
-)
-
 // poissonEps is the Poisson-window accuracy of every walk measure.
 const poissonEps = 1e-12
 
@@ -28,14 +18,12 @@ const poissonEps = 1e-12
 // the latest iterate, so any instant-of-time or interval-average value at
 // any horizon is a Poisson-weighted sum over the recorded scalars. The
 // walk advances only when a horizon needs more steps than it has taken;
-// a smaller horizon asked later costs no matvec.
-//
-// The steady-state check runs at fixed steps (from ssCheckFrom, every
-// ssCheckEvery): at step k it compares v_{k+1} with v_k. Once it fires at
-// step K the walk stops for good, and every horizon whose window reaches
-// past K uses v_{K+1} for all later iterates. The check's steps and the
-// iterates do not depend on the horizons asked, so a value is
-// bit-identical whether a walk answers it first, last, or alone.
+// a smaller horizon asked later costs no matvec. The iterates do not
+// depend on the horizons asked, so a value is bit-identical whether a walk
+// answers it first, last, or alone, and its only error is the Poisson
+// window's poissonEps. The walk has no steady-state early exit: a
+// step-difference test is not an error bound (DESIGN.md, "No
+// steady-state exit").
 //
 // Memory: a walk keeps its reward vectors, one iterate (n floats) and the
 // recorded scalars (one float per reward per step). The step operator
@@ -50,11 +38,6 @@ type Walk struct {
 	recorded [][]float64
 	v        []float64 // v_steps
 	steps    int
-	// steadyAt is the step whose steady-state check fired, -1 until then.
-	steadyAt int
-	// noSteadyExit turns the steady-state exit off, so tests can measure
-	// what the exit changes.
-	noSteadyExit bool
 	// visit, when set, sees every iterate the walk produces after v_0.
 	visit func(k int, v []float64)
 }
@@ -67,7 +50,6 @@ func (c *CTMC) newWalk(absorbing []bool, rewards ...[]float64) *Walk {
 		rewards:   rewards,
 		recorded:  make([][]float64, len(rewards)),
 		v:         c.InitialDistribution(),
-		steadyAt:  -1,
 	}
 	w.record()
 	return w
@@ -111,115 +93,76 @@ func (w *Walk) record() {
 	}
 }
 
-// extend advances the walk to step to, or until the steady-state check
-// fires. This is the only stepping loop of the transient solver.
+// extend advances the walk to step to, building the step operator only
+// when a step is due. This is the only stepping loop of the transient
+// solver.
 func (w *Walk) extend(to int) {
-	if w.steps >= to || w.steadyAt >= 0 {
-		return
-	}
-	op := w.c.uniOperator(w.absorbing, w.lambda)
-	defer op.stop()
-	next := make([]float64, len(w.v))
-	for w.steps < to {
-		k := w.steps
-		op.apply(w.v, next)
-		steady := !w.noSteadyExit && k >= ssCheckFrom && k%ssCheckEvery == 0 &&
-			maxAbsDiff(next, w.v) <= ssTol
-		w.v, next = next, w.v
-		w.steps++
-		if steady {
-			w.steadyAt = k
-		}
-		w.record()
-		if steady {
-			return
+	if w.steps < to {
+		op := w.c.uniOperator(w.absorbing, w.lambda)
+		defer op.stop()
+		next := make([]float64, len(w.v))
+		for w.steps < to {
+			op.apply(w.v, next)
+			w.v, next = next, w.v
+			w.steps++
+			w.record()
 		}
 	}
 }
 
 // window returns the Poisson window of horizon t and advances the walk far
-// enough to evaluate it. It reports the steady-state step K when the
-// check fired inside the window (K < last), -1 otherwise; the rule
-// depends on K and the window only, never on how far the walk went.
-func (w *Walk) window(t float64) (*poissonWindow, int, error) {
+// enough to evaluate it.
+func (w *Walk) window(t float64) (*poissonWindow, error) {
 	win, err := newPoissonWindow(w.lambda*t, poissonEps)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	w.extend(win.last())
-	if w.steadyAt >= 0 && w.steadyAt < win.last() {
-		return win, w.steadyAt, nil
-	}
-	return win, -1, nil
+	return win, nil
 }
 
 // Instant returns E[r_j(X_t)] = Σ_k P(N(Λt)=k)·(r_j·v_k) for the walk's
-// reward j. On a first-passage walk it is the absorbed mass at t. Once the
-// steady-state check has fired at step K inside the window, the Poisson
-// mass beyond K weights r_j·v_{K+1}.
+// reward j. On a first-passage walk it is the absorbed mass at t.
 func (w *Walk) Instant(j int, t float64) (float64, error) {
 	if t < 0 {
 		return 0, errors.New("mc: negative time")
 	}
-	win, K, err := w.window(t)
+	win, err := w.window(t)
 	if err != nil {
 		return 0, fmt.Errorf("mc: value at t=%v: %w", t, err)
 	}
 	s := w.recorded[j]
-	if K < 0 {
-		val := 0.0
-		for k := win.left; k <= win.last(); k++ {
-			val += win.prob(k) * s[k]
-		}
-		return val, nil
+	val := 0.0
+	for k := win.left; k <= win.last(); k++ {
+		val += win.prob(k) * s[k]
 	}
-	val, cum := 0.0, 0.0
-	for k := win.left; k <= K; k++ {
-		p := win.prob(k)
-		val += p * s[k]
-		cum += p
-	}
-	return val + (1-cum)*s[K+1], nil
+	return val, nil
 }
 
 // IntervalAverage returns (1/t) E[∫₀ᵗ r_j(X_u) du] using the
 // uniformization formula for accumulated rewards:
-// E[∫₀ᵗ r du] = (1/Λ) Σ_k (r·v_k) P(N(Λt) > k). Once the steady-state
-// check has fired at step K inside the window, every later step
-// contributes r_j·v_{K+1}, and the remaining tail weights sum in closed
-// form to E[N] − Σ_{k≤K} P(N > k) = Λt − Σ seen.
+// E[∫₀ᵗ r du] = (1/Λ) Σ_k (r·v_k) P(N(Λt) > k).
 func (w *Walk) IntervalAverage(j int, t float64) (float64, error) {
 	if t <= 0 {
 		return 0, errors.New("mc: non-positive interval")
 	}
-	win, K, err := w.window(t)
+	win, err := w.window(t)
 	if err != nil {
 		return 0, fmt.Errorf("mc: interval average over [0,%v]: %w", t, err)
 	}
 	s := w.recorded[j]
-	end := win.last() - 1 // P(N > last) is zero within the window
-	if K >= 0 {
-		end = K
-	}
-	acc, cum, tails := 0.0, 0.0, 0.0
-	for k := 0; k <= end; k++ {
+	acc, cum := 0.0, 0.0
+	// P(N > last) is zero within the window.
+	for k := 0; k < win.last(); k++ {
 		cum += win.prob(k)
-		tail := math.Max(0, 1-cum)
-		acc += s[k] * tail
-		tails += tail
-	}
-	if K >= 0 {
-		if rem := w.lambda*t - tails; rem > 0 {
-			acc += s[K+1] * rem
-		}
+		acc += s[k] * math.Max(0, 1-cum)
 	}
 	return acc / w.lambda / t, nil
 }
 
 // Transient returns the state distribution at time t, starting from the
 // model's initial distribution, computed by uniformization with Fox–Glynn
-// truncation and steady-state detection: the Poisson-weighted sum of a
-// walk's iterates.
+// truncation: the Poisson-weighted sum of a walk's iterates.
 func (c *CTMC) Transient(t float64) ([]float64, error) {
 	if t < 0 {
 		return nil, errors.New("mc: negative time")
@@ -230,28 +173,16 @@ func (c *CTMC) Transient(t float64) ([]float64, error) {
 		return nil, fmt.Errorf("mc: transient at t=%v: %w", t, err)
 	}
 	out := make([]float64, c.n)
-	cum := 0.0
 	add := func(k int, v []float64) {
 		if p := win.prob(k); p > 0 {
 			for i := range v {
 				out[i] += p * v[i]
 			}
-			cum += p
 		}
 	}
 	add(0, w.v)
-	w.visit = func(k int, v []float64) {
-		if w.steadyAt < 0 {
-			add(k, v)
-		}
-	}
+	w.visit = add
 	w.extend(win.last())
-	if w.steadyAt >= 0 {
-		rem := 1 - cum
-		for i := range out {
-			out[i] += rem * w.v[i]
-		}
-	}
 	return out, nil
 }
 
@@ -270,14 +201,4 @@ func (c *CTMC) IntervalAverageReward(t float64, f func(*san.State) float64) (flo
 // one-shot first-passage walk.
 func (c *CTMC) FirstPassageProb(t float64, pred func(*san.State) bool) (float64, error) {
 	return c.FirstPassageWalk(pred).Instant(0, t)
-}
-
-func maxAbsDiff(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		if x := math.Abs(a[i] - b[i]); x > d {
-			d = x
-		}
-	}
-	return d
 }

@@ -8,33 +8,68 @@ import (
 	"ituaval/internal/san"
 )
 
-// walkCase is a chain with one reward and one first-passage predicate.
+// walkCase is a chain with one reward and one first-passage predicate,
+// and the closed forms of the instant, interval-average and first-passage
+// values that are known (NaN where none is).
 type walkCase struct {
-	name string
-	c    *CTMC
-	f    func(*san.State) float64
-	bad  func(*san.State) bool
+	name  string
+	c     *CTMC
+	f     func(*san.State) float64
+	bad   func(*san.State) bool
+	span  float64 // the range of f
+	exact func(h float64) [3]float64
 }
 
 func walkCases(t *testing.T) []walkCase {
 	t.Helper()
-	mm, q := buildMM1K(t, 1, 2, 10)
+	const mmLambda, mmMu, mmK = 1.0, 2.0, 10
+	mm, q := buildMM1K(t, mmLambda, mmMu, mmK)
 	mmc, err := Generate(mm, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, up := buildTwoState(t, 0.3, 5)
+	norm, mean := 0.0, 0.0
+	for n := 0; n <= mmK; n++ {
+		p := math.Pow(mmLambda/mmMu, float64(n))
+		norm += p
+		mean += float64(n) * p
+	}
+	mean /= norm
+	const lambda, mu = 0.3, 5.0
+	two, up := buildTwoState(t, lambda, mu)
 	twoc, err := Generate(two, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan := math.NaN()
 	return []walkCase{
 		{"mm1k", mmc,
 			func(s *san.State) float64 { return float64(s.Get(q)) },
-			func(s *san.State) bool { return s.Int(q) >= 4 }},
+			func(s *san.State) bool { return s.Int(q) >= 4 },
+			mmK,
+			// The queue has mixed to its geometric stationary law by
+			// t = 200, and q >= 4 is reached by t = 1000 (the mean
+			// hitting time from empty is 1+3+7+15 = 26).
+			func(h float64) [3]float64 {
+				v := [3]float64{nan, nan, nan}
+				if h >= 200 {
+					v[0] = mean
+				}
+				if h >= 1000 {
+					v[2] = 1
+				}
+				return v
+			}},
 		{"twostate", twoc,
 			func(s *san.State) float64 { return float64(1 - s.Get(up)) },
-			func(s *san.State) bool { return s.Get(up) == 0 }},
+			func(s *san.State) bool { return s.Get(up) == 0 },
+			1,
+			func(h float64) [3]float64 {
+				s := lambda + mu
+				down := lambda / s * (1 - math.Exp(-s*h))
+				avg := lambda / s * (1 - (1-math.Exp(-s*h))/(s*h))
+				return [3]float64{down, avg, 1 - math.Exp(-lambda*h)}
+			}},
 	}
 }
 
@@ -58,8 +93,8 @@ func walkValues(t *testing.T, plain, fp *Walk, horizons []float64) [][3]float64 
 	return out
 }
 
-// TestWalkOrderMatchesOneShot asks one shared walk for horizons on both
-// sides of the steady-state exit, in increasing and decreasing order, and
+// TestWalkOrderMatchesOneShot asks one shared walk for horizons from
+// short to far past mixing, in increasing and decreasing order, and
 // requires every value to be bit-identical to the one-shot call.
 func TestWalkOrderMatchesOneShot(t *testing.T) {
 	horizons := []float64{0.5, 3, 20, 60, 200, 1000}
@@ -86,10 +121,6 @@ func TestWalkOrderMatchesOneShot(t *testing.T) {
 			}
 			plain, fp := wc.c.RewardWalk(wc.f), wc.c.FirstPassageWalk(wc.bad)
 			got := walkValues(t, plain, fp, hs)
-			if plain.steadyAt < 0 || fp.steadyAt < 0 {
-				t.Fatalf("%s: steady-state exit never fired (plain %d, first passage %d)",
-					wc.name, plain.steadyAt, fp.steadyAt)
-			}
 			for i, h := range hs {
 				w := want[i]
 				if reverse {
@@ -103,38 +134,76 @@ func TestWalkOrderMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestSteadyExitBound compares instant, interval and first-passage values
-// with and without the steady-state exit at horizons where it fires. The
-// exit stops on a max-norm step difference of ssTol, which is not itself
-// an error bound; the worst difference observed here is recorded in
-// DESIGN.md ("Analytic path").
-func TestSteadyExitBound(t *testing.T) {
-	const bound = 1e-10
-	horizons := []float64{60, 200, 1000}
+// TestWalkClosedForm compares instant, interval-average and
+// first-passage values with their closed forms at horizons from short to
+// far past mixing. Every value must lie within the Poisson window's
+// accuracy of the exact one, scaled by the reward's range: no other error
+// source may enter, however long the walk.
+func TestWalkClosedForm(t *testing.T) {
+	horizons := []float64{0.5, 3, 20, 60, 200, 1000}
 	worst := 0.0
 	for _, wc := range walkCases(t) {
 		plain, fp := wc.c.RewardWalk(wc.f), wc.c.FirstPassageWalk(wc.bad)
-		exit := walkValues(t, plain, fp, horizons)
-		if plain.steadyAt < 0 || fp.steadyAt < 0 {
-			t.Fatalf("%s: steady-state exit never fired", wc.name)
-		}
-		plain, fp = wc.c.RewardWalk(wc.f), wc.c.FirstPassageWalk(wc.bad)
-		plain.noSteadyExit, fp.noSteadyExit = true, true
-		full := walkValues(t, plain, fp, horizons)
+		got := walkValues(t, plain, fp, horizons)
 		for i, h := range horizons {
+			want := wc.exact(h)
 			for m, name := range []string{"instant", "interval", "first passage"} {
-				d := math.Abs(exit[i][m] - full[i][m])
-				if rel := d / math.Max(1, math.Abs(full[i][m])); rel > worst {
-					worst = rel
+				if math.IsNaN(want[m]) {
+					continue
 				}
-				if d > bound*math.Max(1, math.Abs(full[i][m])) {
-					t.Errorf("%s %s at t=%v: exit %.17g, no exit %.17g (|Δ| %.3g)",
-						wc.name, name, h, exit[i][m], full[i][m], d)
+				scale := 1.0
+				if m < 2 {
+					scale = math.Max(1, wc.span)
+				}
+				d := math.Abs(got[i][m]-want[m]) / scale
+				worst = math.Max(worst, d)
+				if d > poissonEps {
+					t.Errorf("%s %s at t=%v: walk %.17g, closed form %.17g (|Δ|/scale %.3g)",
+						wc.name, name, h, got[i][m], want[m], d)
 				}
 			}
 		}
 	}
-	t.Logf("worst relative difference with vs without the steady-state exit: %.3g", worst)
+	t.Logf("worst scaled error against the closed forms: %.3g", worst)
+}
+
+// TestNonFiniteHorizon: a NaN or infinite horizon fails with a plain
+// error, not ErrPoissonTruncation, through both walk measures, Transient
+// and the three one-shot calls, before any window is built or any step
+// runs.
+func TestNonFiniteHorizon(t *testing.T) {
+	m, up := buildTwoState(t, 0.5, 2.0)
+	c, err := Generate(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(s *san.State) float64 { return float64(s.Get(up)) }
+	down := func(s *san.State) bool { return s.Get(up) == 0 }
+	w := c.RewardWalk(f)
+	if _, err := w.Instant(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	steps, before := w.steps, matvecs.Load()
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, call := range map[string]func() error{
+			"Instant":               func() error { _, err := w.Instant(0, h); return err },
+			"IntervalAverage":       func() error { _, err := w.IntervalAverage(0, h); return err },
+			"Transient":             func() error { _, err := c.Transient(h); return err },
+			"TransientReward":       func() error { _, err := c.TransientReward(h, f); return err },
+			"IntervalAverageReward": func() error { _, err := c.IntervalAverageReward(h, f); return err },
+			"FirstPassageProb":      func() error { _, err := c.FirstPassageProb(h, down); return err },
+		} {
+			if err := call(); err == nil || errors.Is(err, ErrPoissonTruncation) {
+				t.Errorf("%s(%v): err = %v, want a non-truncation error", name, h, err)
+			}
+		}
+	}
+	if w.steps != steps {
+		t.Fatalf("non-finite horizons advanced the walk from %d to %d steps", steps, w.steps)
+	}
+	if n := matvecs.Load() - before; n != 0 {
+		t.Fatalf("non-finite horizons ran %d matvecs, want 0", n)
+	}
 }
 
 // TestFirstPassageAtZero: at t = 0 the first-passage probability is the

@@ -61,22 +61,11 @@ func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 		appendPoint(&sanS[1], x, "unrel", prs[i])
 		appendPoint(&sanS[2], x, "excl", prs[i])
 
-		var unavail, unrel, excl stats.Accumulator
-		root := rng.New(cfg.Seed + uint64(4100+i))
-		for rep := 0; rep < cfg.Reps; rep++ {
-			res, err := ituadirect.RunContext(ctx, params[i], root.Derive(uint64(rep)), []float64{T})
-			if err != nil {
-				return nil, err
-			}
-			unavail.Add(res.UnavailTime[0] / T)
-			if res.ByzantineBy[0] {
-				unrel.Add(1)
-			} else {
-				unrel.Add(0)
-			}
-			excl.Add(res.FracDomainsExcluded[0])
+		dir, err := ituadirect.Replicate(ctx, params[i], cfg.Seed+uint64(4100+i), cfg.Reps, T)
+		if err != nil {
+			return nil, err
 		}
-		for j, acc := range []*stats.Accumulator{&unavail, &unrel, &excl} {
+		for j, acc := range []*stats.Accumulator{&dir.Unavail, &dir.Unrel, &dir.FracExcl} {
 			appendCell(&dirS[j], x, acc.Mean(), acc.HalfWidth(0.95), acc.N(),
 				cfg.Reps, cfg.Reps, 0, 0)
 		}

@@ -8,7 +8,6 @@ import (
 	"ituaval/internal/core"
 	"ituaval/internal/exact"
 	"ituaval/internal/ituadirect"
-	"ituaval/internal/rng"
 	"ituaval/internal/rsm"
 	"ituaval/internal/stats"
 )
@@ -108,20 +107,11 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 			p := faultsParams(part, camp)
 
 			// Direct arm: the independently coded Gillespie simulator.
-			var dir [2]stats.Accumulator
-			root := rng.New(cfg.Seed + uint64(8100+pi))
-			for rep := 0; rep < cfg.Reps; rep++ {
-				dres, err := ituadirect.RunContext(ctx, p, root.Derive(uint64(rep)), []float64{T})
-				if err != nil {
-					return nil, fmt.Errorf("faults camp=%g part=%g: direct: %w", camp, part, err)
-				}
-				dir[0].Add(dres.UnavailTime[0] / T)
-				if dres.ByzantineBy[0] {
-					dir[1].Add(1)
-				} else {
-					dir[1].Add(0)
-				}
+			dres, err := ituadirect.Replicate(ctx, p, cfg.Seed+uint64(8100+pi), cfg.Reps, T)
+			if err != nil {
+				return nil, fmt.Errorf("faults camp=%g part=%g: direct: %w", camp, part, err)
 			}
+			dir := [2]*stats.Accumulator{&dres.Unavail, &dres.Unrel}
 
 			// Live arm: fault-injected replica groups whose transport is
 			// really partitioned and healed by the environment process.
