@@ -280,3 +280,49 @@ func TestQuickFloat64HalfOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKnownAnswers pins exact stream outputs, so any change to seeding,
+// derivation, role keys or the xoshiro step shows up as a value mismatch
+// rather than only as a statistical drift.
+func TestKnownAnswers(t *testing.T) {
+	words := []struct {
+		name string
+		s    *Stream
+		want [8]uint64
+	}{
+		{"New(0)", New(0), [8]uint64{
+			0x1a70a846bd9cc2a9, 0x6a0ef250cd2b9e80, 0x61325a7589c2ff27, 0x21ccf8536a2bb70a,
+			0x819e29b2912a393f, 0xaf81c73f22f06ce3, 0x2a6793bf38726a7a, 0xf2cd492c44efac0d}},
+		{"New(1)", New(1), [8]uint64{
+			0xc5883e370b0926c3, 0x021b74b80f71f81c, 0x268df06749e5c8ce, 0xe052757d667afef2,
+			0xa8e830354035114a, 0xaf461a38b67a3827, 0xf61fd80e91cefd17, 0xa6563758ec4d868f}},
+		{"New(2^64-1)", New(math.MaxUint64), [8]uint64{
+			0x8defbd3346f3593a, 0x41a928faae78060c, 0xdde9bccaf1cd0233, 0x939e26ae8c3a89e7,
+			0x0a23acb32ddcae13, 0xfdf2b0da7b4ba21a, 0x367155597e0be806, 0xb0d11c2e71d6e0ef}},
+		{"New(1).Derive(7)", New(1).Derive(7), [8]uint64{
+			0x5f26022e0b5aac75, 0x55d12c30f6116161, 0x54a3ec4ca4b3283f, 0xfbd3d81f3933e466,
+			0xef5fb7430c0fd87b, 0x101ed3b9cb993e39, 0xd5514fdb2a44e233, 0x41af2acfd82c71f7}},
+		{`New(1).RoleNamed("x")`, New(1).RoleNamed("x"), [8]uint64{
+			0x6927d6305d1104d6, 0x394602bef0e5bb8c, 0xf6f10035c3d527a0, 0xadf762d4f0b5db5b,
+			0x651bb99092db3ed0, 0x3932d7b7947ec047, 0xd805e57d41c08979, 0x4651288f38b519e5}},
+	}
+	for _, c := range words {
+		for i, w := range c.want {
+			if got := c.s.Uint64(); got != w {
+				t.Errorf("%s draw %d = %#016x, want %#016x", c.name, i, got, w)
+			}
+		}
+	}
+
+	s := New(3)
+	for i, w := range []float64{0.10464878315042825, 0.430246032972076, 0.880857171104062, 0.5135622424622591} {
+		if got := s.Float64(); got != w {
+			t.Errorf("New(3) Float64 draw %d = %v, want %v", i, got, w)
+		}
+	}
+	for i, w := range []float64{1.1735770722263434, 0.2201824015731963, 0.5697474885843257, 0.2916533576921032} {
+		if got := s.Expo(2); got != w {
+			t.Errorf("New(3) Expo(2) draw %d = %v, want %v", i, got, w)
+		}
+	}
+}
