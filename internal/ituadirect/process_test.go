@@ -8,9 +8,9 @@ import (
 	"ituaval/internal/rng"
 )
 
-func mustNew(t *testing.T, p core.Params, rs *rng.Stream, o Opts) *Process {
+func mustNew(t *testing.T, p core.Params, rs *rng.Stream) *Process {
 	t.Helper()
-	s, err := New(p, rs, o, Hooks{})
+	s, err := New(p, rs, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCollectAllocFree(t *testing.T) {
 	p.PartitionRate, p.PartitionHealRate = 2, 4
 	p.CampaignRate, p.CampaignSize, p.CampaignProb = 0.5, 3, 0.5
 	p.RepairCrew = 1
-	s := mustNew(t, p, rng.New(1), Opts{})
+	s := mustNew(t, p, rng.New(1))
 	for i := 0; i < 40; i++ {
 		s.Step(math.Inf(1))
 	}

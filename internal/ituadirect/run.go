@@ -156,15 +156,14 @@ func (s *Process) collect(buf []transition) []transition {
 	return buf
 }
 
-// apply performs one transition's state update, drawing any outcome trial
-// from the entity's own role stream.
+// apply performs one transition's state update.
 func (s *Process) apply(tr transition) {
 	g, a, r := tr.g, tr.a, tr.r
 	d := s.domainOf(g)
 	switch tr.kind {
 	case partitionStart:
 		D := len(s.domExcluded)
-		k := s.envRand().Choose(D * (D - 1) / 2)
+		k := s.rs.Choose(D * (D - 1) / 2)
 		da := 0
 		for k >= D-1-da {
 			k -= D - 1 - da
@@ -182,7 +181,7 @@ func (s *Process) apply(tr transition) {
 	case campaignHit:
 		s.campaign()
 	case hostAttack:
-		s.hostStatus[g] = 1 + s.hostRand(g).Category(s.pClass[:])
+		s.hostStatus[g] = 1 + s.rs.Category(s.pClass[:])
 		s.intrusions++
 	case domainSpread:
 		s.propDomDone[g] = true
@@ -196,13 +195,13 @@ func (s *Process) apply(tr transition) {
 	case hostDetect:
 		s.hostDetected[g] = true
 		class := s.hostStatus[g] - 1
-		if s.hostRand(g).Bernoulli(s.detectClass[class]) &&
+		if s.rs.Bernoulli(s.detectClass[class]) &&
 			!s.mgrCorrupt[g] && s.domainGroupOK(d) {
 			s.exclude(g)
 		}
 	case mgrDetect:
 		s.mgrDetected[g] = true
-		if s.mgrRand(g).Bernoulli(s.p.DetectMgr) &&
+		if s.rs.Bernoulli(s.p.DetectMgr) &&
 			(s.domainGroupOK(d) || s.globalQuorumOK()) {
 			s.exclude(g)
 		}
@@ -220,7 +219,7 @@ func (s *Process) apply(tr transition) {
 		}
 	case replicaDetect:
 		s.repDetected[a][r] = true
-		if s.repRand(a, r).Bernoulli(s.p.DetectReplica) {
+		if s.rs.Bernoulli(s.p.DetectReplica) {
 			s.convict(a, r)
 		}
 	case replicaConvict:
@@ -261,14 +260,14 @@ func (s *Process) sojourn() (dt float64, ok bool) {
 	if s.total <= 0 {
 		return 0, false
 	}
-	return s.timeRand().Expo(s.total), true
+	return s.rs.Expo(s.total), true
 }
 
 // jump selects one of the transitions enumerated by the last sojourn with
 // probability proportional to its rate, applies it, and then retries the
 // responses and repairs it may have unblocked.
 func (s *Process) jump() {
-	u := s.selectRand().Float64() * s.total
+	u := s.rs.Float64() * s.total
 	acc := 0.0
 	idx := len(s.buf) - 1
 	for i, tr := range s.buf {
@@ -292,7 +291,6 @@ func (s *Process) campaign() {
 			eligible = append(eligible, g)
 		}
 	}
-	rs := s.envRand()
 	k := s.p.CampaignSize
 	if len(eligible) <= k {
 		k = len(eligible)
@@ -300,15 +298,15 @@ func (s *Process) campaign() {
 		// Partial Fisher–Yates: the first k entries become a uniform
 		// k-subset of the eligible hosts.
 		for i := 0; i < k; i++ {
-			j := i + rs.Choose(len(eligible)-i)
+			j := i + s.rs.Choose(len(eligible)-i)
 			eligible[i], eligible[j] = eligible[j], eligible[i]
 		}
 	}
 	for _, g := range eligible[:k] {
-		if !rs.Bernoulli(s.p.CampaignProb) {
+		if !s.rs.Bernoulli(s.p.CampaignProb) {
 			continue
 		}
-		s.hostStatus[g] = 1 + rs.Category(s.pClass[:])
+		s.hostStatus[g] = 1 + s.rs.Category(s.pClass[:])
 		s.intrusions++
 	}
 }
@@ -497,8 +495,7 @@ func (s *Process) recover(a int) {
 	if len(doms) == 0 {
 		return
 	}
-	rs := s.recRand(a)
-	g := s.chooseHost(rs, doms[rs.Choose(len(doms))])
+	g := s.chooseHost(doms[s.rs.Choose(len(doms))])
 	for r := range s.onHost[a] {
 		if s.onHost[a][r] < 0 {
 			s.onHost[a][r] = g

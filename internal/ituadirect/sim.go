@@ -19,27 +19,13 @@ package ituadirect
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/debug"
 
 	"ituaval/internal/core"
 	"ituaval/internal/rng"
 	"ituaval/internal/stats"
 )
-
-// Opts configures optional behaviour of one replication.
-type Opts struct {
-	// CRN enables common-random-numbers mode: every stochastic role (the
-	// initial placement, the jump-time clock, the transition selector, and
-	// each entity's outcome trials) samples from its own substream derived
-	// from the replication stream by the stable hash of the role's name.
-	// Two configurations differing only in policy then consume identical
-	// randomness for identical roles — the same attack classes, detection
-	// outcomes, and placements — so their per-replication measures are
-	// positively correlated and their difference admits a paired estimator.
-	// Results stay deterministic for a fixed seed but are not
-	// bit-compatible with single-stream runs of the same seed.
-	CRN bool
-}
 
 // Hooks notifies an observer (the live cluster of internal/rsm) of replica
 // lifecycle events as the process evolves. Nil hooks are skipped, and no
@@ -75,21 +61,8 @@ type Hooks struct {
 // exponential jump at a time with Step. Time is in hours.
 type Process struct {
 	p  core.Params
-	rs *rng.Stream
+	rs *rng.Stream // every draw of the replication
 	h  Hooks
-
-	// CRN role substreams (nil when disabled): see Opts.CRN. Entity roles
-	// are keyed by stable names ("host[g]", "mgr[g]", "app[a].rep[r]",
-	// "app[a].recovery"), so the same entity draws the same outcome
-	// sequence under either exclusion policy.
-	crn          bool
-	timeStream   *rng.Stream
-	selectStream *rng.Stream
-	envStream    *rng.Stream
-	hostRoles    []*rng.Stream
-	mgrRoles     []*rng.Stream
-	repRoles     [][]*rng.Stream
-	recRoles     []*rng.Stream
 
 	hostRate, repRate, mgrRate  float64 // per-entity base attack rates
 	hostFalseRate, repFalseRate float64
@@ -159,7 +132,8 @@ type Result struct {
 }
 
 // Run simulates one replication up to the largest horizon, recording the
-// measures at each horizon. Horizons must be ascending and non-empty.
+// measures at each horizon. Horizons must be non-empty, finite, positive
+// and ascending (repeats allowed).
 func Run(p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
 	return RunContext(context.Background(), p, seed, horizons)
 }
@@ -169,8 +143,37 @@ func Run(p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
 // attaching a deadline to it) aborts a runaway replication with ctx.Err()
 // instead of hanging the sweep, and a panic inside the process is returned
 // as an error carrying the stack.
-func RunContext(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
-	return RunContextOpts(ctx, p, seed, horizons, Opts{})
+func RunContext(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = Result{}, fmt.Errorf("ituadirect: panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	if err := checkHorizons(horizons); err != nil {
+		return Result{}, err
+	}
+	s, err := New(p, seed, Hooks{})
+	if err != nil {
+		return Result{}, err
+	}
+	return s.run(ctx, horizons)
+}
+
+// checkHorizons rejects a horizon list run cannot record: empty, holding a
+// non-finite or non-positive entry, or descending anywhere.
+func checkHorizons(horizons []float64) error {
+	if len(horizons) == 0 {
+		return fmt.Errorf("ituadirect: no horizons")
+	}
+	for i, h := range horizons {
+		if math.IsNaN(h) || math.IsInf(h, 0) || h <= 0 {
+			return fmt.Errorf("ituadirect: horizon %v must be finite and > 0", h)
+		}
+		if i > 0 && h < horizons[i-1] {
+			return fmt.Errorf("ituadirect: horizons must ascend, got %v after %v", h, horizons[i-1])
+		}
+	}
+	return nil
 }
 
 // Estimate accumulates the measures of many replications at one horizon
@@ -205,26 +208,9 @@ func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T floa
 	return &e, nil
 }
 
-// RunContextOpts is RunContext with explicit options (see Opts).
-func RunContextOpts(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64, o Opts) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = Result{}, fmt.Errorf("ituadirect: panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	s, err := New(p, seed, o, Hooks{})
-	if err != nil {
-		return Result{}, err
-	}
-	if len(horizons) == 0 {
-		return Result{}, fmt.Errorf("ituadirect: no horizons")
-	}
-	return s.run(ctx, horizons)
-}
-
 // New builds the process in its initial state (replicas placed, no
 // corruption) and fires StartReplica for every initial placement.
-func New(p core.Params, rs *rng.Stream, o Opts, h Hooks) (*Process, error) {
+func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("ituadirect: %w", err)
 	}
@@ -275,30 +261,6 @@ func New(p core.Params, rs *rng.Stream, o Opts, h Hooks) (*Process, error) {
 	s.pClass = [3]float64{p.PScript, p.PExploratory, p.PInnovative}
 	s.detectClass = [3]float64{p.DetectScript, p.DetectExploratory, p.DetectInnovative}
 
-	initStream := rs
-	if o.CRN {
-		s.crn = true
-		s.timeStream = rs.RoleNamed("__time__")
-		s.selectStream = rs.RoleNamed("__select__")
-		s.envStream = rs.RoleNamed("__env__")
-		s.hostRoles = make([]*rng.Stream, n)
-		s.mgrRoles = make([]*rng.Stream, n)
-		for g := 0; g < n; g++ {
-			s.hostRoles[g] = rs.RoleNamed(fmt.Sprintf("host[%d]", g))
-			s.mgrRoles[g] = rs.RoleNamed(fmt.Sprintf("mgr[%d]", g))
-		}
-		s.recRoles = make([]*rng.Stream, A)
-		s.repRoles = make([][]*rng.Stream, A)
-		for a := 0; a < A; a++ {
-			s.recRoles[a] = rs.RoleNamed(fmt.Sprintf("app[%d].recovery", a))
-			s.repRoles[a] = make([]*rng.Stream, R)
-			for r := 0; r < R; r++ {
-				s.repRoles[a][r] = rs.RoleNamed(fmt.Sprintf("app[%d].rep[%d]", a, r))
-			}
-		}
-		initStream = rs.RoleNamed("__init__")
-	}
-
 	// Initial placement: min(R, D) replicas per app on distinct uniformly
 	// chosen domains, uniform host within each.
 	s.onHost = make([][]int, A)
@@ -314,13 +276,13 @@ func New(p core.Params, rs *rng.Stream, o Opts, h Hooks) (*Process, error) {
 		s.repCorrupt[a] = make([]bool, R)
 		s.repConvicted[a] = make([]bool, R)
 		s.repDetected[a] = make([]bool, R)
-		initStream.Perm(perm)
+		rs.Perm(perm)
 		k := R
 		if D < k {
 			k = D
 		}
 		for i := 0; i < k; i++ {
-			g := s.chooseHost(initStream, perm[i])
+			g := s.chooseHost(perm[i])
 			s.onHost[a][i] = g
 			s.running[a]++
 			if s.h.StartReplica != nil {
@@ -332,58 +294,6 @@ func New(p core.Params, rs *rng.Stream, o Opts, h Hooks) (*Process, error) {
 }
 
 func (s *Process) domainOf(g int) int { return g / s.p.HostsPerDomain }
-
-// The *Rand accessors return the stream a given stochastic role draws from:
-// its own substream under CRN, the single replication stream otherwise.
-
-func (s *Process) hostRand(g int) *rng.Stream {
-	if s.crn {
-		return s.hostRoles[g]
-	}
-	return s.rs
-}
-
-func (s *Process) mgrRand(g int) *rng.Stream {
-	if s.crn {
-		return s.mgrRoles[g]
-	}
-	return s.rs
-}
-
-func (s *Process) repRand(a, r int) *rng.Stream {
-	if s.crn {
-		return s.repRoles[a][r]
-	}
-	return s.rs
-}
-
-func (s *Process) recRand(a int) *rng.Stream {
-	if s.crn {
-		return s.recRoles[a]
-	}
-	return s.rs
-}
-
-func (s *Process) timeRand() *rng.Stream {
-	if s.crn {
-		return s.timeStream
-	}
-	return s.rs
-}
-
-func (s *Process) selectRand() *rng.Stream {
-	if s.crn {
-		return s.selectStream
-	}
-	return s.rs
-}
-
-func (s *Process) envRand() *rng.Stream {
-	if s.crn {
-		return s.envStream
-	}
-	return s.rs
-}
 
 // hostLoad counts the replicas currently running on host g.
 func (s *Process) hostLoad(g int) int {
@@ -399,8 +309,8 @@ func (s *Process) hostLoad(g int) int {
 }
 
 // chooseHost picks a live host of domain d per the placement strategy,
-// mirroring core's semantics, drawing from the caller's role stream.
-func (s *Process) chooseHost(rs *rng.Stream, d int) int {
+// mirroring core's semantics.
+func (s *Process) chooseHost(d int) int {
 	H := s.p.HostsPerDomain
 	var hostsUp []int
 	for h := 0; h < H; h++ {
@@ -422,9 +332,9 @@ func (s *Process) chooseHost(rs *rng.Stream, d int) int {
 		for i, g := range hostsUp {
 			weights[i] = 1 / (1 + float64(s.hostLoad(g)))
 		}
-		return hostsUp[rs.Category(weights)]
+		return hostsUp[s.rs.Category(weights)]
 	default:
-		return hostsUp[rs.Choose(len(hostsUp))]
+		return hostsUp[s.rs.Choose(len(hostsUp))]
 	}
 }
 

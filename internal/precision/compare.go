@@ -83,19 +83,13 @@ func (c *Comparison) Get(name string) (Measure, bool) {
 // bit-identical for a fixed seed across worker counts.
 //
 // The two specs may differ in model structure; variables are matched by
-// name, and both Antithetic flags must agree. On a partial failure
+// name. On a partial failure
 // (cancellation, failure tolerance exceeded) the comparison built so far is
 // returned alongside the error.
 func Compare(ctx context.Context, specA, specB sim.Spec, opts Opts) (*Comparison, error) {
 	level := opts.Level
 	if level == 0 {
 		level = 0.95
-	}
-	if specA.Antithetic != specB.Antithetic {
-		return nil, errors.New("precision: Compare requires matching Antithetic flags")
-	}
-	if len(specA.Quantiles) > 0 || len(specB.Quantiles) > 0 {
-		return nil, errors.New("precision: Compare does not support Quantiles")
 	}
 	specA.CRN, specB.CRN = true, true
 	specA.KeepPerRep, specB.KeepPerRep = true, true
@@ -147,7 +141,7 @@ func Compare(ctx context.Context, specA, specB sim.Spec, opts Opts) (*Comparison
 	out := &Comparison{}
 	total := 0
 	for total < max {
-		reps := nextBatch(total, initial, max, growth, specA.Antithetic)
+		reps := nextBatch(total, initial, max, growth)
 		first := specA.FirstRep + total
 		if err := runBatches(ctx, specA, specB, first, reps, &out.A, &out.B); err != nil {
 			out.finish(shared, idxA, idxB, level)

@@ -173,18 +173,6 @@ func TestCompareValidation(t *testing.T) {
 	b := repairSpec(t, 6, 24)
 	a.Reps, b.Reps = 16, 16
 
-	anti := a
-	anti.Antithetic = true
-	if _, err := Compare(context.Background(), anti, b, Opts{}); err == nil {
-		t.Error("Compare accepted mismatched Antithetic flags")
-	}
-
-	q := a
-	q.Quantiles = []float64{0.5}
-	if _, err := Compare(context.Background(), q, b, Opts{}); err == nil {
-		t.Error("Compare accepted Quantiles")
-	}
-
 	zero := a
 	zero.Reps = 0
 	if _, err := Compare(context.Background(), zero, b, Opts{}); err == nil {

@@ -50,14 +50,13 @@ type Target struct {
 // plus the precision schedule. Sim.Reps is ignored — the schedule governs
 // how many replications run.
 type Spec struct {
-	// Sim is the base study. KeepPerRep is forced on; Quantiles are not
-	// supported (batches cannot merge them).
+	// Sim is the base study. KeepPerRep is forced on.
 	Sim sim.Spec
 	// Targets lists the measures that must reach their precision before
 	// stopping; every entry must name a variable of Sim.Vars.
 	Targets []Target
 	// InitialReps is the size of the first batch (default
-	// DefaultInitialReps; rounded up to even under Sim.Antithetic).
+	// DefaultInitialReps).
 	InitialReps int
 	// MaxReps bounds the total replication count (default DefaultMaxReps).
 	MaxReps int
@@ -95,20 +94,11 @@ func (s *Spec) normalize() (int, int, float64, error) {
 	if initial < 1 {
 		return 0, 0, 0, fmt.Errorf("precision: InitialReps must be >= 1, got %d", initial)
 	}
-	if s.Sim.Antithetic && initial%2 != 0 {
-		initial++
-	}
 	if max < initial {
 		return 0, 0, 0, fmt.Errorf("precision: MaxReps %d below the initial batch %d", max, initial)
 	}
-	if s.Sim.Antithetic && max%2 != 0 {
-		return 0, 0, 0, fmt.Errorf("precision: MaxReps must be even under Antithetic, got %d", max)
-	}
 	if growth <= 1 {
 		return 0, 0, 0, fmt.Errorf("precision: Growth must exceed 1, got %v", growth)
-	}
-	if len(s.Sim.Quantiles) > 0 {
-		return 0, 0, 0, errors.New("precision: Quantiles are not supported (batches cannot merge them)")
 	}
 	return initial, max, growth, nil
 }
@@ -134,19 +124,14 @@ func validateTargets(targets []Target, known map[string]bool) error {
 }
 
 // nextBatch returns the size of the batch to run after total replications,
-// growing the cumulative count geometrically and clamping at max. even
-// forces an even batch (antithetic pairing); total and max are then even,
-// so the clamp preserves evenness.
-func nextBatch(total, initial, max int, growth float64, even bool) int {
+// growing the cumulative count geometrically and clamping at max.
+func nextBatch(total, initial, max int, growth float64) int {
 	n := initial
 	if total > 0 {
 		n = int(math.Ceil(float64(total) * (growth - 1)))
 		if n < 1 {
 			n = 1
 		}
-	}
-	if even && n%2 != 0 {
-		n++
 	}
 	if total+n > max {
 		n = max - total
@@ -180,7 +165,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	total := 0
 	for total < max {
 		s.FirstRep = spec.Sim.FirstRep + total
-		s.Reps = nextBatch(total, initial, max, growth, s.Antithetic)
+		s.Reps = nextBatch(total, initial, max, growth)
 		batch, err := sim.RunContext(ctx, s)
 		if batch != nil {
 			if out.Results == nil {

@@ -170,26 +170,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestRunAntitheticSchedule(t *testing.T) {
-	spec := Spec{
-		Sim:         repairSpec(t, 4, 15),
-		Targets:     []Target{{Var: "avail", RelHW: 0.05}},
-		InitialReps: 15, // odd: must round up to 16
-		MaxReps:     1 << 14,
-	}
-	spec.Sim.Antithetic = true
-	res, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Met {
-		t.Fatal("antithetic run did not reach the target")
-	}
-	if res.Results.Reps%2 != 0 {
-		t.Fatalf("antithetic run ended with odd total %d", res.Results.Reps)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	good := Spec{Sim: repairSpec(t, 4, 16), Targets: []Target{{Var: "avail", RelHW: 0.5}}}
 	cases := []struct {
@@ -202,8 +182,6 @@ func TestRunValidation(t *testing.T) {
 		{"negative target", func(s *Spec) { s.Targets = []Target{{Var: "avail", RelHW: -1}} }},
 		{"growth <= 1", func(s *Spec) { s.Growth = 1 }},
 		{"max below initial", func(s *Spec) { s.InitialReps = 64; s.MaxReps = 32 }},
-		{"quantiles", func(s *Spec) { s.Sim.Quantiles = []float64{0.5} }},
-		{"odd antithetic cap", func(s *Spec) { s.Sim.Antithetic = true; s.MaxReps = 101 }},
 	}
 	for _, c := range cases {
 		spec := good
@@ -222,24 +200,12 @@ func TestNextBatchSchedule(t *testing.T) {
 	var got []int
 	total := 0
 	for total < 100 {
-		n := nextBatch(total, 16, 100, 2, false)
+		n := nextBatch(total, 16, 100, 2)
 		got = append(got, n)
 		total += n
 	}
 	want := []int{16, 16, 32, 36}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch sizes %v, want %v", got, want)
-	}
-	// Even mode keeps batches even.
-	total = 0
-	for total < 60 {
-		n := nextBatch(total, 10, 60, 1.5, true)
-		if n%2 != 0 {
-			t.Fatalf("even schedule produced odd batch %d", n)
-		}
-		total += n
-	}
-	if total != 60 {
-		t.Fatalf("even schedule overshot the cap: %d", total)
 	}
 }

@@ -21,14 +21,8 @@ func splitmix64(x uint64) uint64 {
 
 // Stream is a xoshiro256** pseudo-random number generator. The zero value
 // is not usable; construct streams with New or Derive.
-//
-// A stream may be marked antithetic (see Antithetic): it then emits the
-// bitwise complement of the underlying xoshiro sequence, so every uniform
-// U becomes 1−U (up to one ulp) while the state evolution — and therefore
-// Derive and Role — is identical to its non-antithetic partner.
 type Stream struct {
 	s0, s1, s2, s3 uint64
-	anti           bool
 }
 
 // New returns a stream seeded from seed. Different seeds give streams that
@@ -55,14 +49,11 @@ func (s *Stream) Reseed(seed uint64) {
 // Derive returns a new stream independent of s, identified by id. Deriving
 // the same id from the same root stream always yields the same stream, which
 // gives per-replication reproducibility regardless of scheduling order.
-// The antithetic mark propagates to the derived stream.
 func (s *Stream) Derive(id uint64) *Stream {
 	// Mix the root state with the id through splitmix64 rather than
 	// consuming numbers from s, so derivation does not perturb s.
 	base := s.s0 ^ rotl(s.s2, 17)
-	d := New(splitmix64(base ^ (id+1)*0x9e3779b97f4a7c15))
-	d.anti = s.anti
-	return d
+	return New(splitmix64(base ^ (id+1)*0x9e3779b97f4a7c15))
 }
 
 // roleSalt separates the Role derivation domain from Derive, so that
@@ -75,12 +66,10 @@ const roleSalt = 0xd1342543de82ef95
 // what makes common random numbers work: two model variants that derive
 // the same role from the same replication stream consume the same uniforms
 // for the same purpose, no matter how their event interleavings differ.
-// Like Derive, Role does not perturb s and propagates the antithetic mark.
+// Like Derive, Role does not perturb s.
 func (s *Stream) Role(k uint64) *Stream {
 	base := s.s0 ^ rotl(s.s2, 17)
-	d := New(splitmix64(base ^ roleSalt ^ (k+1)*0x9e3779b97f4a7c15))
-	d.anti = s.anti
-	return d
+	return New(splitmix64(base ^ roleSalt ^ (k+1)*0x9e3779b97f4a7c15))
 }
 
 // RoleNamed is Role(RoleKey(name)).
@@ -103,20 +92,6 @@ func RoleKey(name string) uint64 {
 	return h
 }
 
-// Antithetic returns the antithetic partner of s: a stream with identical
-// state whose every uniform draw is the complement 1−U of s's draw (via
-// bitwise complement of the raw 64-bit output, exact to one ulp). Applying
-// it twice returns to the original orientation. The partner shares no state
-// with s — advancing one does not advance the other.
-func (s *Stream) Antithetic() *Stream {
-	t := *s
-	t.anti = !t.anti
-	return &t
-}
-
-// IsAntithetic reports whether the stream emits complemented uniforms.
-func (s *Stream) IsAntithetic() bool { return s.anti }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -129,9 +104,6 @@ func (s *Stream) Uint64() uint64 {
 	s.s0 ^= s.s3
 	s.s2 ^= t
 	s.s3 = rotl(s.s3, 45)
-	if s.anti {
-		return ^result
-	}
 	return result
 }
 

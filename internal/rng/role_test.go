@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRoleStableAndIndependent(t *testing.T) {
 	root := New(7)
@@ -51,75 +48,5 @@ func TestRoleKeyDistinguishesNames(t *testing.T) {
 			t.Fatalf("RoleKey collision: %q and %q -> %d", prev, n, k)
 		}
 		seen[k] = n
-	}
-}
-
-// TestAntitheticComplement is the defining property of the wrapper: each
-// uniform of the antithetic partner is 1−U of the original, exact to one
-// ulp of the 53-bit grid, and the partner stays in [0,1).
-func TestAntitheticComplement(t *testing.T) {
-	s := New(17)
-	a := s.Antithetic()
-	if !a.IsAntithetic() || s.IsAntithetic() {
-		t.Fatal("antithetic mark misplaced")
-	}
-	const ulp = 1.0 / (1 << 53)
-	for i := 0; i < 100000; i++ {
-		u := s.Float64()
-		v := a.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("antithetic Float64 out of [0,1): %v", v)
-		}
-		if d := math.Abs(u + v - 1); d > ulp+1e-18 {
-			t.Fatalf("draw %d: u=%v v=%v, u+v deviates from 1 by %v", i, u, v, d)
-		}
-	}
-}
-
-func TestAntitheticInvolution(t *testing.T) {
-	s := New(23)
-	back := s.Antithetic().Antithetic()
-	for i := 0; i < 100; i++ {
-		if s.Uint64() != back.Uint64() {
-			t.Fatal("Antithetic applied twice is not the identity")
-		}
-	}
-}
-
-// TestAntitheticPropagates checks that the orientation survives Derive and
-// Role, so root.Antithetic().Derive(i).Role(k) is the antithetic partner of
-// root.Derive(i).Role(k) — the property the paired runner relies on.
-func TestAntitheticPropagates(t *testing.T) {
-	root := New(31)
-	anti := root.Antithetic()
-	a := root.Derive(5).Role(9)
-	b := anti.Derive(5).Role(9)
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() != ^b.Uint64() {
-			t.Fatalf("derived antithetic partner diverged at draw %d", i)
-		}
-	}
-}
-
-// TestAntitheticExpoNegativeCorrelation: the whole point of antithetic
-// streams is negative correlation between paired variates.
-func TestAntitheticExpoNegativeCorrelation(t *testing.T) {
-	s := New(41)
-	a := s.Antithetic()
-	var sx, sy, sxy, sxx, syy float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		x := s.Expo(1)
-		y := a.Expo(1)
-		sx += x
-		sy += y
-		sxy += x * y
-		sxx += x * x
-		syy += y * y
-	}
-	cov := sxy/n - (sx/n)*(sy/n)
-	corr := cov / math.Sqrt((sxx/n-(sx/n)*(sx/n))*(syy/n-(sy/n)*(sy/n)))
-	if corr > -0.5 {
-		t.Fatalf("antithetic exponential pairs have correlation %v, want strongly negative", corr)
 	}
 }

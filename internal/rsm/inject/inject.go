@@ -65,7 +65,7 @@ func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
 			kill(a, slot)
 		}
 	}
-	proc, err := ituadirect.New(p, rs, ituadirect.Opts{}, h)
+	proc, err := ituadirect.New(p, rs, h)
 	if err != nil {
 		return nil, err
 	}

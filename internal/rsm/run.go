@@ -17,6 +17,7 @@ package rsm
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -33,7 +34,8 @@ import (
 type Spec struct {
 	// Params is the ITUA configuration (topology, rates, policy).
 	Params core.Params
-	// T is the study horizon in hours (default 6, the paper's interval).
+	// T is the study horizon in hours (default 6, the paper's interval;
+	// must be finite).
 	T float64
 	// Reps is the number of independent replications (default 200).
 	Reps int
@@ -165,6 +167,9 @@ type repOut struct {
 // attack process against freshly booted replica groups, aggregated in
 // replication order (deterministic for a fixed Seed regardless of Workers).
 func Run(ctx context.Context, spec Spec) (*Result, error) {
+	if math.IsNaN(spec.T) || math.IsInf(spec.T, 0) {
+		return nil, fmt.Errorf("rsm: horizon T must be finite, got %v", spec.T)
+	}
 	spec.fill()
 	if err := spec.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("rsm: %w", err)

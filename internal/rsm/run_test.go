@@ -3,6 +3,7 @@ package rsm
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,24 @@ func TestRunEventBudgetClassified(t *testing.T) {
 	spec.MaxFailureFrac = 0
 	if _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("failure fraction above the budget did not error")
+	}
+}
+
+// A non-finite horizon is rejected up front instead of returning NaN
+// measures.
+func TestRunRejectsNonFiniteHorizon(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		T    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+	} {
+		res, err := Run(context.Background(), Spec{Params: smallParams(), T: c.T, Reps: 2, Seed: 1})
+		if err == nil {
+			t.Errorf("T = %s accepted (Unavail mean %v)", c.name, res.Unavail.Mean())
+		}
 	}
 }
 

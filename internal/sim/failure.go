@@ -151,12 +151,12 @@ func classifyFailure(seed uint64, rep int, err error) *ReplicationError {
 // serially in the calling goroutine, and returns the failure it reproduces
 // (nil if the replication completes cleanly). Use it to debug a failure
 // recorded in Results.Failures: the absolute replication index, the root
-// seed, and the spec's CRN/Antithetic mode fully determine the trajectory.
+// seed, and the spec's CRN mode fully determine the trajectory.
 func Replay(spec Spec, rep int) *ReplicationError {
 	if spec.Model == nil || !spec.Model.Finalized() {
 		return &ReplicationError{Rep: rep, Seed: spec.Seed, Kind: FailureModel,
 			Err: errors.New("sim: Spec.Model must be a finalized model")}
 	}
-	_, _, ferr := runReplication(context.Background(), newSpecEngine(&spec), &spec, repStream(&spec, rng.New(spec.Seed), rep), rep)
+	_, _, ferr := runReplication(context.Background(), newSpecEngine(&spec), &spec, rng.New(spec.Seed).Derive(uint64(rep)), rep)
 	return ferr
 }

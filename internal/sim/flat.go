@@ -52,7 +52,7 @@ type FlatHooks struct {
 // replication order (see fold), so every result is bit-identical at every
 // worker count. Observations are released as soon as they are folded: a
 // spec's memory does not grow with Reps unless it keeps per-replication
-// values or quantiles.
+// values.
 //
 // workers <= 0 selects GOMAXPROCS. Cancelling ctx stops the stream
 // gracefully: unattempted replications count as Skipped and every valid
@@ -87,23 +87,18 @@ type fold struct {
 	out    *Results
 	names  []string // of Spec.Vars, taken before any worker starts
 	accums []*stats.Accumulator
-	pooled [][]float64 // observations backing Spec.Quantiles
 }
 
 func newFold(spec *Spec) *fold {
 	f := &fold{spec: spec, root: rng.New(spec.Seed),
-		out: &Results{Reps: spec.Reps, FirstRep: spec.FirstRep,
-			quantiles: len(spec.Quantiles) > 0},
+		out:    &Results{Reps: spec.Reps, FirstRep: spec.FirstRep},
 		names:  make([]string, len(spec.Vars)),
 		accums: make([]*stats.Accumulator, len(spec.Vars))}
 	for i, v := range spec.Vars {
 		f.names[i] = v.Name()
 		f.accums[i] = &stats.Accumulator{}
 	}
-	if len(spec.Quantiles) > 0 {
-		f.pooled = make([][]float64, len(spec.Vars))
-	}
-	if spec.perRep() {
+	if spec.KeepPerRep {
 		f.out.PerRep = make([][]float64, len(spec.Vars))
 		for i := range f.out.PerRep {
 			row := make([]float64, spec.Reps)
@@ -143,8 +138,8 @@ func (f *fold) add(rep int, o outcome) *Results {
 		return nil
 	}
 	f.out.Failed = len(f.out.Failures)
-	f.out.setEstimates(f.names, f.spec.Quantiles, f.accums, f.pooled)
-	if f.spec.perRep() {
+	f.out.setEstimates(f.names, f.accums)
+	if f.spec.KeepPerRep {
 		f.out.accums = f.accums
 	}
 	return f.out
@@ -184,23 +179,8 @@ func (f *fold) foldNext(o outcome) {
 			}
 			out.PerRep[i][j] = sum / float64(len(xs))
 		}
-		if f.spec.Antithetic {
-			// One observation per complete pair, folded with its odd
-			// member: the mean of the two partners' replication means.
-			// Pairs with a failed, skipped, or observation-less member
-			// contribute nothing.
-			if j%2 == 1 {
-				if a, b := out.PerRep[i][j-1], out.PerRep[i][j]; !math.IsNaN(a) && !math.IsNaN(b) {
-					f.accums[i].Add((a + b) / 2)
-				}
-			}
-			continue
-		}
 		for _, x := range xs {
 			f.accums[i].Add(x)
-		}
-		if f.pooled != nil {
-			f.pooled[i] = append(f.pooled[i], xs...)
 		}
 	}
 }
@@ -271,7 +251,7 @@ func RunFlatFunc(ctx context.Context, specs []Spec, workers int, hooks FlatHooks
 					}
 					abs := f.spec.FirstRep + rep
 					var ferr *ReplicationError
-					o.vals, o.firings, ferr = runReplication(ctx, engines[si], f.spec, repStream(f.spec, f.root, abs), abs)
+					o.vals, o.firings, ferr = runReplication(ctx, engines[si], f.spec, f.root.Derive(uint64(abs)), abs)
 					if ferr != nil && !errors.Is(ferr.Err, context.Canceled) {
 						o.ferr = ferr
 					}

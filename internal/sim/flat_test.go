@@ -17,7 +17,7 @@ import (
 )
 
 // flatTestSpecs builds a mixed batch of studies over two different models
-// and several spec shapes (plain, KeepPerRep, CRN, quantiles), the space
+// and several spec shapes (plain, KeepPerRep, CRN), the space
 // RunFlat must reproduce bit-for-bit.
 func flatTestSpecs(t testing.TB) []Spec {
 	mq, q := buildMM1K(t, 2, 3, 5)
@@ -31,10 +31,8 @@ func flatTestSpecs(t testing.TB) []Spec {
 			Vars: []reward.Var{&reward.TimeAverage{VarName: "down", F: down, From: 0, To: 25}}},
 		{Model: mq, Until: 30, Reps: 20, Seed: 13, CRN: true,
 			Vars: []reward.Var{&reward.TimeAverage{VarName: "len", F: qLen, From: 0, To: 30}}},
-		{Model: mt2, Until: 25, Reps: 24, Seed: 14, Quantiles: []float64{0.25, 0.5, 0.9},
+		{Model: mt2, Until: 25, Reps: 24, Seed: 14,
 			Vars: []reward.Var{&reward.TimeAverage{VarName: "down", F: down, From: 0, To: 25}}},
-		{Model: mq, Until: 15, Reps: 16, Seed: 15, Antithetic: true,
-			Vars: []reward.Var{&reward.TimeAverage{VarName: "len", F: qLen, From: 0, To: 15}}},
 	}
 }
 
@@ -59,12 +57,6 @@ func requireSameResults(t *testing.T, label string, want, got *Results) {
 			math.Float64bits(g.HalfWidth95) != math.Float64bits(w.HalfWidth95) {
 			t.Fatalf("%s: estimate %q differs: got %+v, want %+v", label, w.Name, g, w)
 		}
-		for qi := range w.Quantiles {
-			if math.Float64bits(g.Quantiles[qi]) != math.Float64bits(w.Quantiles[qi]) {
-				t.Fatalf("%s: %q quantile %d differs: got %v, want %v",
-					label, w.Name, qi, g.Quantiles[qi], w.Quantiles[qi])
-			}
-		}
 	}
 	for i := range want.PerRep {
 		for j := range want.PerRep[i] {
@@ -87,13 +79,9 @@ func resultLines(res *Results) []string {
 	out := []string{fmt.Sprintf("reps=%d|completed=%d|failed=%d|skipped=%d|firings=%d",
 		res.Reps, res.Completed, res.Failed, res.Skipped, res.TotalFirings)}
 	for _, e := range res.Estimates {
-		line := fmt.Sprintf("%s|mean=%016x|hw=%016x|min=%016x|max=%016x|n=%d",
+		out = append(out, fmt.Sprintf("%s|mean=%016x|hw=%016x|min=%016x|max=%016x|n=%d",
 			e.Name, math.Float64bits(e.Mean), math.Float64bits(e.HalfWidth95),
-			math.Float64bits(e.Min), math.Float64bits(e.Max), e.N)
-		for _, q := range e.Quantiles {
-			line += fmt.Sprintf("|q=%016x", math.Float64bits(q))
-		}
-		out = append(out, line)
+			math.Float64bits(e.Min), math.Float64bits(e.Max), e.N))
 	}
 	for i, row := range res.PerRep {
 		line := fmt.Sprintf("perrep[%d]", i)
@@ -258,9 +246,7 @@ func TestFoldOrderIndependent(t *testing.T) {
 		spec Spec
 	}{
 		{"plain", Spec{Reps: reps, FirstRep: 100, Vars: vars}},
-		{"per-rep+quantiles", Spec{Reps: reps, FirstRep: 100, Vars: vars, KeepPerRep: true,
-			Quantiles: []float64{0.1, 0.5}}},
-		{"antithetic", Spec{Reps: reps, FirstRep: 100, Vars: vars, Antithetic: true}},
+		{"per-rep", Spec{Reps: reps, FirstRep: 100, Vars: vars, KeepPerRep: true}},
 	} {
 		var want []string
 		for _, order := range [][]int{forward, reverse, interleaved} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -40,10 +41,6 @@ type Spec struct {
 	// replication exceeding the budget is recorded as a FailureBudget
 	// failure; the rest of the study continues.
 	MaxFirings int64
-	// Quantiles, when non-empty, requests the given sample quantiles (in
-	// [0,1]) of every variable's per-replication observations, at the cost
-	// of retaining all observations in memory.
-	Quantiles []float64
 	// RepDeadline, when positive, bounds the wall-clock time of each
 	// replication: a replication exceeding it is aborted and recorded as a
 	// FailureDeadline failure instead of hanging the study (watchdog).
@@ -65,14 +62,6 @@ type Spec struct {
 	// comparison. Results stay deterministic for a fixed seed but are not
 	// bit-compatible with non-CRN runs of the same seed.
 	CRN bool
-	// Antithetic couples replications in pairs: absolute indices (2p,
-	// 2p+1) use the same derived stream with opposite orientation (the odd
-	// partner complements every uniform, U -> 1-U). Estimates aggregate
-	// pair means — negatively correlated partners cancel variance — so
-	// Estimate.N counts pairs, and a pair with a failed member contributes
-	// nothing. Implies KeepPerRep; requires FirstRep and Reps even and no
-	// Quantiles.
-	Antithetic bool
 	// KeepPerRep retains one summary value per replication and variable
 	// (the mean of the replication's observations; NaN if it failed, was
 	// skipped, or emitted none) in Results.PerRep — the substrate for
@@ -98,9 +87,6 @@ type Spec struct {
 	InvariantEvery int64
 }
 
-// perRep reports whether the spec needs per-replication values retained.
-func (s *Spec) perRep() bool { return s.KeepPerRep || s.Antithetic }
-
 // validate checks the spec's static requirements, shared by RunContext and
 // RunFlat.
 func (s *Spec) validate() error {
@@ -110,36 +96,13 @@ func (s *Spec) validate() error {
 	if s.Reps < 1 {
 		return fmt.Errorf("sim: Reps must be >= 1, got %d", s.Reps)
 	}
-	if s.Until <= 0 {
-		return fmt.Errorf("sim: Until must be > 0, got %v", s.Until)
+	if math.IsNaN(s.Until) || math.IsInf(s.Until, 0) || s.Until <= 0 {
+		return fmt.Errorf("sim: Until must be finite and > 0, got %v", s.Until)
 	}
 	if s.FirstRep < 0 {
 		return fmt.Errorf("sim: FirstRep must be >= 0, got %d", s.FirstRep)
 	}
-	if s.Antithetic {
-		if s.FirstRep%2 != 0 || s.Reps%2 != 0 {
-			return fmt.Errorf("sim: Antithetic requires even FirstRep and Reps, got %d and %d",
-				s.FirstRep, s.Reps)
-		}
-		if len(s.Quantiles) > 0 {
-			return errors.New("sim: Antithetic cannot be combined with Quantiles")
-		}
-	}
 	return nil
-}
-
-// repStream derives the random stream of the replication with absolute
-// index rep. It is the single point coupling the runner, Replay, and the
-// antithetic pairing, so all three stay bit-identical.
-func repStream(spec *Spec, root *rng.Stream, rep int) *rng.Stream {
-	if spec.Antithetic {
-		st := root.Derive(uint64(rep / 2))
-		if rep%2 == 1 {
-			st = st.Antithetic()
-		}
-		return st
-	}
-	return root.Derive(uint64(rep))
 }
 
 // Estimate is the aggregated result for one reward variable.
@@ -153,9 +116,6 @@ type Estimate struct {
 	N int64
 	// Min and Max are the extreme observations.
 	Min, Max float64
-	// Quantiles holds the requested sample quantiles, parallel to
-	// Spec.Quantiles (nil when none were requested or no observations).
-	Quantiles []float64
 }
 
 func (e Estimate) String() string {
@@ -191,11 +151,11 @@ type Results struct {
 	// Failures records every failed replication, ordered by Rep. Each entry
 	// names the replication index and root seed that reproduce it.
 	Failures []ReplicationError
-	// PerRep, present when Spec.KeepPerRep or Spec.Antithetic was set,
-	// holds one summary value per variable (outer index, order of
-	// Spec.Vars) and replication of this batch (inner index; absolute
-	// index FirstRep + j): the mean of that replication's observations, or
-	// NaN if the replication failed, was skipped, or emitted none.
+	// PerRep, present when Spec.KeepPerRep was set, holds one summary
+	// value per variable (outer index, order of Spec.Vars) and replication
+	// of this batch (inner index; absolute index FirstRep + j): the mean of
+	// that replication's observations, or NaN if the replication failed,
+	// was skipped, or emitted none.
 	PerRep [][]float64
 	// FirstRep is the absolute index of the first replication of this
 	// batch (Spec.FirstRep).
@@ -204,22 +164,16 @@ type Results struct {
 	// accums carries the per-variable aggregation state when PerRep is
 	// kept, enabling exact Merge of contiguous batches.
 	accums []*stats.Accumulator
-	// quantiles remembers Spec.Quantiles (Merge rejects them).
-	quantiles bool
 }
 
 // Merge folds another batch of the same study into r: counts, failures,
 // firings, per-replication values, and the estimate accumulators combine
-// exactly. Both results must retain per-replication state (Spec.KeepPerRep
-// or Spec.Antithetic) and s must be the batch immediately following r
-// (s.FirstRep == r.FirstRep + r.Reps), so the merged PerRep stays a dense
-// contiguous range. Quantiles cannot be merged.
+// exactly. Both results must retain per-replication state (Spec.KeepPerRep)
+// and s must be the batch immediately following r (s.FirstRep == r.FirstRep
+// + r.Reps), so the merged PerRep stays a dense contiguous range.
 func (r *Results) Merge(s *Results) error {
 	if r.accums == nil || s.accums == nil {
 		return errors.New("sim: Merge requires results run with KeepPerRep")
-	}
-	if r.quantiles || s.quantiles {
-		return errors.New("sim: cannot merge results with quantiles")
 	}
 	if len(r.Estimates) != len(s.Estimates) {
 		return fmt.Errorf("sim: merging %d variables into %d", len(s.Estimates), len(r.Estimates))
@@ -247,7 +201,7 @@ func (r *Results) Merge(s *Results) error {
 	for i := range r.Estimates {
 		names[i] = r.Estimates[i].Name
 	}
-	r.setEstimates(names, nil, r.accums, nil)
+	r.setEstimates(names, r.accums)
 	return nil
 }
 
@@ -338,9 +292,8 @@ func RunContext(ctx context.Context, spec Spec) (*Results, error) {
 }
 
 // setEstimates rebuilds r.Estimates and the name index from one accumulator
-// per variable (parallel to names) and, when quantiles are requested, the
-// pooled observations backing them.
-func (r *Results) setEstimates(names []string, quantiles []float64, accums []*stats.Accumulator, pooled [][]float64) {
+// per variable (parallel to names).
+func (r *Results) setEstimates(names []string, accums []*stats.Accumulator) {
 	r.Estimates = make([]Estimate, len(names))
 	r.byName = make(map[string]*Estimate, len(names))
 	for i, a := range accums {
@@ -351,12 +304,6 @@ func (r *Results) setEstimates(names []string, quantiles []float64, accums []*st
 		}
 		if a.N() >= 2 {
 			est.HalfWidth95 = a.HalfWidth(0.95)
-		}
-		if len(quantiles) > 0 && len(pooled[i]) > 0 {
-			est.Quantiles = make([]float64, len(quantiles))
-			for qi, q := range quantiles {
-				est.Quantiles[qi] = stats.Quantile(pooled[i], q)
-			}
 		}
 		r.byName[est.Name] = est
 	}
