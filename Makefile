@@ -23,6 +23,9 @@
 #                jobs stream to completion over a real socket, a
 #                resubmission is a byte-identical cache hit, and the cache
 #                survives a SIGTERM restart
+#   examples-smoke  build and run every examples/ program; a non-zero exit
+#                fails (analytic and mm1validation exit non-zero when
+#                simulation and the numerical solver disagree)
 #   crosscheck   full cross-engine validation (SAN engine vs the
 #                independent direct simulator), heavier than the smoke
 #                variant that runs inside `make test`
@@ -49,7 +52,7 @@
 # Performance has one benchmark: `bash bench/run.sh` (see bench/README.md).
 GO ?= go
 
-.PHONY: ci fmt vet build test race lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
+.PHONY: ci fmt vet build test race lint-models fuzz-smoke serve-smoke examples-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
 
 ci: fmt vet build bench-build test bench-test race
 
@@ -87,6 +90,11 @@ fuzz-smoke:
 
 serve-smoke:
 	SERVE_SMOKE=1 $(GO) test ./internal/server -run TestServeSmoke -count=1 -v -timeout 5m
+
+examples-smoke:
+	@set -e; for ex in examples/*/; do \
+		echo "== $$ex"; $(GO) run ./$$ex >/dev/null; \
+	done
 
 crosscheck:
 	CROSSCHECK_FULL=1 $(GO) test ./internal/integrity -run TestCrossCheckFull -count=1 -v
