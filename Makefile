@@ -18,7 +18,9 @@
 # Self-checking lanes (also run in CI):
 #   lint-models  static SAN lint over every registered study model shape
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the
-#                stats/rng constructors, and the scenario DSL decoder
+#                stats/rng constructors, the scenario DSL decoder, and
+#                the sliced uniformization step against a plain
+#                transposed-CSR reference
 #   serve-smoke  end-to-end smoke of the ituad job server: two concurrent
 #                jobs stream to completion over a real socket, a
 #                resubmission is a byte-identical cache hit, and the cache
@@ -87,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rsm -run '^$$' -fuzz FuzzWireMsg -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 10s
+	$(GO) test ./internal/mc -run '^$$' -fuzz FuzzUniStep -fuzztime 10s
 
 serve-smoke:
 	SERVE_SMOKE=1 $(GO) test ./internal/server -run TestServeSmoke -count=1 -v -timeout 5m

@@ -3,9 +3,7 @@ package exact_test
 import (
 	"errors"
 	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"ituaval/internal/core"
 	"ituaval/internal/exact"
@@ -115,35 +113,6 @@ func TestSolverCallOrder(t *testing.T) {
 						workers, oi, m.name, v, want[m.name])
 				}
 			}
-		}
-	}
-}
-
-// TestSolverReleasesGoroutines: walks hold no goroutines between
-// requests. The anchor chain is above the parallel-matvec threshold, so at
-// two workers every extension runs a worker pool, and each pool must be
-// gone once the request that started it returns.
-func TestSolverReleasesGoroutines(t *testing.T) {
-	s, err := exact.NewSolver(anchorParams(), exact.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.C.NumStates() + s.C.NumTransitions(); n < 1<<15 {
-		t.Fatalf("chain size %d is below the parallel-matvec threshold", n)
-	}
-	base := runtime.NumGoroutine()
-	for _, m := range benchMeasures {
-		if _, err := m.solve(s); err != nil {
-			t.Fatal(err)
-		}
-		// A worker that has signalled its exit may not have returned yet.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			runtime.Gosched()
-			time.Sleep(time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > base {
-			t.Fatalf("after %s: %d goroutines, %d before the first request", m.name, g, base)
 		}
 	}
 }

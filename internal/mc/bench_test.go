@@ -4,7 +4,9 @@ package mc
 // to be representative (a three-stage tandem Jackson network with finite
 // buffers: (K+1)^3 = 10648 states, ~40k transitions).
 // BenchmarkMCUniformStep10k is one uniformized matvec, the one layer the
-// end-to-end benchmark in bench/ does not time on its own.
+// end-to-end benchmark in bench/ does not time on its own. At ~50k
+// states + transitions the chain is below the parallel-matvec threshold,
+// so it times the sequential sliced kernel at any worker count.
 
 import (
 	"testing"

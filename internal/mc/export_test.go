@@ -1,5 +1,9 @@
 package mc
 
+// ParallelSolveMin is the chain size (states + transitions) from which a
+// solve with more than one worker runs its matvec on a worker pool.
+const ParallelSolveMin = parallelSolveMin
+
 // Matvecs reports how many uniformization steps the package has applied.
 func Matvecs() int64 { return matvecs.Load() }
 

@@ -19,8 +19,9 @@
 // pass then assigns canonical breadth-first state numbers, so the chain —
 // state order, transition rates, and every solver result — is bit-for-bit
 // identical at any worker count. The generator matrix is stored in CSR
-// form (row-pointer + column/rate arrays) together with its transpose,
-// which the uniformization solver consumes cache-linearly.
+// form (row-pointer + column/rate arrays) and again sliced by target row
+// in chunks of four (SELL-4), the layout the uniformization step gathers
+// from four rows at a time.
 //
 // Models with exchangeable components can supply an Options.Canon
 // symmetry canonicalizer: every explored marking is replaced by its orbit
@@ -51,10 +52,17 @@ var ErrRandomGate = errors.New("mc: gate effect used the random stream; model is
 
 // CTMC is a finite continuous-time Markov chain generated from a SAN,
 // together with the stable markings backing each state. The generator is
-// held twice in CSR form: by source row (rowPtr/cols/rates, columns
-// ascending — the order Gauss–Seidel wants) and transposed by target row
-// (tRowPtr/tCols/tRates, sources ascending — the gather order the
-// uniformized matvec wants, race-free under row-parallel execution).
+// held twice: in CSR form by source row (rowPtr/cols/rates, columns
+// ascending — the order Gauss–Seidel wants), and sliced by target row
+// (sellOff/sellCols/sellRates, sources ascending — the gather order the
+// uniformized matvec wants, race-free under chunk-parallel execution).
+//
+// The sliced layout (SELL-4) groups the states into chunks of sellC
+// consecutive rows. Chunk ch holds its rows' incoming (source, rate)
+// entries column-major from sellOff[ch]: entry k of row r sits at
+// sellOff[ch] + k·h + r, where h is the chunk's row count (sellC, fewer
+// in a tail chunk). Every row is padded to its chunk's longest row with
+// entries of rate 0 whose source is the row itself.
 type CTMC struct {
 	model   *san.Model
 	n       int
@@ -66,9 +74,9 @@ type CTMC struct {
 	cols   []int32
 	rates  []float64
 
-	tRowPtr []int32
-	tCols   []int32
-	tRates  []float64
+	sellOff   []int32
+	sellCols  []int32
+	sellRates []float64
 
 	exit     []float64
 	initDist map[int]float64
@@ -639,31 +647,64 @@ func (g *generator) assemble(ws []*genWorker, initPairs []pair) (*CTMC, error) {
 		c.exit[fid] = e
 	}
 
-	// Transpose (incoming transitions, sources ascending).
-	c.tRowPtr = make([]int32, n+1)
-	for _, col := range c.cols {
-		c.tRowPtr[col+1]++
-	}
-	for i := 0; i < n; i++ {
-		c.tRowPtr[i+1] += c.tRowPtr[i]
-	}
-	c.tCols = make([]int32, nnz)
-	c.tRates = make([]float64, nnz)
-	cursor := make([]int32, n)
-	copy(cursor, c.tRowPtr[:n])
-	for i := 0; i < n; i++ {
-		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-			col := c.cols[k]
-			c.tCols[cursor[col]] = int32(i)
-			c.tRates[cursor[col]] = c.rates[k]
-			cursor[col]++
-		}
-	}
+	c.slice()
 
 	for _, ip := range initPairs {
 		c.initDist[int(fidOf(ip.to))] += ip.rate
 	}
 	return c, nil
+}
+
+// sellC is the number of rows a chunk of the sliced layout holds.
+const sellC = 4
+
+// chunkRows is the row count of chunk ch of an n-state sliced layout:
+// sellC, or n mod sellC in a tail chunk.
+func chunkRows(n, ch int) int { return min(sellC, n-ch*sellC) }
+
+// slice builds the sliced layout (see CTMC) from the row CSR. Scanning
+// the source rows in order lists each target row's sources ascending.
+func (c *CTMC) slice() {
+	n := c.n
+	nch := (n + sellC - 1) / sellC
+	in := make([]int, n) // incoming entries per row; then a fill cursor
+	for _, col := range c.cols {
+		in[col]++
+	}
+	c.sellOff = make([]int32, nch+1)
+	for ch := 0; ch < nch; ch++ {
+		longest := 0
+		for _, m := range in[ch*sellC : ch*sellC+chunkRows(n, ch)] {
+			longest = max(longest, m)
+		}
+		c.sellOff[ch+1] = c.sellOff[ch] + int32(longest*chunkRows(n, ch))
+	}
+	c.sellCols = make([]int32, c.sellOff[nch])
+	c.sellRates = make([]float64, c.sellOff[nch])
+	// at is the position of entry k of row i; width is row i's padded
+	// entry count.
+	at := func(i, k int) int {
+		ch := i / sellC
+		return int(c.sellOff[ch]) + k*chunkRows(n, ch) + i%sellC
+	}
+	width := func(i int) int {
+		ch := i / sellC
+		return int(c.sellOff[ch+1]-c.sellOff[ch]) / chunkRows(n, ch)
+	}
+	clear(in)
+	for src := 0; src < n; src++ {
+		for k := c.rowPtr[src]; k < c.rowPtr[src+1]; k++ {
+			i := int(c.cols[k])
+			c.sellCols[at(i, in[i])] = int32(src)
+			c.sellRates[at(i, in[i])] = c.rates[k]
+			in[i]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		for k := in[i]; k < width(i); k++ {
+			c.sellCols[at(i, k)] = int32(i)
+		}
+	}
 }
 
 // NumStates returns the number of stable states.

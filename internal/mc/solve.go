@@ -133,27 +133,31 @@ func (w *poissonWindow) last() int { return w.left + len(w.terms) - 1 }
 
 // uniStep is the one-step operator of the uniformized DTMC with every
 // probability precomputed: out[i] = stay[i]·v[i] + Σ_k prob[k]·v[src[k]]
-// over state i's incoming transitions (transposed CSR, sources ascending).
-// Each out[i] is written by exactly one row block with a fixed per-row
-// summation order, so results are bit-identical at every worker count.
+// over state i's incoming transitions, sources ascending, in the chain's
+// sliced layout (CTMC, SELL-4). A full chunk runs its four rows in
+// lockstep, one accumulator each; a tail chunk runs row by row. Either
+// way each row adds its terms in the same fixed order, so results are
+// bit-identical at every worker count. The padding entries add
+// +0·v[i] = +0 to an accumulator that is never negative, −0 or NaN (every
+// probability and every iterate entry is ≥ 0), so they change no bit.
 //
-// Large chains run the matvec over a static row-block partition balanced
-// by incoming-transition count (a row's cost is its gather length, not 1),
-// executed by a pool of workers started on the first apply and released
-// by stop — the quotient chains the lumped generator produces run tens of
-// thousands of steps, and respawning goroutines per step is measurable at
-// that scale. An operator lives for one extension of a Walk (or one
-// SteadyState call), so no pool outlives the call that needed it. Callers
-// that obtain an operator must stop() it.
+// Large chains run the matvec over a static partition of the chunks
+// balanced by entry count (a chunk's cost is its padded gather length,
+// not its row count), executed by a pool of workers started on the first
+// apply and released by stop — the quotient chains the lumped generator
+// produces run tens of thousands of steps, and respawning goroutines per
+// step is measurable at that scale. An operator lives for one extension
+// of a Walk (or one SteadyState call), so no pool outlives the call that
+// needed it. Callers that obtain an operator must stop() it.
 type uniStep struct {
 	n       int
 	stay    []float64
-	tRowPtr []int32
-	tCols   []int32
-	tProb   []float64
+	off     []int32 // chunk offsets into cols and prob (CTMC.sellOff)
+	cols    []int32
+	prob    []float64
 	workers int
 
-	// blocks is the row partition: block b covers rows
+	// blocks is the chunk partition: block b covers chunks
 	// [blocks[b], blocks[b+1]). Nil when the chain is solved sequentially.
 	blocks []int32
 
@@ -168,23 +172,26 @@ type uniStep struct {
 var matvecs atomic.Int64
 
 // parallelSolveMin is the problem size (states + transitions) below which
-// row-parallel matvec is not worth the goroutine handoff.
-const parallelSolveMin = 1 << 15
+// the chunk-parallel matvec is not worth its per-step goroutine handoff.
+// It is the measured crossover of the sliced kernel at two workers
+// (DESIGN.md, "Storage").
+const parallelSolveMin = 1 << 16
 
-// makeBlocks cuts the rows into nBlocks contiguous blocks of roughly equal
-// work, where row i costs 1 + its incoming-transition count.
+// makeBlocks cuts the chunks into nBlocks contiguous blocks of roughly
+// equal work, where a chunk costs its row count plus its padded entries.
 func (s *uniStep) makeBlocks(nBlocks int) {
-	total := s.n + len(s.tCols)
+	nch := len(s.off) - 1
+	total := s.n + len(s.cols)
 	s.blocks = make([]int32, 1, nBlocks+1)
 	work, cut := 0, 1
-	for i := 0; i < s.n && cut < nBlocks; i++ {
-		work += 1 + int(s.tRowPtr[i+1]-s.tRowPtr[i])
+	for ch := 0; ch < nch && cut < nBlocks; ch++ {
+		work += chunkRows(s.n, ch) + int(s.off[ch+1]-s.off[ch])
 		if work*nBlocks >= total*cut {
-			s.blocks = append(s.blocks, int32(i+1))
+			s.blocks = append(s.blocks, int32(ch+1))
 			cut++
 		}
 	}
-	s.blocks = append(s.blocks, int32(s.n))
+	s.blocks = append(s.blocks, int32(nch))
 }
 
 func (s *uniStep) startPool() {
@@ -215,7 +222,7 @@ func (s *uniStep) stop() {
 func (s *uniStep) apply(v, out []float64) {
 	matvecs.Add(1)
 	if s.blocks == nil {
-		s.applyRange(v, out, 0, s.n)
+		s.applyRange(v, out, 0, len(s.off)-1)
 		return
 	}
 	if s.jobs == nil {
@@ -231,13 +238,32 @@ func (s *uniStep) apply(v, out []float64) {
 	s.jobWG.Wait()
 }
 
+// applyRange computes the rows of chunks [lo, hi).
 func (s *uniStep) applyRange(v, out []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		acc := s.stay[i] * v[i]
-		for k := s.tRowPtr[i]; k < s.tRowPtr[i+1]; k++ {
-			acc += s.tProb[k] * v[s.tCols[k]]
+	for ch := lo; ch < hi; ch++ {
+		i := ch * sellC
+		cols, prob := s.cols[s.off[ch]:s.off[ch+1]], s.prob[s.off[ch]:s.off[ch+1]]
+		if h := chunkRows(s.n, ch); h < sellC {
+			for r := 0; r < h; r++ {
+				acc := s.stay[i+r] * v[i+r]
+				for k := r; k < len(cols); k += h {
+					acc += prob[k] * v[cols[k]]
+				}
+				out[i+r] = acc
+			}
+			continue
 		}
-		out[i] = acc
+		a0 := s.stay[i] * v[i]
+		a1 := s.stay[i+1] * v[i+1]
+		a2 := s.stay[i+2] * v[i+2]
+		a3 := s.stay[i+3] * v[i+3]
+		for k := 0; k+3 < len(cols); k += sellC {
+			a0 += prob[k] * v[cols[k]]
+			a1 += prob[k+1] * v[cols[k+1]]
+			a2 += prob[k+2] * v[cols[k+2]]
+			a3 += prob[k+3] * v[cols[k+3]]
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
 	}
 }
 
@@ -266,9 +292,9 @@ func (c *CTMC) uniOperator(bad []bool, lambda float64) *uniStep {
 	s := &uniStep{
 		n:       c.n,
 		stay:    make([]float64, c.n),
-		tRowPtr: c.tRowPtr,
-		tCols:   c.tCols,
-		tProb:   make([]float64, len(c.tRates)),
+		off:     c.sellOff,
+		cols:    c.sellCols,
+		prob:    make([]float64, len(c.sellRates)),
 		workers: c.workers,
 	}
 	for i := 0; i < c.n; i++ {
@@ -278,14 +304,14 @@ func (c *CTMC) uniOperator(bad []bool, lambda float64) *uniStep {
 			s.stay[i] = 1 - c.exit[i]/lambda
 		}
 	}
-	for k := range c.tRates {
-		if src := c.tCols[k]; bad != nil && bad[src] {
-			s.tProb[k] = 0
+	for k, src := range c.sellCols {
+		if bad != nil && bad[src] {
+			s.prob[k] = 0
 		} else {
-			s.tProb[k] = c.tRates[k] / lambda
+			s.prob[k] = c.sellRates[k] / lambda
 		}
 	}
-	if s.workers > 1 && s.n+len(s.tCols) >= parallelSolveMin {
+	if s.workers > 1 && s.n+c.NumTransitions() >= parallelSolveMin {
 		s.makeBlocks(s.workers)
 	}
 	return s

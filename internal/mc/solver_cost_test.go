@@ -1,7 +1,9 @@
 package mc_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ituaval/internal/exact"
 	"ituaval/internal/mc"
@@ -65,5 +67,41 @@ func TestSolverMatvecs(t *testing.T) {
 	}
 	if n := cost(shared); n != 0 {
 		t.Errorf("Solver asked again: %d matvecs, want 0", n)
+	}
+}
+
+// TestSolverReleasesGoroutines: walks hold no goroutines between
+// requests. The lumped 4-domain × 1-host chain (benchITUAParams; 39,062
+// states, 240,132 transitions) is above the parallel-matvec threshold, so
+// at two workers every extension runs a worker pool, and each pool must be
+// gone once the request that started it returns.
+func TestSolverReleasesGoroutines(t *testing.T) {
+	s, err := exact.NewSolver(benchITUAParams(), exact.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.C.NumStates() + s.C.NumTransitions(); n < mc.ParallelSolveMin {
+		t.Fatalf("chain size %d is below the parallel-matvec threshold %d", n, mc.ParallelSolveMin)
+	}
+	base := runtime.NumGoroutine()
+	for _, solve := range []func() (float64, error){
+		func() (float64, error) { return s.Unavailability(0, .5) },
+		func() (float64, error) { return s.Unavailability(0, 1) },
+		func() (float64, error) { return s.Unreliability(0, .5) },
+		func() (float64, error) { return s.Unreliability(0, 1) },
+		func() (float64, error) { return s.FracDomainsExcluded(1) },
+	} {
+		if _, err := solve(); err != nil {
+			t.Fatal(err)
+		}
+		// A worker that has signalled its exit may not have returned yet.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("%d goroutines after a request, %d before the first", g, base)
+		}
 	}
 }

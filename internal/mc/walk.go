@@ -84,13 +84,35 @@ func (c *CTMC) FirstPassageWalk(pred func(*san.State) bool) *Walk {
 }
 
 // record appends r·v_steps for every reward and shows v_steps to visit.
+// The rewards go in groups of up to four that share one pass over v_steps.
 func (w *Walk) record() {
-	for j, r := range w.rewards {
-		w.recorded[j] = append(w.recorded[j], dot(w.v, r))
+	for j := 0; j < len(w.rewards); j += 4 {
+		g := w.rewards[j:min(j+4, len(w.rewards))]
+		s := dots(w.v, g)
+		for k := range g {
+			w.recorded[j+k] = append(w.recorded[j+k], s[k])
+		}
 	}
 	if w.visit != nil {
 		w.visit(w.steps, w.v)
 	}
+}
+
+// dots returns v·r for each of one to four reward vectors rs in one pass
+// over v. Each sum adds its terms in index order, as dot does, so it has
+// dot's bits. With fewer than four vectors the last one fills the spare
+// accumulators, whose sums the caller drops.
+func dots(v []float64, rs [][]float64) [4]float64 {
+	r := func(k int) []float64 { return rs[min(k, len(rs)-1)] }
+	r0, r1, r2, r3 := r(0)[:len(v)], r(1)[:len(v)], r(2)[:len(v)], r(3)[:len(v)]
+	s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+	for i, x := range v {
+		s0 += x * r0[i]
+		s1 += x * r1[i]
+		s2 += x * r2[i]
+		s3 += x * r3[i]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // extend advances the walk to step to, building the step operator only

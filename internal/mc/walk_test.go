@@ -3,6 +3,7 @@ package mc
 import (
 	"errors"
 	"math"
+	mrand "math/rand"
 	"testing"
 
 	"ituaval/internal/san"
@@ -298,5 +299,34 @@ func TestWalkPoissonTruncation(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("after the failed requests: %v, fresh walk %v", got, want)
+	}
+}
+
+// TestWalkRecordMatchesDot: a walk recording 1 to 7 rewards, which the
+// walk sums in groups of up to four sharing one pass over the iterate,
+// records for every reward and step the bits of that reward's own dot
+// with the iterate.
+func TestWalkRecordMatchesDot(t *testing.T) {
+	r := mrand.New(mrand.NewSource(1))
+	c := stepChain{n: 203, maxIn: 5, emptyFrac: 0.1, hub: true}.build(r)
+	for nr := 1; nr <= 7; nr++ {
+		rs := make([][]float64, nr)
+		for j := range rs {
+			rs[j] = make([]float64, c.n)
+			for i := range rs[j] {
+				rs[j][i] = r.NormFloat64()
+			}
+		}
+		w := c.newWalk(nil, rs...)
+		check := func(k int, v []float64) {
+			for j, rj := range rs {
+				if got, want := w.recorded[j][k], dot(v, rj); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d rewards, reward %d, step %d: recorded %v, dot %v", nr, j, k, got, want)
+				}
+			}
+		}
+		check(0, c.InitialDistribution())
+		w.visit = check
+		w.extend(40)
 	}
 }
