@@ -11,3 +11,6 @@ func Matvecs() int64 { return matvecs.Load() }
 func (c *CTMC) CSR() (rowPtr, cols []int32, rates []float64) {
 	return c.rowPtr, c.cols, c.rates
 }
+
+// RaceEnabled reports whether the race detector is on.
+func RaceEnabled() bool { return raceEnabled }
