@@ -476,11 +476,13 @@ func Build(p Params) (*Model, error) {
 			k = D
 		}
 		// Stack buffer: under the analytic resolver this hook runs once
-		// per enumerated placement branch (D!^A of them).
+		// per enumerated placement branch. Only domPerm[:k] is read, so
+		// Permute enumerates only the ordered k-prefixes: (D!/(D-k)!)^A
+		// branches before host choices, not D!^A.
 		var permBuf [16]int
 		domPerm := append(permBuf[:0], make([]int, D)...)
 		for a := 0; a < A; a++ {
-			ctx.Permute(domPerm)
+			ctx.Permute(domPerm, k)
 			for i := 0; i < k; i++ {
 				d := domPerm[i]
 				g := chooseHost(ctx, d)

@@ -1,5 +1,7 @@
 package san
 
+import "math"
+
 // Enumerable random choices. Gate effects and init hooks that need
 // randomness historically called ctx.Rand directly, which is fine for
 // simulation but makes the model analytically unsolvable: the numerical
@@ -33,21 +35,36 @@ func (ctx *Context) ChooseWeighted(w []float64) int {
 	return ctx.Rand.Category(w)
 }
 
-// Permute fills p with a uniformly random permutation of 0..len(p)-1. In
-// simulation it is exactly ctx.Rand.Perm(p); under enumeration the
-// Fisher–Yates swaps become nested uniform choices, so each of the n!
-// permutations is a branch of probability 1/n!.
-func (ctx *Context) Permute(p []int) {
+// Permute fills p with a uniformly random permutation of 0..len(p)-1 of
+// which the caller reads only the first k positions. In simulation it is
+// exactly ctx.Rand.Perm(p), whatever k is, so no random stream moves.
+//
+// Under enumeration only the ordered k-prefixes are branches: a forward
+// Fisher–Yates over positions 0..t-1, t = min(k, len(p)-1), makes each
+// prefix exactly once, and the positions past it keep one of the full
+// permutations sharing it. Each branch stands for the m = (n-t)! full
+// permutations with its prefix: it multiplies the remaining factors
+// 1/(n-t), …, 1/2 into its probability, so the probability has the bits
+// of one full permutation's product 1/n·1/(n-1)·…·1/2 taken in that
+// order, and its multiplicity grows m-fold. The resolver hands the
+// multiplicity to its visitor, which adds the probability once per full
+// permutation. A multiplicity that overflows int fails the resolution.
+func (ctx *Context) Permute(p []int, k int) {
 	if ctx.enum == nil {
 		ctx.Rand.Perm(p)
 		return
 	}
+	n := len(p)
 	for i := range p {
 		p[i] = i
 	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := ctx.enum.take(i+1, nil)
+	t := max(0, min(k, n-1))
+	for i := 0; i < t; i++ {
+		j := i + ctx.enum.take(n-i, nil)
 		p[i], p[j] = p[j], p[i]
+	}
+	for m := n - t; m >= 2; m-- {
+		ctx.enum.fold(m)
 	}
 }
 
@@ -67,19 +84,40 @@ type choicePoint struct {
 // script, takes the first enumerable alternative at each fresh choice
 // point; the driver then re-executes the effect once per untaken
 // alternative of every fresh point. prob accumulates the probability of
-// the decisions along the way.
+// the decisions along the way. mult counts the full branches the
+// execution stands for: it starts at the multiplicity of the path that
+// led to the firing and grows where Permute folds the alternatives its
+// caller never reads into one branch; overflow records a product past
+// the int range.
 type enumChooser struct {
-	script  []int
-	path    []choicePoint
-	weights []float64 // copies of the weighted choices' weights, in path order
-	prob    float64
+	script   []int
+	path     []choicePoint
+	weights  []float64 // copies of the weighted choices' weights, in path order
+	prob     float64
+	mult     int
+	overflow bool
 }
 
-func (e *enumChooser) reset(script []int) {
+func (e *enumChooser) reset(script []int, mult int) {
 	e.script = script
 	e.path = e.path[:0]
 	e.weights = e.weights[:0]
 	e.prob = 1
+	e.mult = mult
+	e.overflow = false
+}
+
+// fold makes the execution stand for all m alternatives of a uniform
+// choice the caller never tells apart: the probability takes the factor
+// 1/m of any one of them, as take would, and the multiplicity grows
+// m-fold.
+func (e *enumChooser) fold(m int) {
+	e.prob *= 1 / float64(m)
+	if e.mult > math.MaxInt/m {
+		e.overflow = true
+		return
+	}
+	e.mult *= m
 }
 
 // weight returns alternative alt's weight at the weighted choice point cp.

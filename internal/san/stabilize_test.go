@@ -315,7 +315,7 @@ func TestResolverAllocsConstant(t *testing.T) {
 	}
 	var visits int
 	var total float64
-	visit := func(_ *State, p float64) error {
+	visit := func(_ *State, p float64, _ int) error {
 		visits++
 		total += p
 		return nil
