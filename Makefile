@@ -18,9 +18,12 @@
 # Self-checking lanes (also run in CI):
 #   lint-models  static SAN lint over every registered study model shape
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the
-#                stats/rng constructors, the scenario DSL decoder, and
-#                the sliced uniformization step against a plain
-#                transposed-CSR reference
+#                stats/rng constructors, the scenario DSL decoder, the
+#                enumerated permutation prefixes (each ordered prefix
+#                once, multiplicities summing to n!, the bits of a full
+#                permutation's probability, the simulation draws of
+#                Perm), and the sliced uniformization step against a
+#                plain transposed-CSR reference
 #   serve-smoke  end-to-end smoke of the ituad job server: two concurrent
 #                jobs stream to completion over a real socket, a
 #                resubmission is a byte-identical cache hit, and the cache
@@ -86,6 +89,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzQuantile -fuzztime 10s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzBatchMeans -fuzztime 10s
 	$(GO) test ./internal/san -run '^$$' -fuzz FuzzMarkingKey -fuzztime 10s
+	$(GO) test ./internal/san -run '^$$' -fuzz FuzzPermutePrefix -fuzztime 10s
 	$(GO) test ./internal/rsm -run '^$$' -fuzz FuzzWireMsg -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCanonicalKey -fuzztime 10s
