@@ -17,8 +17,9 @@
 #                race detector
 # Self-checking lanes (also run in CI):
 #   lint-models  static SAN lint over every registered study model shape
-#   fuzz-smoke   short fuzz runs of the checkpoint decoder, the
-#                stats/rng constructors, the scenario DSL decoder, the
+#   fuzz-smoke   short fuzz runs of the checkpoint decoder, the SAN
+#                marking-key codec, the live wire codec, the scenario DSL
+#                decoder, the symmetry canonicalizer's keys, the
 #                enumerated permutation prefixes (each ordered prefix
 #                once, multiplicities summing to n!, the bits of a full
 #                permutation's probability, the simulation draws of
@@ -85,9 +86,6 @@ lint-models:
 
 fuzz-smoke:
 	$(GO) test ./internal/study -run '^$$' -fuzz FuzzCheckpointLine -fuzztime 10s
-	$(GO) test ./internal/rng -run '^$$' -fuzz FuzzNewEmpirical -fuzztime 10s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzQuantile -fuzztime 10s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzBatchMeans -fuzztime 10s
 	$(GO) test ./internal/san -run '^$$' -fuzz FuzzMarkingKey -fuzztime 10s
 	$(GO) test ./internal/san -run '^$$' -fuzz FuzzPermutePrefix -fuzztime 10s
 	$(GO) test ./internal/rsm -run '^$$' -fuzz FuzzWireMsg -fuzztime 10s

@@ -55,7 +55,6 @@ import (
 	"ituaval/internal/rsm"
 	"ituaval/internal/sim"
 	"ituaval/internal/stats"
-	"ituaval/internal/study"
 )
 
 // main delegates to run so deferred cleanup — notably flushing the
@@ -98,24 +97,8 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
-
-		list = flag.Bool("list", false, "list the registered study experiments (run by cmd/figures) with descriptions and exit")
 	)
 	flag.Parse()
-
-	if *list {
-		ids := study.IDs()
-		width := 0
-		for _, id := range ids {
-			if len(id) > width {
-				width = len(id)
-			}
-		}
-		for _, id := range ids {
-			fmt.Printf("%-*s  %s\n", width, id, study.Describe(id))
-		}
-		return 0
-	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile, *traceFile)
 	if err != nil {

@@ -89,40 +89,6 @@ func (o *timeAverageObs) Results(emit func(float64)) {
 	emit(o.integral / width)
 }
 
-// Accumulated is the raw ∫ F dt over [From, To] (interval-of-time reward).
-type Accumulated struct {
-	VarName  string
-	F        func(s *san.State) float64
-	From, To float64
-}
-
-func (v *Accumulated) Name() string { return v.VarName }
-
-func (v *Accumulated) NewObserver() Observer {
-	return &accumulatedObs{v: v}
-}
-
-type accumulatedObs struct {
-	baseObserver
-	v        *Accumulated
-	integral float64
-}
-
-func (o *accumulatedObs) Advance(s *san.State, t0, t1 float64) {
-	lo, hi := t0, t1
-	if lo < o.v.From {
-		lo = o.v.From
-	}
-	if hi > o.v.To {
-		hi = o.v.To
-	}
-	if hi > lo {
-		o.integral += o.v.F(s) * (hi - lo)
-	}
-}
-
-func (o *accumulatedObs) Results(emit func(float64)) { emit(o.integral) }
-
 // AtTime is an instant-of-time reward: the value of F in the state holding
 // at time T. If T coincides with the end of the run the final state is used.
 type AtTime struct {

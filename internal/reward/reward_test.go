@@ -66,22 +66,6 @@ func TestTimeAverageWindowClipping(t *testing.T) {
 	}
 }
 
-func TestAccumulated(t *testing.T) {
-	m, p, _ := scriptedModel(t)
-	v := &Accumulated{VarName: "acc", F: func(s *san.State) float64 { return float64(s.Get(p)) }, From: 0, To: 5}
-	o := v.NewObserver()
-	s := m.NewState()
-	s.Set(p, 2)
-	o.Init(s, 0)
-	o.Advance(s, 0, 3)
-	o.Advance(s, 3, 9) // only [3,5) counts
-	o.Done(s, 9)
-	got := collect(o)
-	if len(got) != 1 || math.Abs(got[0]-10) > 1e-12 {
-		t.Fatalf("accumulated = %v, want [10]", got)
-	}
-}
-
 func TestAtTime(t *testing.T) {
 	m, p, _ := scriptedModel(t)
 	v := &AtTime{VarName: "at", F: func(s *san.State) float64 { return float64(s.Get(p)) }, T: 5}

@@ -1,15 +1,11 @@
 package rng
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
-// Dist is a sampling distribution over the non-negative reals (firing-time
-// distributions for timed activities) or, for some members, the full real
-// line. Implementations are immutable value types safe for concurrent use;
-// all per-call randomness comes from the supplied stream.
+// Dist is a sampling distribution over the non-negative reals: the
+// firing-time distribution of a timed activity. Implementations are
+// immutable value types safe for concurrent use; all per-call randomness
+// comes from the supplied stream.
 type Dist interface {
 	// Sample draws one variate using s.
 	Sample(s *Stream) float64
@@ -17,15 +13,6 @@ type Dist interface {
 	Mean() float64
 	// String describes the distribution for diagnostics and DOT export.
 	String() string
-}
-
-// RateDist is implemented by distributions that are fully characterized by a
-// single rate parameter and are memoryless, so a simulator may resample them
-// when the rate changes without biasing the process. Only Exponential
-// qualifies.
-type RateDist interface {
-	Dist
-	Rate() float64
 }
 
 // Exponential is the exponential distribution with the given rate (>0).
@@ -36,7 +23,6 @@ func Expo(rate float64) Exponential { return Exponential{R: rate} }
 
 func (d Exponential) Sample(s *Stream) float64 { return s.Expo(d.R) }
 func (d Exponential) Mean() float64            { return 1 / d.R }
-func (d Exponential) Rate() float64            { return d.R }
 func (d Exponential) String() string           { return fmt.Sprintf("Expo(%g)", d.R) }
 
 // Deterministic always returns V (>= 0 for firing times).
@@ -45,188 +31,3 @@ type Deterministic struct{ V float64 }
 func (d Deterministic) Sample(*Stream) float64 { return d.V }
 func (d Deterministic) Mean() float64          { return d.V }
 func (d Deterministic) String() string         { return fmt.Sprintf("Det(%g)", d.V) }
-
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct{ Lo, Hi float64 }
-
-func (d Uniform) Sample(s *Stream) float64 { return d.Lo + (d.Hi-d.Lo)*s.Float64() }
-func (d Uniform) Mean() float64            { return (d.Lo + d.Hi) / 2 }
-func (d Uniform) String() string           { return fmt.Sprintf("Unif(%g,%g)", d.Lo, d.Hi) }
-
-// Erlang is the sum of K independent exponentials of rate R.
-type Erlang struct {
-	K int
-	R float64
-}
-
-func (d Erlang) Sample(s *Stream) float64 {
-	// Product of uniforms avoids K logarithms.
-	prod := 1.0
-	for i := 0; i < d.K; i++ {
-		prod *= s.OpenFloat64()
-	}
-	return -math.Log(prod) / d.R
-}
-func (d Erlang) Mean() float64  { return float64(d.K) / d.R }
-func (d Erlang) String() string { return fmt.Sprintf("Erlang(%d,%g)", d.K, d.R) }
-
-// Gamma is the gamma distribution with shape Alpha > 0 and rate R > 0.
-type Gamma struct{ Alpha, R float64 }
-
-func (d Gamma) Sample(s *Stream) float64 {
-	return sampleGamma(s, d.Alpha) / d.R
-}
-func (d Gamma) Mean() float64  { return d.Alpha / d.R }
-func (d Gamma) String() string { return fmt.Sprintf("Gamma(%g,%g)", d.Alpha, d.R) }
-
-// sampleGamma draws from Gamma(alpha, 1) using Marsaglia–Tsang, with the
-// standard boost for alpha < 1.
-func sampleGamma(s *Stream, alpha float64) float64 {
-	if alpha <= 0 || math.IsNaN(alpha) {
-		panic("rng: Gamma with non-positive shape")
-	}
-	if alpha < 1 {
-		// Gamma(a) = Gamma(a+1) * U^{1/a}
-		u := s.OpenFloat64()
-		return sampleGamma(s, alpha+1) * math.Pow(u, 1/alpha)
-	}
-	d := alpha - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := s.Normal()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := s.OpenFloat64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// Weibull has shape K > 0 and scale Lambda > 0.
-type Weibull struct{ K, Lambda float64 }
-
-func (d Weibull) Sample(s *Stream) float64 {
-	return d.Lambda * math.Pow(-math.Log(s.OpenFloat64()), 1/d.K)
-}
-func (d Weibull) Mean() float64  { return d.Lambda * math.Gamma(1+1/d.K) }
-func (d Weibull) String() string { return fmt.Sprintf("Weibull(%g,%g)", d.K, d.Lambda) }
-
-// Normal is the normal distribution with mean Mu and standard deviation
-// Sigma. When used as a firing-time distribution, samples are truncated at
-// zero by the engine's callers if required; Sample itself may return
-// negative values.
-type Normal struct{ Mu, Sigma float64 }
-
-func (d Normal) Sample(s *Stream) float64 { return d.Mu + d.Sigma*s.Normal() }
-func (d Normal) Mean() float64            { return d.Mu }
-func (d Normal) String() string           { return fmt.Sprintf("Normal(%g,%g)", d.Mu, d.Sigma) }
-
-// Lognormal is exp(Normal(Mu, Sigma)).
-type Lognormal struct{ Mu, Sigma float64 }
-
-func (d Lognormal) Sample(s *Stream) float64 { return math.Exp(d.Mu + d.Sigma*s.Normal()) }
-func (d Lognormal) Mean() float64            { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-func (d Lognormal) String() string           { return fmt.Sprintf("Lognormal(%g,%g)", d.Mu, d.Sigma) }
-
-// Beta is the beta distribution on [0,1] with parameters A, B > 0.
-type Beta struct{ A, B float64 }
-
-func (d Beta) Sample(s *Stream) float64 {
-	x := sampleGamma(s, d.A)
-	y := sampleGamma(s, d.B)
-	return x / (x + y)
-}
-func (d Beta) Mean() float64  { return d.A / (d.A + d.B) }
-func (d Beta) String() string { return fmt.Sprintf("Beta(%g,%g)", d.A, d.B) }
-
-// Geometric is the discrete geometric distribution counting the number of
-// Bernoulli(P) failures before the first success (support 0, 1, 2, ...).
-type Geometric struct{ P float64 }
-
-func (d Geometric) Sample(s *Stream) float64 {
-	if d.P <= 0 || d.P > 1 {
-		panic("rng: Geometric with P outside (0,1]")
-	}
-	if d.P == 1 {
-		return 0
-	}
-	return math.Floor(math.Log(s.OpenFloat64()) / math.Log(1-d.P))
-}
-func (d Geometric) Mean() float64  { return (1 - d.P) / d.P }
-func (d Geometric) String() string { return fmt.Sprintf("Geom(%g)", d.P) }
-
-// Binomial is the discrete binomial distribution with N trials of success
-// probability P. Sampling is by direct simulation, which is fine for the
-// small N used in modeling contexts.
-type Binomial struct {
-	N int
-	P float64
-}
-
-func (d Binomial) Sample(s *Stream) float64 {
-	k := 0
-	for i := 0; i < d.N; i++ {
-		if s.Bernoulli(d.P) {
-			k++
-		}
-	}
-	return float64(k)
-}
-func (d Binomial) Mean() float64  { return float64(d.N) * d.P }
-func (d Binomial) String() string { return fmt.Sprintf("Binom(%d,%g)", d.N, d.P) }
-
-// Empirical samples from a finite set of values with the given (unnormalized)
-// weights, using binary search over the cumulative weights.
-type Empirical struct {
-	values []float64
-	cum    []float64 // strictly increasing cumulative weights
-	mean   float64
-}
-
-// NewEmpirical builds an empirical distribution. It returns an error if the
-// slices differ in length, are empty, or any weight is negative or the total
-// is not positive.
-func NewEmpirical(values, weights []float64) (*Empirical, error) {
-	if len(values) == 0 || len(values) != len(weights) {
-		return nil, fmt.Errorf("rng: empirical needs matching non-empty values/weights, got %d/%d", len(values), len(weights))
-	}
-	e := &Empirical{values: append([]float64(nil), values...)}
-	total := 0.0
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("rng: empirical weight %d is negative or NaN", i)
-		}
-		total += w
-		sum += w * values[i]
-		e.cum = append(e.cum, total)
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("rng: empirical total weight %g is not positive", total)
-	}
-	e.mean = sum / total
-	return e, nil
-}
-
-func (e *Empirical) Sample(s *Stream) float64 {
-	u := s.Float64() * e.cum[len(e.cum)-1]
-	i := sort.SearchFloat64s(e.cum, u)
-	if i == len(e.cum) {
-		i--
-	}
-	// SearchFloat64s finds the first cum >= u; when u lands exactly on a
-	// boundary the next bucket is correct, so advance past zero-width ones.
-	for i < len(e.cum)-1 && e.cum[i] <= u {
-		i++
-	}
-	return e.values[i]
-}
-func (e *Empirical) Mean() float64  { return e.mean }
-func (e *Empirical) String() string { return fmt.Sprintf("Empirical(%d points)", len(e.values)) }

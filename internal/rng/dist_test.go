@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // checkMoments draws n samples and verifies the empirical mean and variance
@@ -32,9 +31,6 @@ func TestExponentialDist(t *testing.T) {
 	if math.Abs(d.Mean()-0.25) > 1e-12 {
 		t.Fatalf("Mean() = %v", d.Mean())
 	}
-	if d.Rate() != 4 {
-		t.Fatalf("Rate() = %v", d.Rate())
-	}
 	checkMoments(t, d, 0.25, 0.0625, 200000, 0.005, 0.005)
 }
 
@@ -49,172 +45,8 @@ func TestDeterministicDist(t *testing.T) {
 	checkMoments(t, d, 3.5, 0, 100, 1e-12, 1e-12)
 }
 
-func TestUniformDist(t *testing.T) {
-	d := Uniform{Lo: 2, Hi: 6}
-	s := New(2)
-	for i := 0; i < 10000; i++ {
-		x := d.Sample(s)
-		if x < 2 || x >= 6 {
-			t.Fatalf("uniform sample %v out of [2,6)", x)
-		}
-	}
-	checkMoments(t, d, 4, 16.0/12, 200000, 0.02, 0.03)
-}
-
-func TestErlangDist(t *testing.T) {
-	d := Erlang{K: 3, R: 2}
-	checkMoments(t, d, 1.5, 0.75, 200000, 0.02, 0.03)
-}
-
-func TestGammaDist(t *testing.T) {
-	for _, d := range []Gamma{{Alpha: 0.5, R: 1}, {Alpha: 2.5, R: 2}, {Alpha: 9, R: 3}} {
-		wantMean := d.Alpha / d.R
-		wantVar := d.Alpha / (d.R * d.R)
-		checkMoments(t, d, wantMean, wantVar, 300000, 0.03*wantMean+0.01, 0.06*wantVar+0.02)
-	}
-}
-
-func TestGammaPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gamma with zero shape did not panic")
-		}
-	}()
-	Gamma{Alpha: 0, R: 1}.Sample(New(1))
-}
-
-func TestWeibullDist(t *testing.T) {
-	d := Weibull{K: 2, Lambda: 3}
-	mean := 3 * math.Gamma(1.5)
-	variance := 9*math.Gamma(2) - mean*mean
-	checkMoments(t, d, mean, variance, 200000, 0.02, 0.05)
-	if math.Abs(d.Mean()-mean) > 1e-12 {
-		t.Fatalf("Weibull Mean() = %v want %v", d.Mean(), mean)
-	}
-}
-
-func TestNormalDist(t *testing.T) {
-	checkMoments(t, Normal{Mu: -1, Sigma: 2}, -1, 4, 200000, 0.02, 0.06)
-}
-
-func TestLognormalDist(t *testing.T) {
-	d := Lognormal{Mu: 0, Sigma: 0.5}
-	mean := math.Exp(0.125)
-	variance := (math.Exp(0.25) - 1) * math.Exp(0.25)
-	checkMoments(t, d, mean, variance, 300000, 0.02, 0.05)
-}
-
-func TestBetaDist(t *testing.T) {
-	d := Beta{A: 2, B: 5}
-	mean := 2.0 / 7
-	variance := 2 * 5 / (49.0 * 8)
-	s := New(6)
-	for i := 0; i < 10000; i++ {
-		x := d.Sample(s)
-		if x < 0 || x > 1 {
-			t.Fatalf("beta sample %v out of [0,1]", x)
-		}
-	}
-	checkMoments(t, d, mean, variance, 300000, 0.005, 0.005)
-}
-
-func TestGeometricDist(t *testing.T) {
-	d := Geometric{P: 0.25}
-	checkMoments(t, d, 3, 12, 300000, 0.05, 0.4)
-	one := Geometric{P: 1}
-	if one.Sample(New(1)) != 0 {
-		t.Fatal("Geometric(1) should always be 0")
-	}
-}
-
-func TestBinomialDist(t *testing.T) {
-	d := Binomial{N: 10, P: 0.3}
-	checkMoments(t, d, 3, 2.1, 200000, 0.03, 0.06)
-}
-
-func TestEmpiricalDist(t *testing.T) {
-	e, err := NewEmpirical([]float64{1, 2, 10}, []float64{1, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := (1 + 4 + 10) / 4.0
-	if math.Abs(e.Mean()-wantMean) > 1e-12 {
-		t.Fatalf("empirical Mean() = %v want %v", e.Mean(), wantMean)
-	}
-	s := New(9)
-	counts := map[float64]int{}
-	const n = 200000
-	for i := 0; i < n; i++ {
-		counts[e.Sample(s)]++
-	}
-	for v, wantFrac := range map[float64]float64{1: 0.25, 2: 0.5, 10: 0.25} {
-		got := float64(counts[v]) / n
-		if math.Abs(got-wantFrac) > 0.01 {
-			t.Fatalf("empirical value %v frequency %v want %v", v, got, wantFrac)
-		}
-	}
-}
-
-func TestEmpiricalZeroWeightNeverSampled(t *testing.T) {
-	e, err := NewEmpirical([]float64{1, 2, 3}, []float64{1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(10)
-	for i := 0; i < 20000; i++ {
-		if e.Sample(s) == 2 {
-			t.Fatal("sampled a zero-weight value")
-		}
-	}
-}
-
-func TestEmpiricalErrors(t *testing.T) {
-	cases := []struct {
-		values, weights []float64
-	}{
-		{nil, nil},
-		{[]float64{1}, []float64{1, 2}},
-		{[]float64{1}, []float64{-1}},
-		{[]float64{1, 2}, []float64{0, 0}},
-	}
-	for i, c := range cases {
-		if _, err := NewEmpirical(c.values, c.weights); err == nil {
-			t.Fatalf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestQuickGammaPositive(t *testing.T) {
-	f := func(seed uint64, aRaw, rRaw uint16) bool {
-		alpha := float64(aRaw%500)/100 + 0.05
-		rate := float64(rRaw%500)/100 + 0.05
-		return Gamma{Alpha: alpha, R: rate}.Sample(New(seed)) > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickErlangAtLeastExponential(t *testing.T) {
-	// An Erlang(k) variate is a sum of k exponentials, so with common random
-	// numbers each increment is non-negative: sample(k+1) built from the same
-	// stream prefix exceeds sample(k). Here we just assert positivity and
-	// mean ordering property via single samples being positive.
-	f := func(seed uint64, kRaw uint8) bool {
-		k := int(kRaw%10) + 1
-		return Erlang{K: k, R: 1}.Sample(New(seed)) > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDistStrings(t *testing.T) {
-	for _, d := range []Dist{
-		Expo(1), Deterministic{V: 1}, Uniform{0, 1}, Erlang{2, 1}, Gamma{1, 1},
-		Weibull{1, 1}, Normal{0, 1}, Lognormal{0, 1}, Beta{1, 1}, Geometric{0.5},
-		Binomial{2, 0.5},
-	} {
+	for _, d := range []Dist{Expo(1), Deterministic{V: 1}} {
 		if d.String() == "" {
 			t.Fatalf("%T has empty String()", d)
 		}

@@ -1,6 +1,6 @@
 package rng_test
 
-// Kolmogorov–Smirnov goodness-of-fit tests for the continuous samplers:
+// Kolmogorov–Smirnov goodness-of-fit tests for the exponential sampler:
 // stronger than the moment checks in dist_test.go because they compare the
 // whole empirical CDF against theory. External test package so the stats
 // helpers can be used without an import cycle.
@@ -33,68 +33,6 @@ func TestKSExponential(t *testing.T) {
 			return 0
 		}
 		return 1 - math.Exp(-2.5*x)
-	})
-}
-
-func TestKSUniform(t *testing.T) {
-	ksCheck(t, "Unif(2,6)", rng.Uniform{Lo: 2, Hi: 6}, func(x float64) float64 {
-		switch {
-		case x < 2:
-			return 0
-		case x > 6:
-			return 1
-		default:
-			return (x - 2) / 4
-		}
-	})
-}
-
-func TestKSWeibull(t *testing.T) {
-	ksCheck(t, "Weibull(2,3)", rng.Weibull{K: 2, Lambda: 3}, func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		return 1 - math.Exp(-math.Pow(x/3, 2))
-	})
-}
-
-func TestKSNormal(t *testing.T) {
-	ksCheck(t, "Normal(-1,2)", rng.Normal{Mu: -1, Sigma: 2}, func(x float64) float64 {
-		return stats.NormalCDF((x + 1) / 2)
-	})
-}
-
-func TestKSLognormal(t *testing.T) {
-	ksCheck(t, "Lognormal(0,0.5)", rng.Lognormal{Mu: 0, Sigma: 0.5}, func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return stats.NormalCDF(math.Log(x) / 0.5)
-	})
-}
-
-func TestKSErlang(t *testing.T) {
-	// Erlang(3, 2) CDF = P(3, 2x) (regularized lower incomplete gamma).
-	ksCheck(t, "Erlang(3,2)", rng.Erlang{K: 3, R: 2}, func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return stats.RegGammaP(3, 2*x)
-	})
-}
-
-func TestKSGamma(t *testing.T) {
-	ksCheck(t, "Gamma(2.5,1.5)", rng.Gamma{Alpha: 2.5, R: 1.5}, func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return stats.RegGammaP(2.5, 1.5*x)
-	})
-}
-
-func TestKSBeta(t *testing.T) {
-	ksCheck(t, "Beta(2,5)", rng.Beta{A: 2, B: 5}, func(x float64) float64 {
-		return stats.RegIncBeta(2, 5, x)
 	})
 }
 

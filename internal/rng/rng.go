@@ -1,7 +1,6 @@
 // Package rng provides the random-variate substrate for the simulator: a
-// fast, deterministic, splittable pseudo-random number generator and a
-// library of sampling distributions equivalent to the distribution library
-// shipped with the Möbius modeling tool.
+// fast, deterministic, splittable pseudo-random number generator and the two
+// firing-time distributions the models use, exponential and deterministic.
 //
 // Streams are cheap value types. Every simulation replication derives its
 // own statistically independent stream from a root seed, so replicated runs
@@ -158,19 +157,6 @@ func (s *Stream) Expo(rate float64) float64 {
 		panic("rng: Expo with non-positive rate")
 	}
 	return -math.Log(s.OpenFloat64()) / rate
-}
-
-// Normal returns a standard normal variate using the polar (Marsaglia)
-// method. Distributions that need pairs should cache their own spare.
-func (s *Stream) Normal() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }
 
 // Perm fills p with a uniform random permutation of [0, len(p)).

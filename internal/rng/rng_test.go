@@ -230,22 +230,6 @@ func TestExpoMoments(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	s := New(4)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := s.Normal()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 || math.Abs(variance-1) > 0.02 {
-		t.Fatalf("standard normal moments mean=%v var=%v", mean, variance)
-	}
-}
-
 // quickStream gives property tests a stream derived from the quick seed.
 func quickStream(seed uint64) *Stream { return New(seed) }
 

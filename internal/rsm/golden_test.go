@@ -121,7 +121,7 @@ func transportDigest() string {
 		}
 		deliver := func() {
 			for _, p := range tr.DeliverBatch() {
-				put(uint64(int64(p.From)), uint64(int64(p.To)), uint64(len(p.Payload)), math.Float64bits(tr.Now()))
+				put(uint64(int64(p.From)), uint64(int64(p.To)), uint64(len(p.Payload)), math.Float64bits(tr.now))
 				h.Write(p.Payload)
 			}
 		}

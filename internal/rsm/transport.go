@@ -152,9 +152,6 @@ func (t *Transport) ExcludeHost(host int) {
 // pair the filter reports as severed are dropped. Nil heals all partitions.
 func (t *Transport) SetPartition(f func(fromHost, toHost int) bool) { t.partition = f }
 
-// Now returns the transport's virtual clock.
-func (t *Transport) Now() float64 { return t.now }
-
 // AdvanceIdle moves the virtual clock forward by dt without delivering
 // anything — client backoff between retry attempts.
 func (t *Transport) AdvanceIdle(dt float64) { t.now += dt }

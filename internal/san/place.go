@@ -7,9 +7,9 @@
 //
 // The package also provides Möbius-style composed models: atomic submodels
 // are instantiated inside Scopes that control which places are shared
-// (Replicate/Join equivalents), producing one flat Model that the
-// internal/sim discrete-event engine or the internal/mc numerical solver
-// executes.
+// (Rep via Replicate, Join via sibling Child scopes), producing one flat
+// Model that the internal/sim discrete-event engine or the internal/mc
+// numerical solver executes.
 package san
 
 import (

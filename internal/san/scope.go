@@ -1,9 +1,6 @@
 package san
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Scope is the composition mechanism, the equivalent of Möbius's Rep/Join
 // state-variable sharing. A scope names a region of the composed model;
@@ -23,12 +20,6 @@ type Scope struct {
 func Root(m *Model) *Scope {
 	return &Scope{model: m, shared: make(map[string]*Place)}
 }
-
-// Model returns the underlying model.
-func (sc *Scope) Model() *Model { return sc.model }
-
-// Path returns the scope's hierarchical name ("" for the root).
-func (sc *Scope) Path() string { return sc.path }
 
 // Child creates a nested scope named name (e.g. "domain[2]").
 func (sc *Scope) Child(name string) *Scope {
@@ -87,8 +78,8 @@ func (sc *Scope) Activity(def ActivityDef) *Activity {
 // Submodel is an atomic SAN template: a function that declares places and
 // activities inside the scope it is given. The same template instantiated
 // in n sibling scopes with selected names bound in the parent scope is
-// exactly a Möbius "Rep" node; different templates instantiated in scopes
-// sharing a parent binding form a "Join".
+// exactly a Möbius "Rep" node; different templates each instantiated in
+// their own Child of one parent, sharing its bindings, form a "Join".
 type Submodel func(sc *Scope)
 
 // Replicate instantiates def n times under parent, in child scopes named
@@ -108,23 +99,4 @@ func Replicate(parent *Scope, name string, n int, shared []string, def Submodel)
 		children[i] = child
 	}
 	return children
-}
-
-// Join instantiates each named template once under parent; the templates
-// share every place visible in parent (and its ancestors), which is the
-// Möbius Join with the shared state variables held at the join node.
-func Join(parent *Scope, parts map[string]Submodel) []*Scope {
-	// Deterministic order for reproducible activity numbering.
-	names := make([]string, 0, len(parts))
-	for n := range parts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	scopes := make([]*Scope, 0, len(parts))
-	for _, n := range names {
-		child := parent.Child(n)
-		parts[n](child)
-		scopes = append(scopes, child)
-	}
-	return scopes
 }

@@ -269,20 +269,6 @@ func TestReplicateMissingSharePanics(t *testing.T) {
 	Replicate(root, "r", 2, []string{"missing"}, func(sc *Scope) {})
 }
 
-func TestJoinDeterministicOrder(t *testing.T) {
-	m := NewModel("j")
-	root := Root(m)
-	root.Place("shared", 0)
-	var order []string
-	Join(root, map[string]Submodel{
-		"beta":  func(sc *Scope) { order = append(order, sc.Path()) },
-		"alpha": func(sc *Scope) { order = append(order, sc.Path()) },
-	})
-	if len(order) != 2 || order[0] != "alpha" || order[1] != "beta" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 // TestResolverAllocsConstant pins that forking does not allocate per
 // branch: a free function with a uniform choice over n alternatives and a
 // weighted choice over ten (one of them zero-weight), each outcome then

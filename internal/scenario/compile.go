@@ -10,7 +10,6 @@ import (
 
 	"ituaval/internal/core"
 	"ituaval/internal/reward"
-	"ituaval/internal/san"
 	"ituaval/internal/study"
 )
 
@@ -557,29 +556,4 @@ func (c *Compiled) Run(ctx context.Context, cfg study.Config, hooks study.SweepH
 		return nil, err
 	}
 	return c.Figure(prs)
-}
-
-// Lint runs the static SAN linter over the grid's structural corner shapes
-// (the first and last value of each axis — the corners that change which
-// activities and places exist), the same defence the lint-models lane gives
-// the registered studies. Findings indicate a structurally defective
-// workload: dead activities, orphan places, or case distributions that do
-// not sum to one.
-func (c *Compiled) Lint(opts san.LintOptions) ([]san.LintFinding, error) {
-	corner := func(n, i int) bool { return i == 0 || i == n-1 }
-	var findings []san.LintFinding
-	numSeries := len(c.Points) / c.NumX
-	for _, pt := range c.Points {
-		if !corner(c.NumX, pt.Xi) || !corner(numSeries, pt.Si) {
-			continue
-		}
-		m, err := core.Build(pt.Params)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: lint %s: %w", pt.Label, err)
-		}
-		for _, f := range m.SAN.Lint(opts) {
-			findings = append(findings, f)
-		}
-	}
-	return findings, nil
 }

@@ -177,9 +177,9 @@ func NewEngine(model *san.Model, validate bool) *Engine {
 // on the initial marking: two evaluations that read no place (directly or
 // via the raw Markings vector) and return the identical distribution value
 // cannot depend on the state, so the engine may reuse that value instead of
-// re-invoking the closure. Closures returning fresh pointers (e.g. a new
-// *Empirical per call) fail the identity check and stay unmemoized, which
-// also preserves their (resampling) behavior under ReactivateOnChange.
+// re-invoking the closure. Closures returning a different value per call
+// fail the identity check and stay unmemoized, which also preserves their
+// (resampling) behavior under ReactivateOnChange.
 func probeConstDist(s *san.State, a *san.Activity) (d rng.Dist) {
 	defer func() {
 		// A panicking closure (state-dependent guard) or an uncomparable
@@ -235,12 +235,6 @@ func (e *Engine) randFor(a *san.Activity) *rng.Stream {
 	}
 	return st
 }
-
-// State exposes the engine's current state (for observers and tests).
-func (e *Engine) State() *san.State { return e.state }
-
-// Now returns the current simulation time.
-func (e *Engine) Now() float64 { return e.now }
 
 // Firings returns the number of activity completions in the last run.
 func (e *Engine) Firings() int64 { return e.firings }

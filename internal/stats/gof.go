@@ -61,24 +61,3 @@ func KSPValue(d float64, n int) float64 {
 	}
 	return p
 }
-
-// ChiSquareGOF returns the chi-square goodness-of-fit statistic and p-value
-// for observed counts against expected counts. Bins with expected count
-// zero are skipped; degrees of freedom is the number of used bins minus 1
-// minus dofAdjust (for fitted parameters).
-func ChiSquareGOF(observed []int64, expected []float64, dofAdjust int) (stat, pvalue float64) {
-	used := 0
-	for i, e := range expected {
-		if e <= 0 {
-			continue
-		}
-		used++
-		diff := float64(observed[i]) - e
-		stat += diff * diff / e
-	}
-	dof := float64(used - 1 - dofAdjust)
-	if dof < 1 {
-		return stat, math.NaN()
-	}
-	return stat, ChiSquarePValue(stat, dof)
-}

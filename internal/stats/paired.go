@@ -84,35 +84,6 @@ func PairedT(a, b []float64, level float64) (PairedResult, error) {
 	return r, nil
 }
 
-// Corr returns the sample correlation coefficient of equal-length samples x
-// and y, or NaN when either sample is constant or has fewer than two
-// observations. NaN pairs are dropped.
-func Corr(x, y []float64) float64 {
-	if len(x) != len(y) {
-		return math.NaN()
-	}
-	var n int64
-	var meanX, meanY, mX2, mY2, cXY float64
-	for i := range x {
-		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			continue
-		}
-		n++
-		dx := x[i] - meanX
-		meanX += dx / float64(n)
-		dy := y[i] - meanY
-		meanY += dy / float64(n)
-		mX2 += dx * (x[i] - meanX)
-		mY2 += dy * (y[i] - meanY)
-		cXY += dx * (y[i] - meanY)
-	}
-	if n < 2 {
-		return math.NaN()
-	}
-	nf := float64(n - 1)
-	return Corr2(mX2/nf, mY2/nf, cXY/nf)
-}
-
 // Corr2 forms a correlation from variances and a covariance, returning NaN
 // when either variance vanishes (a constant sample has no correlation).
 func Corr2(varX, varY, cov float64) float64 {

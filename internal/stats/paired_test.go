@@ -106,21 +106,21 @@ func TestPairedTZeroVarianceDeltas(t *testing.T) {
 	}
 }
 
+// TestCorrEdgeCases pins Corr2, the correlation PairedT reports: ±1 for
+// perfectly (anti)correlated moments, and NaN when either variance
+// vanishes (a constant sample has no correlation).
 func TestCorrEdgeCases(t *testing.T) {
-	if c := Corr([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("Corr of proportional samples = %v, want 1", c)
+	if c := Corr2(4, 1, 2); math.Abs(c-1) > 1e-12 {
+		t.Fatalf("Corr2 of proportional samples = %v, want 1", c)
 	}
-	if c := Corr([]float64{1, 2, 3}, []float64{3, 2, 1}); math.Abs(c+1) > 1e-12 {
-		t.Fatalf("Corr of reversed samples = %v, want -1", c)
+	if c := Corr2(1, 1, -1); math.Abs(c+1) > 1e-12 {
+		t.Fatalf("Corr2 of reversed samples = %v, want -1", c)
 	}
-	if c := Corr([]float64{1, 1, 1}, []float64{1, 2, 3}); !math.IsNaN(c) {
-		t.Fatalf("Corr with a constant sample = %v, want NaN", c)
+	if c := Corr2(0, 1, 0); !math.IsNaN(c) {
+		t.Fatalf("Corr2 with a constant sample = %v, want NaN", c)
 	}
-	if c := Corr([]float64{1}, []float64{2}); !math.IsNaN(c) {
-		t.Fatalf("Corr of single pair = %v, want NaN", c)
-	}
-	if c := Corr([]float64{1, 2}, []float64{1}); !math.IsNaN(c) {
-		t.Fatalf("Corr of mismatched lengths = %v, want NaN", c)
+	if c := Corr2(1, 0, 0); !math.IsNaN(c) {
+		t.Fatalf("Corr2 with a constant second sample = %v, want NaN", c)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestTQuantileExtremeTails(t *testing.T) {
 	if got, want := TQuantile(1e-5, 3), -TQuantile(1-1e-5, 3); math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Errorf("tail symmetry broken: %v vs %v", got, want)
 	}
-	// Large df converges to the normal quantile.
-	if got, want := TQuantile(0.9999, 1e6), NormalQuantile(0.9999); math.Abs(got-want) > 1e-3 {
+	// Large df converges to the normal quantile z₀.₉₉₉₉ = Φ⁻¹(0.9999).
+	if got, want := TQuantile(0.9999, 1e6), 3.7190164854557084; math.Abs(got-want) > 1e-3 {
 		t.Errorf("TQuantile(0.9999, 1e6) = %v, want ≈ %v", got, want)
 	}
 	// Round-trip through the CDF far out in the tail.

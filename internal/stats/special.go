@@ -2,10 +2,9 @@ package stats
 
 import "math"
 
-// Special functions needed by the Student-t, chi-square, and
-// Kolmogorov–Smirnov routines. Implementations follow the classic
-// continued-fraction and series forms (Numerical Recipes style) with
-// double-precision tolerances.
+// Special functions needed by the Student-t routines. The incomplete beta
+// function follows the classic continued-fraction form (Numerical Recipes
+// style) with double-precision tolerances.
 
 // LogBeta returns log B(a, b).
 func LogBeta(a, b float64) float64 {
@@ -80,109 +79,6 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// RegGammaP returns the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x) / Γ(a).
-func RegGammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// RegGammaQ returns the regularized upper incomplete gamma function Q(a, x).
-func RegGammaQ(a, x float64) float64 { return 1 - RegGammaP(a, x) }
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaCF(a, x float64) float64 {
-	const fpmin = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// NormalCDF returns the standard normal distribution function Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns Φ⁻¹(p) for p in (0, 1) using the
-// Beasley–Springer–Moro refinement via bisection+Newton on NormalCDF, which
-// is simple and accurate to ~1e-12.
-func NormalQuantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		if p == 0 {
-			return math.Inf(-1)
-		}
-		if p == 1 {
-			return math.Inf(1)
-		}
-		return math.NaN()
-	}
-	// Initial guess: rational approximation (Acklam's coefficients would be
-	// fine; a crude logit start converges quickly under Newton).
-	x := 0.0
-	if p < 0.5 {
-		x = -math.Sqrt(-2 * math.Log(p))
-	} else if p > 0.5 {
-		x = math.Sqrt(-2 * math.Log(1-p))
-	}
-	for i := 0; i < 100; i++ {
-		f := NormalCDF(x) - p
-		pdf := math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-		if pdf == 0 {
-			break
-		}
-		step := f / pdf
-		x -= step
-		if math.Abs(step) < 1e-13 {
-			break
-		}
-	}
-	return x
-}
-
 // TCDF returns the Student-t distribution function with nu degrees of
 // freedom at x.
 func TCDF(x, nu float64) float64 {
@@ -238,22 +134,4 @@ func TQuantile(p, nu float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// ChiSquareCDF returns the chi-square distribution function with k degrees
-// of freedom at x.
-func ChiSquareCDF(x, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return RegGammaP(k/2, x/2)
-}
-
-// ChiSquarePValue returns P(X >= stat) for a chi-square statistic with k
-// degrees of freedom.
-func ChiSquarePValue(stat, k float64) float64 {
-	if stat <= 0 {
-		return 1
-	}
-	return RegGammaQ(k/2, stat/2)
 }

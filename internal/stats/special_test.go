@@ -29,39 +29,6 @@ func TestRegIncBetaKnownValues(t *testing.T) {
 	}
 }
 
-func TestRegGammaKnownValues(t *testing.T) {
-	// P(1, x) = 1 - e^{-x}
-	for _, x := range []float64{0.1, 1, 2, 5} {
-		want := 1 - math.Exp(-x)
-		if got := RegGammaP(1, x); math.Abs(got-want) > 1e-10 {
-			t.Errorf("P(1,%v) = %v, want %v", x, got, want)
-		}
-	}
-	// P(a,0)=0, Q+P=1
-	if RegGammaP(3, 0) != 0 {
-		t.Error("P(3,0) != 0")
-	}
-	if math.Abs(RegGammaP(2.5, 3)+RegGammaQ(2.5, 3)-1) > 1e-12 {
-		t.Error("P+Q != 1")
-	}
-}
-
-func TestNormalCDFQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999} {
-		x := NormalQuantile(p)
-		if got := NormalCDF(x); math.Abs(got-p) > 1e-9 {
-			t.Errorf("Φ(Φ⁻¹(%v)) = %v", p, got)
-		}
-	}
-	// Known values.
-	if math.Abs(NormalQuantile(0.975)-1.959963985) > 1e-6 {
-		t.Errorf("z_{0.975} = %v", NormalQuantile(0.975))
-	}
-	if NormalQuantile(0.5) != 0 && math.Abs(NormalQuantile(0.5)) > 1e-9 {
-		t.Errorf("z_{0.5} = %v", NormalQuantile(0.5))
-	}
-}
-
 func TestTQuantileKnownValues(t *testing.T) {
 	cases := []struct {
 		p, nu, want float64
@@ -96,20 +63,6 @@ func TestTCDFQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestChiSquareCDF(t *testing.T) {
-	// ChiSquare(2) is Expo(1/2): CDF(x) = 1-exp(-x/2).
-	for _, x := range []float64{0.5, 1, 3, 8} {
-		want := 1 - math.Exp(-x/2)
-		if got := ChiSquareCDF(x, 2); math.Abs(got-want) > 1e-10 {
-			t.Errorf("ChiSquareCDF(%v,2) = %v, want %v", x, got, want)
-		}
-	}
-	// 95th percentile of chi2 with 15 dof is 24.9958.
-	if p := ChiSquarePValue(24.9958, 15); math.Abs(p-0.05) > 1e-4 {
-		t.Errorf("chi2 p-value = %v, want 0.05", p)
-	}
-}
-
 func TestKSExponentialSample(t *testing.T) {
 	// A genuine exponential sample should not be rejected at α=0.01.
 	s := rng.New(42)
@@ -130,30 +83,11 @@ func TestKSExponentialSample(t *testing.T) {
 }
 
 func TestKSEdgeCases(t *testing.T) {
-	if !math.IsNaN(KSStatistic(nil, NormalCDF)) {
+	expo := func(x float64) float64 { return 1 - math.Exp(-x) }
+	if !math.IsNaN(KSStatistic(nil, expo)) {
 		t.Error("KS of empty sample should be NaN")
 	}
 	if KSPValue(0, 100) != 1 {
 		t.Error("KS p-value at D=0 should be 1")
-	}
-}
-
-func TestChiSquareGOF(t *testing.T) {
-	// Perfect fit: statistic 0, p-value 1.
-	obs := []int64{25, 25, 25, 25}
-	exp := []float64{25, 25, 25, 25}
-	stat, p := ChiSquareGOF(obs, exp, 0)
-	if stat != 0 || p != 1 {
-		t.Fatalf("perfect fit gave stat=%v p=%v", stat, p)
-	}
-	// Gross misfit rejected.
-	stat, p = ChiSquareGOF([]int64{100, 0, 0, 0}, exp, 0)
-	if p > 1e-10 {
-		t.Fatalf("gross misfit p=%v (stat=%v)", p, stat)
-	}
-	// Zero-expected bins skipped.
-	stat2, _ := ChiSquareGOF([]int64{50, 50, 3}, []float64{50, 50, 0}, 0)
-	if stat2 != 0 {
-		t.Fatalf("zero-expected bin contributed: %v", stat2)
 	}
 }

@@ -1,13 +1,12 @@
 // Package stats provides the statistical substrate used throughout the
 // library: numerically stable online accumulators, Student-t confidence
-// intervals for simulation output analysis, sample quantiles, histograms,
-// goodness-of-fit statistics, and batch-means estimation.
+// intervals for simulation output analysis, paired-t comparisons, and the
+// Kolmogorov–Smirnov statistic the sampler tests use.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator maintains running moments of a sample using Welford's
@@ -72,9 +71,6 @@ func (a *Accumulator) Mean() float64 {
 	return a.mean
 }
 
-// Sum returns n times the mean.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
 // Variance returns the unbiased sample variance (NaN if fewer than two
 // observations).
 func (a *Accumulator) Variance() float64 {
@@ -122,112 +118,7 @@ func (a *Accumulator) HalfWidth(level float64) float64 {
 	return t * a.StdErr()
 }
 
-// CI returns the confidence interval (lo, hi) for the mean at level.
-func (a *Accumulator) CI(level float64) (lo, hi float64) {
-	hw := a.HalfWidth(level)
-	return a.mean - hw, a.mean + hw
-}
-
 // String formats the accumulator as "mean ± hw95 (n=N)".
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", a.Mean(), a.HalfWidth(0.95), a.n)
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation between order statistics (type 7, the R default). It panics
-// on an empty sample or p outside [0,1].
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty sample")
-	}
-	if p < 0 || p > 1 {
-		panic("stats: quantile p outside [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	h := p * float64(len(s)-1)
-	i := int(math.Floor(h))
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := h - float64(i)
-	return s[i] + frac*(s[i+1]-s[i])
-}
-
-// Histogram counts observations into equal-width bins over [Lo, Hi].
-// Observations outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi      float64
-	Counts      []int64
-	Under, Over int64
-	total       int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins on [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) {
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the estimated probability density at bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.total) * w)
-}
-
-// BatchMeans splits a (stationary) series into nbatches contiguous batches
-// and returns an accumulator over the batch means, the standard technique
-// for confidence intervals on steady-state simulation output. It returns an
-// error if there are fewer observations than batches.
-func BatchMeans(xs []float64, nbatches int) (*Accumulator, error) {
-	if nbatches <= 1 {
-		return nil, fmt.Errorf("stats: need at least 2 batches, got %d", nbatches)
-	}
-	if len(xs) < nbatches {
-		return nil, fmt.Errorf("stats: %d observations for %d batches", len(xs), nbatches)
-	}
-	size := len(xs) / nbatches
-	acc := &Accumulator{}
-	for b := 0; b < nbatches; b++ {
-		sum := 0.0
-		for i := b * size; i < (b+1)*size; i++ {
-			sum += xs[i]
-		}
-		acc.Add(sum / float64(size))
-	}
-	return acc, nil
 }

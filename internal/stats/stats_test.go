@@ -27,7 +27,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	almost(t, a.Variance(), 32.0/7, 1e-12, "variance")
 	almost(t, a.Min(), 2, 0, "min")
 	almost(t, a.Max(), 9, 0, "max")
-	almost(t, a.Sum(), 40, 1e-9, "sum")
 	if a.N() != 8 {
 		t.Fatalf("N = %d", a.N())
 	}
@@ -74,8 +73,6 @@ func TestHalfWidthKnownValue(t *testing.T) {
 	}
 	want := 2.2621571628 * a.StdErr()
 	almost(t, a.HalfWidth(0.95), want, 1e-6, "hw95")
-	lo, hi := a.CI(0.95)
-	almost(t, hi-lo, 2*want, 1e-6, "CI width")
 }
 
 func TestCICoverage(t *testing.T) {
@@ -90,79 +87,14 @@ func TestCICoverage(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			a.Add(s.Expo(2))
 		}
-		lo, hi := a.CI(0.95)
-		if lo <= 0.5 && 0.5 <= hi {
+		hw := a.HalfWidth(0.95)
+		if math.Abs(a.Mean()-0.5) <= hw {
 			covered++
 		}
 	}
 	frac := float64(covered) / experiments
 	if frac < 0.90 || frac > 0.995 {
 		t.Fatalf("95%% CI coverage was %v", frac)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	almost(t, Quantile(xs, 0), 1, 0, "q0")
-	almost(t, Quantile(xs, 1), 5, 0, "q1")
-	almost(t, Quantile(xs, 0.5), 3, 0, "median")
-	almost(t, Quantile(xs, 0.25), 2, 1e-12, "q25")
-	almost(t, Quantile([]float64{7}, 0.3), 7, 0, "singleton")
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts=%v", h.Counts)
-	}
-	almost(t, h.BinCenter(0), 1, 1e-12, "bin center")
-	almost(t, h.Density(0), 2.0/(7*2), 1e-12, "density")
-	if h.Total() != 7 {
-		t.Fatalf("total=%d", h.Total())
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i % 10)
-	}
-	acc, err := BatchMeans(xs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, acc.Mean(), 4.5, 1e-12, "batch mean")
-	if acc.N() != 10 {
-		t.Fatalf("batches=%d", acc.N())
-	}
-	if _, err := BatchMeans(xs, 1); err == nil {
-		t.Fatal("expected error for 1 batch")
-	}
-	if _, err := BatchMeans(xs[:5], 10); err == nil {
-		t.Fatal("expected error for too few observations")
 	}
 }
 

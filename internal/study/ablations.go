@@ -3,7 +3,6 @@ package study
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ituaval/internal/core"
 	"ituaval/internal/ituadirect"
@@ -318,21 +317,6 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	fig.Panels = panels
 	return fig, nil
-}
-
-// MaxAbsGap returns the largest |Y1-Y0| between the first two series of the
-// panel (used by validation harnesses and tests).
-func MaxAbsGap(p Panel) float64 {
-	if len(p.Series) < 2 {
-		return math.NaN()
-	}
-	gap := 0.0
-	for i := range p.Series[0].Y {
-		if d := math.Abs(p.Series[0].Y[i] - p.Series[1].Y[i]); d > gap {
-			gap = d
-		}
-	}
-	return gap
 }
 
 // AblationPlacement (experiment X6) compares the recovery placement

@@ -320,19 +320,6 @@ func TestFig5PairedShapes(t *testing.T) {
 	}
 }
 
-func TestMaxAbsGap(t *testing.T) {
-	p := Panel{Series: []Series{
-		{Y: []float64{1, 2, 3}},
-		{Y: []float64{1, 2.5, 2}},
-	}}
-	if g := MaxAbsGap(p); g != 1 {
-		t.Fatalf("gap = %v", g)
-	}
-	if !math.IsNaN(MaxAbsGap(Panel{})) {
-		t.Fatal("gap of empty panel should be NaN")
-	}
-}
-
 func TestAblationPlacementLoadBalancing(t *testing.T) {
 	fig, err := AblationPlacement(context.Background(), Config{Reps: 400, Seed: 13})
 	if err != nil {
