@@ -15,8 +15,9 @@
 #                checkpointing) and the symmetry canonicalizer, which
 #                lumped generation calls from every worker, under the
 #                race detector
-# Self-checking lanes (also run in CI):
-#   lint-models  static SAN lint over every registered study model shape
+# Self-checking lanes (also run in CI, except lint-models):
+#   lint-models  static SAN lint over every registered study model shape,
+#                for local use: its one test runs in `test` and `race`
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the SAN
 #                marking-key codec, the live wire codec, the scenario DSL
 #                decoder, the symmetry canonicalizer's keys, the

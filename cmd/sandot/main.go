@@ -86,7 +86,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%s\n", m.SAN.Summary())
 
 	if *lint {
-		findings := m.SAN.Lint(san.LintOptions{})
+		findings := m.SAN.Lint()
 		for _, f := range findings {
 			fmt.Printf("%s\n", f)
 		}

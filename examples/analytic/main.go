@@ -98,11 +98,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	abs, err := chain.Absorption(0, 0)
+	abs, err := chain.Absorption()
 	if err != nil {
 		log.Fatal(err)
 	}
-	improperToDeath, err := chain.ExpectedRewardToAbsorption(improper, 0, 0)
+	improperToDeath, err := chain.ExpectedRewardToAbsorption(improper)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	numeric, err := chain.SteadyStateReward(length, 1e-12, 0)
+	numeric, err := chain.SteadyStateReward(length)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"ituaval/internal/san"
 )
 
 // TestLintCoreModels holds every structurally distinct corner of the ITUA
@@ -41,7 +39,7 @@ func TestLintCoreModels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, f := range m.SAN.Lint(san.LintOptions{}) {
+				for _, f := range m.SAN.Lint() {
 					t.Errorf("%s: %v", pol, f)
 				}
 			}

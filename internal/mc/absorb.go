@@ -25,15 +25,9 @@ type AbsorptionResult struct {
 // Absorption computes the probability of and mean time to absorption,
 // treating every state with no outgoing transitions as absorbing. The
 // linear systems are solved by Gauss–Seidel sweeps over the CSR rows
-// (columns ascending, so updated values propagate within a sweep); tol and
-// maxIter bound the iteration (defaults 1e-12 and 1e6).
-func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 1_000_000
-	}
+// (columns ascending, so updated values propagate within a sweep) until
+// they change by less than solveTol.
+func (c *CTMC) Absorption() (AbsorptionResult, error) {
 	n := c.n
 	if n == 0 {
 		return AbsorptionResult{}, errors.New("mc: empty chain")
@@ -58,7 +52,7 @@ func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
 			h[i] = 1
 		}
 	}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < solveMaxIter; iter++ {
 		diff := 0.0
 		for i := 0; i < n; i++ {
 			if absorbing[i] {
@@ -74,11 +68,11 @@ func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
 			}
 			h[i] = v
 		}
-		if diff < tol {
+		if diff < solveTol {
 			break
 		}
-		if iter == maxIter-1 {
-			return AbsorptionResult{}, fmt.Errorf("mc: absorption probability did not converge in %d iterations", maxIter)
+		if iter == solveMaxIter-1 {
+			return AbsorptionResult{}, fmt.Errorf("mc: absorption probability did not converge in %d iterations", solveMaxIter)
 		}
 	}
 
@@ -93,7 +87,7 @@ func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
 		}
 	}
 	if finite {
-		for iter := 0; iter < maxIter; iter++ {
+		for iter := 0; iter < solveMaxIter; iter++ {
 			diff := 0.0
 			for i := 0; i < n; i++ {
 				if absorbing[i] {
@@ -116,11 +110,11 @@ func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
 					maxT = v
 				}
 			}
-			if diff < tol*(1+maxT) {
+			if diff < solveTol*(1+maxT) {
 				break
 			}
-			if iter == maxIter-1 {
-				return AbsorptionResult{}, fmt.Errorf("mc: mean absorption time did not converge in %d iterations", maxIter)
+			if iter == solveMaxIter-1 {
+				return AbsorptionResult{}, fmt.Errorf("mc: mean absorption time did not converge in %d iterations", solveMaxIter)
 			}
 		}
 	}
@@ -141,14 +135,8 @@ func (c *CTMC) Absorption(tol float64, maxIter int) (AbsorptionResult, error) {
 // ExpectedRewardToAbsorption returns E[∫₀^T_abs f(X_u) du] for an absorbing
 // chain, by the same Gauss–Seidel scheme with per-state reward f. It
 // returns an error if absorption is not almost sure.
-func (c *CTMC) ExpectedRewardToAbsorption(f func(*san.State) float64, tol float64, maxIter int) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 1_000_000
-	}
-	abs, err := c.Absorption(tol, maxIter)
+func (c *CTMC) ExpectedRewardToAbsorption(f func(*san.State) float64) (float64, error) {
+	abs, err := c.Absorption()
 	if err != nil {
 		return 0, err
 	}
@@ -158,7 +146,7 @@ func (c *CTMC) ExpectedRewardToAbsorption(f func(*san.State) float64, tol float6
 	r := c.RewardVector(f)
 	n := c.n
 	t := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < solveMaxIter; iter++ {
 		diff := 0.0
 		for i := 0; i < n; i++ {
 			if c.exit[i] == 0 {
@@ -180,11 +168,11 @@ func (c *CTMC) ExpectedRewardToAbsorption(f func(*san.State) float64, tol float6
 				maxT = math.Abs(v)
 			}
 		}
-		if diff < tol*(1+maxT) {
+		if diff < solveTol*(1+maxT) {
 			break
 		}
-		if iter == maxIter-1 {
-			return 0, fmt.Errorf("mc: reward to absorption did not converge in %d iterations", maxIter)
+		if iter == solveMaxIter-1 {
+			return 0, fmt.Errorf("mc: reward to absorption did not converge in %d iterations", solveMaxIter)
 		}
 	}
 	out := 0.0

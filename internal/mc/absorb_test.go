@@ -42,7 +42,7 @@ func TestAbsorptionStageDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Absorption(0, 0)
+	res, err := c.Absorption()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExpectedRewardToAbsorption(t *testing.T) {
 			return 1
 		}
 		return 0
-	}, 0, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestAbsorptionNoAbsorbingStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Absorption(0, 0)
+	res, err := c.Absorption()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.AbsorbingStates != 0 || !math.IsInf(res.MeanTime, 1) || res.Prob != 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	if _, err := c.ExpectedRewardToAbsorption(func(*san.State) float64 { return 1 }, 0, 0); err == nil {
+	if _, err := c.ExpectedRewardToAbsorption(func(*san.State) float64 { return 1 }); err == nil {
 		t.Fatal("expected divergence error")
 	}
 }
@@ -126,7 +126,7 @@ func TestAbsorptionMatchesSimulatedMTTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Absorption(0, 0)
+	res, err := c.Absorption()
 	if err != nil {
 		t.Fatal(err)
 	}

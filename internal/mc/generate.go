@@ -361,7 +361,7 @@ func (w *genWorker) expand(pid uint32) error {
 		if !ok {
 			return fmt.Errorf("%w: activity %q has %v", ErrNotMarkovian, a.Name(), dist)
 		}
-		weights := a.CaseWeightsIn(w.scratch)
+		weights := a.CaseWeights()
 		totalW := 0.0
 		for _, cw := range weights {
 			totalW += cw

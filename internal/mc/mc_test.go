@@ -58,7 +58,7 @@ func TestSteadyStateMM1K(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(q)) }, 1e-13, 0)
+	got, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(q)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestAbsorbingChainSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(up)) }, 1e-13, 0)
+	got, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(up)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,15 +350,15 @@ func TestAbsorbingChainSteadyState(t *testing.T) {
 
 func TestInitialDistributionFromInstantRace(t *testing.T) {
 	// Init leaves a token that an instantaneous race claims two ways with
-	// weights 1:3, giving initial distribution {0.25, 0.75}.
+	// equal weight, giving initial distribution {0.5, 0.5}.
 	m := san.NewModel("initrace")
 	token := m.Place("token", 1)
 	which := m.Place("which", 0)
 	sink := m.Place("sink", 0)
-	for i, w := range []float64{1, 3} {
+	for i, name := range []string{"left", "right"} {
 		i := i
 		m.AddActivity(san.ActivityDef{
-			Name: []string{"left", "right"}[i], Kind: san.Instant, Weight: w,
+			Name: name, Kind: san.Instant,
 			Enabled: func(s *san.State) bool { return s.Get(token) > 0 },
 			Reads:   []*san.Place{token},
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -391,7 +391,7 @@ func TestInitialDistributionFromInstantRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("P(which=2 at 0) = %v, want 0.75", got)
+	if math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("P(which=2 at 0) = %v, want 0.5", got)
 	}
 }

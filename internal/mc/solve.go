@@ -317,38 +317,41 @@ func (c *CTMC) uniOperator(bad []bool, lambda float64) *uniStep {
 	return s
 }
 
+// Iterative solves (SteadyState, Absorption, ExpectedRewardToAbsorption)
+// stop once a sweep changes the iterate by less than solveTol (scaled by
+// 1 + the largest value in the time and reward sweeps) and fail after
+// solveMaxIter sweeps.
+const (
+	solveTol     = 1e-12
+	solveMaxIter = 1_000_000
+)
+
 // SteadyState returns the stationary distribution by power iteration on the
 // uniformized DTMC. It returns an error if the iteration does not converge;
 // for chains with transient states mass settles on the recurrent classes
 // reachable from the initial distribution.
-func (c *CTMC) SteadyState(tol float64, maxIter int) ([]float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 1_000_000
-	}
+func (c *CTMC) SteadyState() ([]float64, error) {
 	v := c.InitialDistribution()
 	op := c.uniOperator(nil, c.uniRate(nil))
 	defer op.stop()
 	next := make([]float64, len(v))
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < solveMaxIter; iter++ {
 		op.apply(v, next)
 		diff := 0.0
 		for i := range v {
 			diff += math.Abs(next[i] - v[i])
 		}
 		v, next = next, v
-		if diff < tol {
+		if diff < solveTol {
 			return v, nil
 		}
 	}
-	return nil, fmt.Errorf("mc: steady state did not converge in %d iterations", maxIter)
+	return nil, fmt.Errorf("mc: steady state did not converge in %d iterations", solveMaxIter)
 }
 
 // SteadyStateReward returns the stationary expectation of f.
-func (c *CTMC) SteadyStateReward(f func(*san.State) float64, tol float64, maxIter int) (float64, error) {
-	p, err := c.SteadyState(tol, maxIter)
+func (c *CTMC) SteadyStateReward(f func(*san.State) float64) (float64, error) {
+	p, err := c.SteadyState()
 	if err != nil {
 		return 0, err
 	}

@@ -41,7 +41,7 @@ func TestSolveValuesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(q)) }, 0, 0)
+	mean, err := c.SteadyStateReward(func(s *san.State) float64 { return float64(s.Get(q)) })
 	if err != nil {
 		t.Fatal(err)
 	}

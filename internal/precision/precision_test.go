@@ -180,7 +180,6 @@ func TestRunValidation(t *testing.T) {
 		{"unknown variable", func(s *Spec) { s.Targets = []Target{{Var: "nope", RelHW: 0.5}} }},
 		{"no precision requested", func(s *Spec) { s.Targets = []Target{{Var: "avail"}} }},
 		{"negative target", func(s *Spec) { s.Targets = []Target{{Var: "avail", RelHW: -1}} }},
-		{"growth <= 1", func(s *Spec) { s.Growth = 1 }},
 		{"max below initial", func(s *Spec) { s.InitialReps = 64; s.MaxReps = 32 }},
 	}
 	for _, c := range cases {
@@ -196,11 +195,11 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestNextBatchSchedule(t *testing.T) {
-	// Growth 2 from 16: cumulative 16, 32, 64, ... capped at 100.
+	// Doubling from 16: cumulative 16, 32, 64, ... capped at 100.
 	var got []int
 	total := 0
 	for total < 100 {
-		n := nextBatch(total, 16, 100, 2)
+		n := nextBatch(total, 16, 100)
 		got = append(got, n)
 		total += n
 	}

@@ -175,6 +175,11 @@ func (s *Stream) Perm(p []int) {
 // call sites that implement "equally likely to fire first" race semantics.
 func (s *Stream) Choose(n int) int { return s.Intn(n) }
 
+// Race returns the index of the winner of a race among n equally weighted
+// contenders: ⌊u·n⌋ for one Float64 draw u, the draw and the result of
+// Category over n equal weights. n must be positive.
+func (s *Stream) Race(n int) int { return int(s.Float64() * float64(n)) }
+
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p

@@ -193,6 +193,33 @@ func TestCategoryPanics(t *testing.T) {
 	}
 }
 
+// TestRaceMatchesEqualCategory pins Race to Category over equal weights:
+// the same draw and the same index.
+func TestRaceMatchesEqualCategory(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 12, 100, 1000, 1<<20 + 3} {
+		ones := make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		a, b := New(uint64(n)), New(uint64(n))
+		for i := 0; i < 2000; i++ {
+			if got, want := a.Race(n), b.Category(ones); got != want {
+				t.Fatalf("n=%d draw %d: Race %d, Category %d", n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams diverged", n)
+		}
+	}
+	// The largest Float64 draw still maps below n, so Race needs no clamp.
+	umax := float64(1<<53-1) / (1 << 53)
+	for n := 1; n <= 1<<16; n++ {
+		if got := int(umax * float64(n)); got != n-1 {
+			t.Fatalf("n=%d: largest draw maps to %d", n, got)
+		}
+	}
+}
+
 func TestBernoulliFrequency(t *testing.T) {
 	s := New(55)
 	const p, draws = 0.3, 100000

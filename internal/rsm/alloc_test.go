@@ -46,7 +46,7 @@ func TestProbeAllocs(t *testing.T) {
 		{"honest", nil, ProbeCorrect, 2},
 		{"collude-f+1", collude, ProbeWrong, 20},
 	} {
-		cl, _ := testCluster(t, 7, tc.behaviors, clusterSpec{})
+		cl, _ := testCluster(t, 7, tc.behaviors)
 		run := func() {
 			if got := cl.Probe(); got != tc.want {
 				t.Fatalf("%s: probe = %v, want %v", tc.name, got, tc.want)

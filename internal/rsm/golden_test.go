@@ -53,8 +53,6 @@ func goldenSpecs() []goldenSpec {
 		{"oracle-2x1-host-exclusion", Spec{Params: hostExcl, T: 6, Reps: 80, Seed: 7}},
 		{"oracle-4x2x7", Spec{Params: wide(), T: 6, Reps: 80, Seed: 7}},
 		{"fig5-10x3x4x7", Spec{Params: fig5, T: 10, Reps: 20, Seed: 3}},
-		{"loss-0.05", Spec{Params: wide(), T: 6, Reps: 40, Seed: 17, LossProb: 0.05, MaxFailureFrac: 1}},
-		{"fair-adversary", Spec{Params: wide(), T: 6, Reps: 40, Seed: 19, FairAdversary: true}},
 		{"random-liar", Spec{Params: wide(), T: 6, Reps: 40, Seed: 23,
 			Behavior: func(_ int, rs *rng.Stream) groupcomm.Behavior {
 				return groupcomm.RandomLiar{Stream: rs, Values: []string{"byz", "v1", "x"}}

@@ -14,7 +14,7 @@ import (
 func TestPartitionDomainPairHealsMidRun(t *testing.T) {
 	const H = 2 // hosts per domain: replicas on hosts 0 and 2 → domains 0 and 1
 	tr := NewTransport(rng.New(101), 1e-6, 0)
-	cl := newCluster(rng.New(202), tr, clusterSpec{})
+	cl := newCluster(rng.New(202), tr, nil)
 	cl.start(0, 0)
 	cl.start(1, 2)
 	if got := cl.Probe(); got != ProbeCorrect {

@@ -64,14 +64,8 @@ func (o ProbeOutcome) String() string {
 	}
 }
 
-// clusterSpec is the slice of Spec the cluster needs.
-type clusterSpec struct {
-	probeAttempts int     // extra retry attempts beyond the rotation minimum
-	probeBatches  int     // transport batches per attempt
-	backoff       float64 // idle time between attempts, hours
-	fairAdversary bool
-	behavior      func(slot int, rs *rng.Stream) groupcomm.Behavior
-}
+// probeBatches bounds the transport batches of one probe attempt.
+const probeBatches = 4096
 
 // cluster is the live replica group of the measured application plus the
 // synthetic client. The fault injector mutates it through hook calls; the
@@ -80,11 +74,11 @@ type clusterSpec struct {
 // Replica slots are 0..RepsPerApp-1, so per-replica state lives in slices
 // indexed by slot and is reused across probes and attempts.
 type cluster struct {
-	rs    *rng.Stream
-	tr    *Transport
-	spec  clusterSpec
-	slots []node // by slot
-	probe uint64
+	rs       *rng.Stream
+	tr       *Transport
+	behavior func(slot int, rs *rng.Stream) groupcomm.Behavior
+	slots    []node // by slot
+	probe    uint64
 
 	// Probe scratch, reused across probes.
 	members []*node // placed replicas in slot order
@@ -100,19 +94,18 @@ type valueCount struct {
 	n     int
 }
 
-func newCluster(rs *rng.Stream, tr *Transport, spec clusterSpec) *cluster {
-	if spec.probeBatches <= 0 {
-		spec.probeBatches = 4096
-	}
-	if spec.behavior == nil {
-		spec.behavior = func(int, *rng.Stream) groupcomm.Behavior {
+// newCluster builds an empty cluster; behavior scripts a corrupted slot
+// (nil: Collude).
+func newCluster(rs *rng.Stream, tr *Transport, behavior func(slot int, rs *rng.Stream) groupcomm.Behavior) *cluster {
+	if behavior == nil {
+		behavior = func(int, *rng.Stream) groupcomm.Behavior {
 			// Collude is the default corruption repertoire: the worst-case
 			// adversary whose live effect matches the model's one-third
 			// failure predicate exactly (see DESIGN.md, "Live validation").
 			return groupcomm.Collude{Value: "byz"}
 		}
 	}
-	return &cluster{rs: rs, tr: tr, spec: spec}
+	return &cluster{rs: rs, tr: tr, behavior: behavior}
 }
 
 // node returns the replica placed at slot id, or nil (the client, or an
@@ -137,7 +130,7 @@ func (c *cluster) start(slot, host int) {
 
 func (c *cluster) corrupt(slot int) {
 	if n := c.node(NodeID(slot)); n != nil {
-		n.behavior = c.spec.behavior(slot, c.rs)
+		n.behavior = c.behavior(slot, c.rs)
 	}
 }
 
@@ -192,7 +185,7 @@ func (c *cluster) Probe() ProbeOutcome {
 		return ProbeUnavailable
 	}
 	f := groupcomm.MaxTolerance(n)
-	attempts := f + 1 + c.spec.probeAttempts
+	attempts := f + 1
 	expected := string(strconv.AppendUint(append(c.wire[:0], 'v'), c.probe, 10))
 	c.values = append(c.values[:0], expected)
 	for at := 0; at < attempts; at++ {
@@ -228,7 +221,7 @@ func (c *cluster) attempt(leader *node, at uint8, expected string, n, f int) (Pr
 
 	// The adversary speaks first: corrupted members inject their script's
 	// messages for the early protocol rounds up front, with the scheduling
-	// privilege (zero latency) unless FairAdversary revokes it.
+	// privilege (zero latency).
 	for _, m := range members {
 		if m.behavior == nil {
 			continue
@@ -237,7 +230,7 @@ func (c *cluster) attempt(leader *node, at uint8, expected string, n, f int) (Pr
 			for _, gm := range m.behavior.Act(m.index, c.group, round, nil) {
 				gm.From = m.index // authenticated channels
 				if int(gm.To) < n && c.encodeGroupMsg(m, gm) {
-					c.tr.Send(NodeID(m.slot), NodeID(members[gm.To].slot), c.wire, !c.spec.fairAdversary)
+					c.tr.Send(NodeID(m.slot), NodeID(members[gm.To].slot), c.wire, true)
 				}
 			}
 		}
@@ -255,7 +248,7 @@ func (c *cluster) attempt(leader *node, at uint8, expected string, n, f int) (Pr
 	// deciding batch is still dispatched (and draws its randomness).
 	threshold := n/2 + 1 // ⌈(n+1)/2⌉
 	certified := -1      // index into c.tally of the value at threshold
-	for batch := 0; batch < c.spec.probeBatches && !c.tr.Quiet(); batch++ {
+	for batch := 0; batch < probeBatches && !c.tr.Quiet(); batch++ {
 		for _, pkt := range c.tr.DeliverBatch() {
 			wv, err := parse(pkt.Payload)
 			if err != nil || wv.Probe != c.probe || wv.Attempt != at {
@@ -376,7 +369,7 @@ func (c *cluster) dispatchByzantine(m *node, wv wireView) {
 	}
 	resp := WireMsg{Kind: KindResponse, Probe: wv.Probe, Attempt: wv.Attempt, From: int32(m.slot), Value: v}
 	c.wire = resp.AppendEncode(c.wire[:0])
-	c.tr.Send(NodeID(m.slot), ClientID, c.wire, !c.spec.fairAdversary)
+	c.tr.Send(NodeID(m.slot), ClientID, c.wire, true) // the adversary's scheduling privilege
 }
 
 // multicast sends a groupcomm message from m to every member, in slot

@@ -9,13 +9,14 @@ import (
 
 // testCluster builds a cluster of n replicas (slot i on host i) and applies
 // behaviors to the given slots. A nil behavior map means all honest.
-func testCluster(t *testing.T, n int, behaviors map[int]groupcomm.Behavior, spec clusterSpec) (*cluster, *Transport) {
+func testCluster(t *testing.T, n int, behaviors map[int]groupcomm.Behavior) (*cluster, *Transport) {
 	t.Helper()
 	tr := NewTransport(rng.New(101), 1e-6, 0)
-	if spec.behavior == nil && behaviors != nil {
-		spec.behavior = func(slot int, _ *rng.Stream) groupcomm.Behavior { return behaviors[slot] }
+	var behavior func(int, *rng.Stream) groupcomm.Behavior
+	if behaviors != nil {
+		behavior = func(slot int, _ *rng.Stream) groupcomm.Behavior { return behaviors[slot] }
 	}
-	cl := newCluster(rng.New(202), tr, spec)
+	cl := newCluster(rng.New(202), tr, behavior)
 	for i := 0; i < n; i++ {
 		cl.start(i, i)
 	}
@@ -27,7 +28,7 @@ func testCluster(t *testing.T, n int, behaviors map[int]groupcomm.Behavior, spec
 
 func TestProbeHonestGroup(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
-		cl, _ := testCluster(t, n, nil, clusterSpec{})
+		cl, _ := testCluster(t, n, nil)
 		if got := cl.Probe(); got != ProbeCorrect {
 			t.Fatalf("n=%d honest: probe = %v", n, got)
 		}
@@ -56,7 +57,7 @@ func TestProbeColludeThreshold(t *testing.T) {
 		for i := 0; i < tc.bad; i++ {
 			behaviors[tc.n-1-i] = groupcomm.Collude{Value: "byz"}
 		}
-		cl, _ := testCluster(t, tc.n, behaviors, clusterSpec{})
+		cl, _ := testCluster(t, tc.n, behaviors)
 		if got := cl.Probe(); got != tc.want {
 			t.Fatalf("n=%d bad=%d: probe = %v, want %v", tc.n, tc.bad, got, tc.want)
 		}
@@ -68,13 +69,13 @@ func TestProbeColludeThreshold(t *testing.T) {
 // unavailable (never wrong).
 func TestProbeSilentMajority(t *testing.T) {
 	behaviors := map[int]groupcomm.Behavior{2: groupcomm.Silent{}, 3: groupcomm.Silent{}}
-	cl, _ := testCluster(t, 4, behaviors, clusterSpec{})
+	cl, _ := testCluster(t, 4, behaviors)
 	// 2 honest of 4: threshold ⌈5/2⌉ = 3 unreachable.
 	if got := cl.Probe(); got != ProbeUnavailable {
 		t.Fatalf("n=4 two silent: probe = %v, want unavailable", got)
 	}
 	behaviors = map[int]groupcomm.Behavior{3: groupcomm.Silent{}}
-	cl, _ = testCluster(t, 4, behaviors, clusterSpec{})
+	cl, _ = testCluster(t, 4, behaviors)
 	// 3 honest of 4 ≥ 3: still available.
 	if got := cl.Probe(); got != ProbeCorrect {
 		t.Fatalf("n=4 one silent: probe = %v, want correct", got)
@@ -85,7 +86,7 @@ func TestProbeSilentMajority(t *testing.T) {
 // honest leader within the bounded retries.
 func TestProbeLeaderRotation(t *testing.T) {
 	behaviors := map[int]groupcomm.Behavior{0: groupcomm.Silent{}}
-	cl, _ := testCluster(t, 4, behaviors, clusterSpec{})
+	cl, _ := testCluster(t, 4, behaviors)
 	if got := cl.Probe(); got != ProbeCorrect {
 		t.Fatalf("silent leader: probe = %v, want correct after rotation", got)
 	}
@@ -97,7 +98,7 @@ func TestProbeLeaderRotation(t *testing.T) {
 // not from running).
 func TestProbeConvictionMasks(t *testing.T) {
 	behaviors := map[int]groupcomm.Behavior{3: groupcomm.Collude{Value: "byz"}, 2: groupcomm.Collude{Value: "byz"}}
-	cl, _ := testCluster(t, 4, behaviors, clusterSpec{})
+	cl, _ := testCluster(t, 4, behaviors)
 	// u = 2 = f+1: forged answer certified.
 	if got := cl.Probe(); got != ProbeWrong {
 		t.Fatalf("before conviction: probe = %v, want wrong", got)
@@ -122,7 +123,7 @@ func TestProbeConvictionMasks(t *testing.T) {
 // A partition that splits the group below its echo quorum makes the probe
 // fail cleanly (bounded, classified) and heal cleanly.
 func TestProbePartition(t *testing.T) {
-	cl, tr := testCluster(t, 4, nil, clusterSpec{})
+	cl, tr := testCluster(t, 4, nil)
 	tr.SetPartition(func(a, b int) bool { return (a < 2) != (b < 2) }) // 2|2 split
 	if got := cl.Probe(); got != ProbeUnavailable {
 		t.Fatalf("partitioned: probe = %v, want unavailable", got)
@@ -136,7 +137,7 @@ func TestProbePartition(t *testing.T) {
 // Heavy loss degrades to unavailability, never to a hang or a wrong answer.
 func TestProbeHeavyLoss(t *testing.T) {
 	tr := NewTransport(rng.New(7), 1e-6, 0.95)
-	cl := newCluster(rng.New(8), tr, clusterSpec{})
+	cl := newCluster(rng.New(8), tr, nil)
 	for i := 0; i < 4; i++ {
 		cl.start(i, i)
 	}
@@ -144,16 +145,5 @@ func TestProbeHeavyLoss(t *testing.T) {
 		if got := cl.Probe(); got == ProbeWrong {
 			t.Fatalf("loss produced a wrong answer on probe %d", i)
 		}
-	}
-}
-
-// The FairAdversary mode revokes the colluders' scheduling privilege; at
-// the threshold they still win (READY amplification needs no scheduling
-// luck), which pins down that the attack is quorum arithmetic, not timing.
-func TestProbeFairAdversaryStillForges(t *testing.T) {
-	behaviors := map[int]groupcomm.Behavior{2: groupcomm.Collude{Value: "byz"}, 3: groupcomm.Collude{Value: "byz"}}
-	cl, _ := testCluster(t, 4, behaviors, clusterSpec{fairAdversary: true})
-	if got := cl.Probe(); got != ProbeWrong {
-		t.Fatalf("fair adversary at u=f+1: probe = %v, want wrong", got)
 	}
 }

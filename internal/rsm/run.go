@@ -30,7 +30,16 @@ import (
 	"ituaval/internal/stats"
 )
 
-// Spec configures one live-validation run.
+// meanLatency is the mean one-way transport latency in hours. The
+// transport clock is decoupled from the model clock: probes are
+// instantaneous in model time.
+const meanLatency = 1e-6
+
+// Spec configures one live-validation run. The transport is reliable
+// (replica-to-replica loss would make the live service strictly weaker
+// than the model's reliable-channel assumption) and the adversary keeps
+// its worst-case scheduling privilege, as the model's failure predicate
+// assumes.
 type Spec struct {
 	// Params is the ITUA configuration (topology, rates, policy).
 	Params core.Params
@@ -56,24 +65,6 @@ type Spec struct {
 	// before the whole run errors out (default 0.05).
 	MaxFailureFrac float64
 
-	// ProbeAttempts adds retry attempts on top of the guaranteed-rotation
-	// minimum of f+1 per probe.
-	ProbeAttempts int
-	// ProbeBatches bounds transport batches per attempt (default 4096).
-	ProbeBatches int
-	// LatencyMean is the mean one-way transport latency in hours (default
-	// 1e-6; the transport clock is decoupled from the model clock, probes
-	// are instantaneous in model time).
-	LatencyMean float64
-	// LossProb drops each replica-to-replica packet independently. Nonzero
-	// loss makes the live service strictly weaker than the model's
-	// reliable-channel assumption; use it for robustness testing, not
-	// validation.
-	LossProb float64
-	// FairAdversary revokes the adversary's worst-case scheduling
-	// privilege (zero-latency delivery). Validation runs leave it false:
-	// the model's failure predicate assumes the worst case.
-	FairAdversary bool
 	// Behavior maps a corrupted replica slot to its Byzantine script
 	// (default: groupcomm.Collude, the worst-case adversary whose live
 	// effect coincides with the model's one-third predicate). Weaker
@@ -103,12 +94,6 @@ func (s *Spec) fill() {
 	}
 	if s.MaxFailureFrac <= 0 {
 		s.MaxFailureFrac = 0.05
-	}
-	if s.ProbeBatches <= 0 {
-		s.ProbeBatches = 4096
-	}
-	if s.LatencyMean <= 0 {
-		s.LatencyMean = 1e-6
 	}
 }
 
@@ -245,13 +230,8 @@ func runRep(ctx context.Context, spec Spec, rep int, stream *rng.Stream) (out re
 	}()
 	start := time.Now()
 
-	tr := NewTransport(stream.RoleNamed("transport"), spec.LatencyMean, spec.LossProb)
-	cl := newCluster(stream.RoleNamed("cluster"), tr, clusterSpec{
-		probeAttempts: spec.ProbeAttempts,
-		probeBatches:  spec.ProbeBatches,
-		fairAdversary: spec.FairAdversary,
-		behavior:      spec.Behavior,
-	})
+	tr := NewTransport(stream.RoleNamed("transport"), meanLatency, 0)
+	cl := newCluster(stream.RoleNamed("cluster"), tr, spec.Behavior)
 	proc, err := inject.New(spec.Params, stream.RoleNamed("inject"), inject.Hooks{
 		StartReplica: func(a, slot, host int) {
 			if a == 0 {

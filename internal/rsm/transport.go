@@ -194,8 +194,8 @@ func (t *Transport) reachable(from, to NodeID) bool {
 // Send queues a copy of payload; the caller may reuse its buffer as soon as
 // Send returns. urgent packets are delivered at the current virtual time
 // ahead of any latency-delayed traffic — the adversary's scheduling
-// privilege under the worst-case network assumption (see Spec.FairAdversary
-// for the alternative). Loss applies only to replica-to-replica packets.
+// privilege under the worst-case network assumption. Loss applies only to
+// replica-to-replica packets.
 func (t *Transport) Send(from, to NodeID, payload []byte, urgent bool) {
 	t.Sent++
 	if !t.reachable(from, to) {

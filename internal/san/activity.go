@@ -17,27 +17,6 @@ const (
 	Instant
 )
 
-// Reactivation controls what happens to an already-scheduled timed activity
-// when a marking change leaves it enabled but alters its firing
-// distribution.
-type Reactivation int
-
-const (
-	// ReactivateOnChange resamples the firing time whenever the
-	// distribution (e.g. an exponential's marking-dependent rate) changes.
-	// For exponential distributions this is exact thanks to memorylessness
-	// and is the behaviour the paper's model relies on ("the rate of
-	// attack_host increases linearly with the markings of ..."). This is
-	// the default.
-	ReactivateOnChange Reactivation = iota
-	// ReactivateNever keeps the originally sampled completion time for as
-	// long as the activity remains continuously enabled.
-	ReactivateNever
-	// ReactivateAlways resamples whenever any place in the activity's
-	// dependency list changes, even if the distribution is unchanged.
-	ReactivateAlways
-)
-
 // Case is one probabilistic outcome of an activity's completion, the SAN
 // equivalent of a case arc feeding an output gate. Effect runs the output
 // gate: it may read and write the state and (in simulation) use ctx.Rand.
@@ -45,7 +24,7 @@ type Case struct {
 	// Name is optional, for diagnostics and DOT export.
 	Name string
 	// Prob is the static probability weight of this case (need not be
-	// normalized). Ignored if the activity has a CaseWeights function.
+	// normalized).
 	Prob float64
 	// Effect applies the case's output gate. nil means "no state change".
 	Effect func(ctx *Context)
@@ -64,29 +43,19 @@ type ActivityDef struct {
 	// Enabled is the conjunction of the activity's input-gate predicates.
 	// Required: an activity with no predicate would never stop firing.
 	Enabled func(s *State) bool
-	// Reads lists every place that Enabled, Dist, or CaseWeights may read.
+	// Reads lists every place that Enabled or Dist may read.
 	// The engine re-evaluates the activity only when one of these places
 	// changes; an omitted dependency is a modeling bug that the engine's
 	// validation mode detects by read tracing.
 	Reads []*Place
-	// Input applies the input-gate marking changes at completion, before
-	// the case effect. Optional.
-	Input func(ctx *Context)
 	// Cases are the activity's probabilistic outcomes. At least one is
 	// required; a single case with Prob 1 models a deterministic outcome.
 	Cases []Case
-	// CaseWeights, if non-nil, computes marking-dependent case weights
-	// (same length as Cases), overriding the static Prob fields.
-	CaseWeights func(s *State) []float64
 	// Priority orders instantaneous activities: all enabled activities of
-	// the highest priority fire before lower ones. Ignored for Timed.
+	// the highest priority fire before lower ones, and those of equal
+	// priority race with equal weight ("all of the copies are equally
+	// likely to fire first"). Ignored for Timed.
 	Priority int
-	// Weight is the race weight among enabled instantaneous activities of
-	// equal priority ("equally likely to fire first" when weights are
-	// equal). Zero means 1. Ignored for Timed.
-	Weight float64
-	// Reactivation selects the resampling policy for Timed activities.
-	Reactivation Reactivation
 }
 
 // Activity is a finalized activity. Fields are read-only after
@@ -95,10 +64,10 @@ type Activity struct {
 	def   ActivityDef
 	id    int
 	model *Model
-	// staticW caches the static case weights (the Prob fields) when the
-	// activity has no CaseWeights function; built once by Finalize so the
-	// per-firing case choice allocates nothing. Never mutated afterwards.
-	staticW []float64
+	// caseW holds the case weights (the Prob fields), built once by
+	// Finalize so the per-firing case choice allocates nothing. Never
+	// mutated afterwards.
+	caseW []float64
 }
 
 // Name returns the activity name.
@@ -113,17 +82,6 @@ func (a *Activity) Kind() Kind { return a.def.Kind }
 // Priority returns the instantaneous priority.
 func (a *Activity) Priority() int { return a.def.Priority }
 
-// Weight returns the race weight (defaulted to 1).
-func (a *Activity) Weight() float64 {
-	if a.def.Weight == 0 {
-		return 1
-	}
-	return a.def.Weight
-}
-
-// ReactivationPolicy returns the resampling policy.
-func (a *Activity) ReactivationPolicy() Reactivation { return a.def.Reactivation }
-
 // Enabled reports whether the activity is enabled in s.
 func (a *Activity) Enabled(s *State) bool { return a.def.Enabled(s) }
 
@@ -133,37 +91,21 @@ func (a *Activity) Dist(s *State) rng.Dist { return a.def.Dist(s) }
 // Cases returns the case list.
 func (a *Activity) Cases() []Case { return a.def.Cases }
 
-// CaseWeightsIn returns the case weights in state s (marking-dependent if a
-// CaseWeights function was given, else the static Prob values). The static
-// slice is shared across calls; callers must not modify it.
-func (a *Activity) CaseWeightsIn(s *State) []float64 {
-	if a.def.CaseWeights != nil {
-		return a.def.CaseWeights(s)
-	}
-	if a.staticW != nil {
-		return a.staticW
-	}
-	w := make([]float64, len(a.def.Cases))
-	for i, c := range a.def.Cases {
-		w[i] = c.Prob
-	}
-	return w
-}
+// CaseWeights returns the static case weights, the Prob values in case
+// order. The slice is shared across calls; callers must not modify it.
+func (a *Activity) CaseWeights() []float64 { return a.caseW }
 
-// ChooseCase samples a case index according to the current weights.
+// ChooseCase samples a case index according to the case weights.
 func (a *Activity) ChooseCase(ctx *Context) int {
 	if len(a.def.Cases) == 1 {
 		return 0
 	}
-	return ctx.Rand.Category(a.CaseWeightsIn(ctx.State))
+	return ctx.Rand.Category(a.caseW)
 }
 
 // Fire completes the activity in ctx with the chosen case: it applies the
-// input-gate function and then the case's output-gate effect.
+// case's output-gate effect.
 func (a *Activity) Fire(ctx *Context, caseIdx int) {
-	if a.def.Input != nil {
-		a.def.Input(ctx)
-	}
 	if eff := a.def.Cases[caseIdx].Effect; eff != nil {
 		eff(ctx)
 	}

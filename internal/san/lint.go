@@ -64,43 +64,23 @@ func (f LintFinding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Class, f.Subject, f.Detail)
 }
 
-// LintOptions tunes the probe budgets of Model.Lint. Zero values select
-// defaults sized so that linting a full ITUA study model takes well under a
-// second.
-type LintOptions struct {
-	// Probes is the number of arbitrary ("wild") markings sampled per place
-	// cap to test predicate satisfiability. Default 256.
-	Probes int
-	// Walks is the number of random firing walks taken from the initial
-	// configuration to approximate the reachable marking set. Default 64.
-	Walks int
-	// WalkLen is the number of firings per walk. Default 256.
-	WalkLen int
-	// MaxMarking caps wild-probe values for places without a declared
-	// Bound. Default 8.
-	MaxMarking Marking
-	// Seed drives all probe randomness; Lint is deterministic for a given
-	// seed. Default 1.
-	Seed uint64
-}
-
-func (o *LintOptions) fill() {
-	if o.Probes <= 0 {
-		o.Probes = 256
-	}
-	if o.Walks <= 0 {
-		o.Walks = 64
-	}
-	if o.WalkLen <= 0 {
-		o.WalkLen = 256
-	}
-	if o.MaxMarking <= 0 {
-		o.MaxMarking = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+// Probe budgets of Model.Lint, sized so that linting a full ITUA study
+// model takes well under a second.
+const (
+	// lintProbes is the number of arbitrary ("wild") markings sampled to
+	// test predicate satisfiability.
+	lintProbes = 256
+	// lintWalks is the number of random firing walks taken from the
+	// initial configuration to approximate the reachable marking set.
+	lintWalks = 64
+	// lintWalkLen is the number of firings per walk.
+	lintWalkLen = 256
+	// lintMaxMarking caps wild-probe values for places without a declared
+	// Bound.
+	lintMaxMarking Marking = 8
+	// lintSeed drives all probe randomness, so Lint is deterministic.
+	lintSeed = 1
+)
 
 // Lint statically checks a finalized model for structural defects that
 // Finalize's local validation cannot see: case-probability sums, activities
@@ -116,20 +96,18 @@ func (o *LintOptions) fill() {
 // therefore not a proof, but every finding points at a concrete marking or
 // activity, and on the ITUA models the walks cover the full activity set.
 // Findings are reported in deterministic order.
-func (m *Model) Lint(opts LintOptions) []LintFinding {
+func (m *Model) Lint() []LintFinding {
 	if !m.finalized {
 		panic("san: Lint before Finalize")
 	}
-	opts.fill()
 	var findings []LintFinding
 
 	// Static case-probability sums. Finalize only requires a positive
 	// total (the sampler normalizes); the lint contract is stricter: static
-	// case probabilities are probabilities and must sum to 1. Activities
-	// with marking-dependent CaseWeights are exempt.
+	// case probabilities are probabilities and must sum to 1.
 	for _, a := range m.acts {
 		d := &a.def
-		if d.CaseWeights != nil || len(d.Cases) < 2 {
+		if len(d.Cases) < 2 {
 			continue
 		}
 		total := 0.0
@@ -145,7 +123,7 @@ func (m *Model) Lint(opts LintOptions) []LintFinding {
 		}
 	}
 
-	pr := newProber(m, opts)
+	pr := newProber(m)
 	pr.probeWild()
 	pr.walk()
 	pr.fireAllCases()
@@ -157,7 +135,7 @@ func (m *Model) Lint(opts LintOptions) []LintFinding {
 				Class:   LintNeverEnabled,
 				Subject: a.def.Name,
 				Detail: fmt.Sprintf("enabling predicate false on all %d probed markings and %d walk states",
-					opts.Probes, pr.walkStates),
+					lintProbes, pr.walkStates),
 			})
 		case !pr.enabledReach[a.id]:
 			findings = append(findings, LintFinding{
@@ -211,9 +189,8 @@ func (m *Model) Lint(opts LintOptions) []LintFinding {
 
 // prober holds the dynamic-analysis scratch state for one Lint call.
 type prober struct {
-	m    *Model
-	opts LintOptions
-	rnd  *rng.Stream
+	m   *Model
+	rnd *rng.Stream
 
 	caps []Marking // per-place wild-probe cap
 
@@ -229,11 +206,10 @@ type prober struct {
 	wild []*State // sampled arbitrary markings (kept for fireAllCases)
 }
 
-func newProber(m *Model, opts LintOptions) *prober {
+func newProber(m *Model) *prober {
 	pr := &prober{
 		m:            m,
-		opts:         opts,
-		rnd:          rng.New(opts.Seed),
+		rnd:          rng.New(lintSeed),
 		caps:         make([]Marking, len(m.places)),
 		enabledWild:  make([]bool, len(m.acts)),
 		enabledReach: make([]bool, len(m.acts)),
@@ -247,7 +223,7 @@ func newProber(m *Model, opts LintOptions) *prober {
 		pr.caseFired[a.id] = make([]int, len(a.def.Cases))
 	}
 	for _, p := range m.places {
-		hi := opts.MaxMarking
+		hi := lintMaxMarking
 		if b, ok := m.bounds[p.index]; ok {
 			hi = b
 		}
@@ -295,7 +271,7 @@ func safeFire(a *Activity, ctx *Context, ci int) (ok bool) {
 func (pr *prober) probeWild() {
 	base := pr.baseState(pr.rnd.Derive(0))
 	pr.recordEnabled(base, pr.enabledWild)
-	for k := 0; k < pr.opts.Probes; k++ {
+	for k := 0; k < lintProbes; k++ {
 		s := pr.m.NewState()
 		for _, p := range pr.m.places {
 			s.m[p.index] = Marking(pr.rnd.Intn(int(pr.caps[p.index]) + 1))
@@ -338,11 +314,11 @@ func (pr *prober) recordEnabled(s *State, into []bool) {
 // the initial configuration, respecting the engine's semantics that enabled
 // instantaneous activities (at the highest priority) preempt timed ones.
 func (pr *prober) walk() {
-	for w := 0; w < pr.opts.Walks; w++ {
+	for w := 0; w < lintWalks; w++ {
 		s := pr.baseState(pr.rnd.Derive(uint64(w) + 1))
 		snap := pr.m.NewState()
 		fireStream := pr.rnd.Derive(uint64(w) + 1).Role(1)
-		for step := 0; step < pr.opts.WalkLen; step++ {
+		for step := 0; step < lintWalkLen; step++ {
 			pr.walkStates++
 			pr.checkBounds(s)
 			cands := pr.enabledCandidates(s)
@@ -353,7 +329,7 @@ func (pr *prober) walk() {
 			snap.CopyFrom(s)
 			s.ResetDirty()
 			s.StartTrace()
-			ci := pr.pickCase(a, s, fireStream)
+			ci := pr.pickCase(a, fireStream)
 			pr.fired[a.id]++
 			pr.caseFired[a.id][ci]++
 			ok := safeFire(a, &Context{State: s, Rand: fireStream, Now: float64(step)}, ci)
@@ -424,7 +400,7 @@ func (pr *prober) pickActivity(cands []*Activity) *Activity {
 
 // pickCase chooses a case of a, preferring cases no walk has taken yet and
 // falling back to probability-weighted sampling.
-func (pr *prober) pickCase(a *Activity, s *State, stream *rng.Stream) int {
+func (pr *prober) pickCase(a *Activity, stream *rng.Stream) int {
 	if len(a.def.Cases) > 1 {
 		var fresh []int
 		for ci, n := range pr.caseFired[a.id] {
@@ -436,12 +412,13 @@ func (pr *prober) pickCase(a *Activity, s *State, stream *rng.Stream) int {
 			return fresh[pr.rnd.Intn(len(fresh))]
 		}
 	}
-	return pr.safeChooseCase(a, s, stream)
+	return pr.safeChooseCase(a, stream)
 }
 
-// safeChooseCase picks a case index, falling back to case 0 if the
-// marking-dependent weights panic or are degenerate on a probe state.
-func (pr *prober) safeChooseCase(a *Activity, s *State, stream *rng.Stream) (ci int) {
+// safeChooseCase picks a case index, falling back to case 0 if the case
+// weights are degenerate (a NaN probability passes Finalize), so the lint
+// still reports the case-probability sum instead of panicking.
+func (pr *prober) safeChooseCase(a *Activity, stream *rng.Stream) (ci int) {
 	defer func() {
 		if recover() != nil {
 			ci = 0
@@ -450,7 +427,7 @@ func (pr *prober) safeChooseCase(a *Activity, s *State, stream *rng.Stream) (ci 
 	if len(a.def.Cases) == 1 {
 		return 0
 	}
-	return stream.Category(a.CaseWeightsIn(s))
+	return stream.Category(a.caseW)
 }
 
 func (pr *prober) checkBounds(s *State) {

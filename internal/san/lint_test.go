@@ -51,7 +51,7 @@ func TestLintCleanModel(t *testing.T) {
 		m.Bound(dst, 1)
 		m.Bound(src, 1)
 	})
-	if fs := m.Lint(LintOptions{}); len(fs) != 0 {
+	if fs := m.Lint(); len(fs) != 0 {
 		t.Fatalf("clean model produced findings: %v", fs)
 	}
 }
@@ -68,7 +68,7 @@ func TestLintCaseProbSum(t *testing.T) {
 			Cases:   []Case{{Prob: 0.5}, {Prob: 0.6}},
 		})
 	})
-	fs := findingsOf(m.Lint(LintOptions{}), LintCaseProb)
+	fs := findingsOf(m.Lint(), LintCaseProb)
 	if len(fs) != 1 || fs[0].Subject != "skew" {
 		t.Fatalf("findings = %v", fs)
 	}
@@ -85,7 +85,7 @@ func TestLintNeverEnabled(t *testing.T) {
 			Cases:   []Case{{Prob: 1}},
 		})
 	})
-	fs := findingsOf(m.Lint(LintOptions{}), LintNeverEnabled)
+	fs := findingsOf(m.Lint(), LintNeverEnabled)
 	if len(fs) != 1 || fs[0].Subject != "impossible" {
 		t.Fatalf("findings = %v", fs)
 	}
@@ -104,11 +104,11 @@ func TestLintUnreachable(t *testing.T) {
 			Cases:   []Case{{Prob: 1}},
 		})
 	})
-	fs := findingsOf(m.Lint(LintOptions{}), LintUnreachable)
+	fs := findingsOf(m.Lint(), LintUnreachable)
 	if len(fs) != 1 || fs[0].Subject != "boom" {
 		t.Fatalf("findings = %v", fs)
 	}
-	if ne := findingsOf(m.Lint(LintOptions{}), LintNeverEnabled); len(ne) != 0 {
+	if ne := findingsOf(m.Lint(), LintNeverEnabled); len(ne) != 0 {
 		t.Fatalf("boom misclassified as never-enabled: %v", ne)
 	}
 }
@@ -117,7 +117,7 @@ func TestLintOrphanAndNeverRead(t *testing.T) {
 	m := chain(t, 1, func(m *Model, src, dst *Place) {
 		m.Place("lonely", 1) // touched by nothing
 	})
-	fs := m.Lint(LintOptions{})
+	fs := m.Lint()
 	if o := findingsOf(fs, LintOrphanPlace); len(o) != 1 || o[0].Subject != "lonely" {
 		t.Fatalf("orphan findings = %v", o)
 	}
@@ -131,7 +131,7 @@ func TestLintObserveSuppressesNeverRead(t *testing.T) {
 	m := chain(t, 1, func(m *Model, src, dst *Place) {
 		m.Observe(dst)
 	})
-	if nr := findingsOf(m.Lint(LintOptions{}), LintNeverRead); len(nr) != 0 {
+	if nr := findingsOf(m.Lint(), LintNeverRead); len(nr) != 0 {
 		t.Fatalf("Observe did not suppress never-read: %v", nr)
 	}
 }
@@ -141,7 +141,7 @@ func TestLintBoundExceeded(t *testing.T) {
 		m.Observe(dst)
 		m.Bound(dst, 1) // three tokens flow into dst during walks
 	})
-	fs := findingsOf(m.Lint(LintOptions{}), LintBoundExceeded)
+	fs := findingsOf(m.Lint(), LintBoundExceeded)
 	if len(fs) != 1 || fs[0].Subject != "dst" {
 		t.Fatalf("findings = %v", fs)
 	}
@@ -152,7 +152,7 @@ func TestLintBoundBelowInitial(t *testing.T) {
 		m.Observe(dst)
 		m.Bound(src, 0)
 	})
-	fs := findingsOf(m.Lint(LintOptions{}), LintBoundExceeded)
+	fs := findingsOf(m.Lint(), LintBoundExceeded)
 	if len(fs) != 1 || fs[0].Subject != "src" {
 		t.Fatalf("findings = %v", fs)
 	}
@@ -174,7 +174,7 @@ func TestLintSurvivesPanickyPredicate(t *testing.T) {
 			}}},
 		})
 	})
-	fs := m.Lint(LintOptions{})
+	fs := m.Lint()
 	for _, f := range fs {
 		if f.Class == LintNeverEnabled && f.Subject == "indexed" {
 			t.Fatalf("panicky predicate misreported: %v", f)
@@ -189,8 +189,8 @@ func TestLintDeterministic(t *testing.T) {
 			m.Bound(dst, 1)
 		})
 	}
-	a := build().Lint(LintOptions{Seed: 42})
-	b := build().Lint(LintOptions{Seed: 42})
+	a := build().Lint()
+	b := build().Lint()
 	if len(a) != len(b) {
 		t.Fatalf("non-deterministic lint: %v vs %v", a, b)
 	}
@@ -208,5 +208,5 @@ func TestLintBeforeFinalizePanics(t *testing.T) {
 			t.Fatal("Lint before Finalize did not panic")
 		}
 	}()
-	m.Lint(LintOptions{})
+	m.Lint()
 }

@@ -153,7 +153,7 @@ func (m *Model) Finalize() error {
 		if len(d.Cases) == 0 {
 			errs = append(errs, fmt.Errorf("activity %q has no cases", d.Name))
 		}
-		if d.CaseWeights == nil && len(d.Cases) > 1 {
+		if len(d.Cases) > 1 {
 			total := 0.0
 			for _, c := range d.Cases {
 				if c.Prob < 0 {
@@ -177,9 +177,6 @@ func (m *Model) Finalize() error {
 				errs = append(errs, fmt.Errorf("activity %q reads place %q from another model", d.Name, p.name))
 			}
 		}
-		if d.Weight < 0 {
-			errs = append(errs, fmt.Errorf("activity %q has negative weight", d.Name))
-		}
 	}
 	if len(errs) > 0 {
 		return errors.Join(errs...)
@@ -196,12 +193,9 @@ func (m *Model) Finalize() error {
 		if a.def.Kind == Instant {
 			m.instants = append(m.instants, a)
 		}
-		if a.def.CaseWeights == nil {
-			w := make([]float64, len(a.def.Cases))
-			for i, c := range a.def.Cases {
-				w[i] = c.Prob
-			}
-			a.staticW = w
+		a.caseW = make([]float64, len(a.def.Cases))
+		for i, c := range a.def.Cases {
+			a.caseW[i] = c.Prob
 		}
 	}
 	m.finalized = true

@@ -2,8 +2,8 @@
 // formalism of Sanders and Meyer used by the Möbius tool: places holding
 // non-negative integer markings, timed activities with (possibly
 // marking-dependent) firing-time distributions, instantaneous activities
-// with priorities and race weights, probabilistic cases, and input/output
-// gates expressed as Go predicates and effect functions.
+// with priorities and uniform races, cases with static probabilities,
+// enabling predicates, and output gates expressed as Go effect functions.
 //
 // The package also provides Möbius-style composed models: atomic submodels
 // are instantiated inside Scopes that control which places are shared

@@ -154,12 +154,9 @@ func (r *Resolver) settle(depth int, s *State, prob float64, mult int) error {
 	if len(enabled) == 0 {
 		return r.visit(s, prob, mult)
 	}
-	totalW := 0.0
+	race := 1 / float64(len(enabled))
 	for _, a := range enabled {
-		totalW += a.Weight()
-	}
-	for _, a := range enabled {
-		weights := a.CaseWeightsIn(s)
+		weights := a.CaseWeights()
 		totalCW := 0.0
 		for _, w := range weights {
 			totalCW += w
@@ -171,7 +168,7 @@ func (r *Resolver) settle(depth int, s *State, prob float64, mult int) error {
 			if weights[ci] == 0 {
 				continue
 			}
-			p := prob * (a.Weight() / totalW) * (weights[ci] / totalCW)
+			p := prob * race * (weights[ci] / totalCW)
 			if err := r.fire(depth+1, s, a, ci, nil, p, mult); err != nil {
 				return err
 			}
@@ -192,7 +189,7 @@ type Successor struct {
 // EnumerateStable explores every resolution of the instantaneous
 // activities from the marking in s and returns the distribution over
 // stable markings, sorted by marking key so the order is reproducible.
-// The probability of each branch combines the race weights with the case
+// The probability of each branch combines the uniform race with the case
 // weights; in-effect enumerable choices branch exhaustively (a folded
 // Permute branch adds its probability once per full permutation it
 // stands for), and any direct ctx.Rand draw panics (the caller reports

@@ -245,21 +245,6 @@ func TestFinalizeRejectsNilReadPlace(t *testing.T) {
 	}
 }
 
-func TestFinalizeRejectsNegativeWeight(t *testing.T) {
-	m := NewModel("bad")
-	p := m.Place("p", 0)
-	m.AddActivity(ActivityDef{
-		Name: "a", Kind: Instant,
-		Enabled: func(*State) bool { return false },
-		Reads:   []*Place{p},
-		Cases:   []Case{{Prob: 1}},
-		Weight:  -1,
-	})
-	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "negative weight") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestFinalizeTwiceErrors(t *testing.T) {
 	m, _, _ := buildSimple(t)
 	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "already finalized") {
@@ -302,29 +287,6 @@ func TestDependencyIndex(t *testing.T) {
 	}
 	if got := m.Dependents(p2.Index()); len(got) != 0 {
 		t.Fatalf("Dependents(p2) = %v", got)
-	}
-}
-
-func TestCaseWeightsMarkingDependent(t *testing.T) {
-	m := NewModel("cw")
-	p := m.Place("p", 2)
-	a := m.AddActivity(ActivityDef{
-		Name: "a", Kind: Timed,
-		Dist:    func(*State) rng.Dist { return rng.Expo(1) },
-		Enabled: func(s *State) bool { return s.Get(p) > 0 },
-		Reads:   []*Place{p},
-		Cases:   []Case{{Name: "x"}, {Name: "y"}},
-		CaseWeights: func(s *State) []float64 {
-			return []float64{float64(s.Get(p)), 1}
-		},
-	})
-	if err := m.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	s := m.NewState()
-	w := a.CaseWeightsIn(s)
-	if w[0] != 2 || w[1] != 1 {
-		t.Fatalf("weights = %v", w)
 	}
 }
 

@@ -16,9 +16,8 @@ var ErrUnstable = errors.New("san: instantaneous activities did not stabilize (s
 
 // Stabilize fires enabled instantaneous activities until none remains
 // enabled, implementing the SAN race semantics: among the enabled
-// instantaneous activities of the highest priority, one is chosen with
-// probability proportional to its weight ("all of the copies are equally
-// likely to fire first" in the paper's model, where weights are equal).
+// instantaneous activities of the highest priority, one is chosen
+// uniformly ("all of the copies are equally likely to fire first").
 // Returns the number of firings.
 func Stabilize(m *Model, ctx *Context) (int, error) {
 	fired := 0
@@ -27,15 +26,9 @@ func Stabilize(m *Model, ctx *Context) (int, error) {
 		if len(enabled) == 0 {
 			return fired, nil
 		}
-		var a *Activity
-		if len(enabled) == 1 {
-			a = enabled[0]
-		} else {
-			weights := make([]float64, len(enabled))
-			for i, e := range enabled {
-				weights[i] = e.Weight()
-			}
-			a = enabled[ctx.Rand.Category(weights)]
+		a := enabled[0]
+		if len(enabled) > 1 {
+			a = enabled[ctx.Rand.Race(len(enabled))]
 		}
 		a.Fire(ctx, a.ChooseCase(ctx))
 		fired++

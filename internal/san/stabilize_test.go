@@ -10,19 +10,15 @@ import (
 
 // buildRace creates a model where n instantaneous activities race to claim
 // a single token; winner i sets winner=i+1.
-func buildRace(t *testing.T, n int, weights []float64) (*Model, *Place) {
+func buildRace(t *testing.T, n int) (*Model, *Place) {
 	t.Helper()
 	m := NewModel("race")
 	token := m.Place("token", 1)
 	winner := m.Place("winner", 0)
 	for i := 0; i < n; i++ {
 		i := i
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
 		m.AddActivity(ActivityDef{
-			Name: "claim" + string(rune('a'+i)), Kind: Instant, Weight: w,
+			Name: "claim" + string(rune('a'+i)), Kind: Instant,
 			Enabled: func(s *State) bool { return s.Get(token) > 0 },
 			Reads:   []*Place{token},
 			Cases: []Case{{Prob: 1, Effect: func(ctx *Context) {
@@ -38,7 +34,7 @@ func buildRace(t *testing.T, n int, weights []float64) (*Model, *Place) {
 }
 
 func TestStabilizeUniformRace(t *testing.T) {
-	m, winner := buildRace(t, 4, nil)
+	m, winner := buildRace(t, 4)
 	counts := [5]int{}
 	const n = 40000
 	root := rng.New(101)
@@ -59,24 +55,6 @@ func TestStabilizeUniformRace(t *testing.T) {
 		if math.Abs(got-0.25) > 0.02 {
 			t.Fatalf("activity %d won fraction %v, want ~0.25", i, got)
 		}
-	}
-}
-
-func TestStabilizeWeightedRace(t *testing.T) {
-	m, winner := buildRace(t, 2, []float64{3, 1})
-	counts := [3]int{}
-	const n = 40000
-	root := rng.New(55)
-	for i := 0; i < n; i++ {
-		s := m.NewState()
-		if _, err := Stabilize(m, &Context{State: s, Rand: root.Derive(uint64(i))}); err != nil {
-			t.Fatal(err)
-		}
-		counts[s.Get(winner)]++
-	}
-	got := float64(counts[1]) / n
-	if math.Abs(got-0.75) > 0.02 {
-		t.Fatalf("weighted race: first activity won %v, want ~0.75", got)
 	}
 }
 

@@ -192,9 +192,9 @@ type Run struct {
 	MaxReps int `json:"maxReps,omitempty"`
 }
 
-// maxScenarioBytes bounds the accepted input size: scenario files are a few
-// KB; anything larger is rejected before JSON work begins.
-const maxScenarioBytes = 1 << 20
+// MaxBytes bounds the accepted input size: scenario files are a few KB;
+// anything larger is rejected before JSON work begins.
+const MaxBytes = 1 << 20
 
 // Parse decodes a scenario from JSON or from the YAML subset (the format is
 // sniffed: input whose first significant byte is '{' is JSON). Decoding is
@@ -202,8 +202,8 @@ const maxScenarioBytes = 1 << 20
 // errors — and the result is validated structurally; grid-level checks
 // (parameter bounds per point, seed collisions) run in Compile.
 func Parse(data []byte) (*Scenario, error) {
-	if len(data) > maxScenarioBytes {
-		return nil, fmt.Errorf("scenario: input exceeds %d bytes", maxScenarioBytes)
+	if len(data) > MaxBytes {
+		return nil, fmt.Errorf("scenario: input exceeds %d bytes", MaxBytes)
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) == 0 {

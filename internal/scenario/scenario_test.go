@@ -30,7 +30,7 @@ func lintCorners(t *testing.T, name string, c *Compiled) []san.LintFinding {
 			t.Errorf("%s: lint %s: %v", name, pt.Label, err)
 			continue
 		}
-		findings = append(findings, m.SAN.Lint(san.LintOptions{})...)
+		findings = append(findings, m.SAN.Lint()...)
 	}
 	return findings
 }
@@ -147,7 +147,7 @@ func TestParseRejects(t *testing.T) {
 		"enum x axis":     `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"sweep":{"x":{"param":"policy","strings":["host-exclusion"]}}}`,
 		"yaml nan rate":   "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\n  totalAttackRate: .nan\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
 		"yaml dup key":    "name: x\nname: y\n",
-		"oversized input": `{"name":"` + strings.Repeat("a", maxScenarioBytes) + `"}`,
+		"oversized input": `{"name":"` + strings.Repeat("a", MaxBytes) + `"}`,
 	}
 	for label, in := range cases {
 		sc, err := Parse([]byte(in))

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
+	"ituaval/internal/scenario"
 	"ituaval/internal/study"
 )
 
@@ -89,10 +92,17 @@ func (s *Server) statusOf(j *job) jobStatus {
 	}
 }
 
+// handleSubmit admits a scenario. A body over scenario.MaxBytes is
+// answered 413; any other failure to read it, 400.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scenario.MaxBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("reading request body: %w", err))
 		return
 	}
 	j, id, cached, err := s.admit(body)
@@ -246,10 +256,12 @@ func writeStreamHeader(w http.ResponseWriter, sse bool) {
 
 // writeStreamEvent frames one event. SSE frames carry the event's type in
 // the SSE event field (parsed cheaply from the payload, which always
-// starts {"type":"...").
+// starts {"type":"..."). ev belongs to the job's shared replay log, which
+// concurrent subscribers read, so it is never written to.
 func writeStreamEvent(w http.ResponseWriter, sse bool, ev json.RawMessage) {
 	if !sse {
-		_, _ = w.Write(append(ev, '\n'))
+		_, _ = w.Write(ev)
+		_, _ = w.Write([]byte("\n"))
 		return
 	}
 	var head struct {

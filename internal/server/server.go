@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -54,8 +53,6 @@ type Config struct {
 	// leaves them zero (defaults 2000 and 1, see scenario.Defaults).
 	DefaultReps int
 	DefaultSeed uint64
-	// MaxBodyBytes bounds a submission body (default 1 MiB).
-	MaxBodyBytes int64
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -70,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	return c
 }
@@ -462,13 +456,4 @@ func (s *Server) cancelJob(j *job) {
 		j.emit(errorEvent{Type: "error", Job: j.id, Error: "cancelled"})
 		j.close()
 	}
-}
-
-// readBody reads a bounded request body.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
-	}
-	return data, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -239,6 +240,48 @@ func TestStreamReplay(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubscribersOneJob: four NDJSON subscribers of one job,
+// connected while it runs, read its shared event log at once; each must
+// see the same bytes, and under -race framing an event must not write into
+// the log.
+func TestConcurrentSubscribersOneJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	st := submit(t, ts, tinyScenario("fanout", 51))
+	const subs = 4
+	got := make([][]byte, subs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if got[i], err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	events := streamEvents(t, ts, st.ID)
+	if len(events) == 0 || eventType(events[len(events)-1]) != "result" {
+		t.Fatalf("stream did not end in a result event: %s", events)
+	}
+	var want bytes.Buffer
+	for _, ev := range events {
+		want.Write(ev)
+		want.WriteByte('\n')
+	}
+	for i, raw := range got {
+		if !bytes.Equal(raw, want.Bytes()) {
+			t.Errorf("subscriber %d read:\n%s\nwant:\n%s", i, raw, want.Bytes())
+		}
+	}
+}
+
 // TestStreamSSE checks the Server-Sent Events framing of the same stream.
 func TestStreamSSE(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -278,6 +321,32 @@ func TestSubmitRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitBodyErrors: a body one byte over scenario.MaxBytes is refused
+// as too large (413); a body that fails to read is a bad request (400).
+func TestSubmitBodyErrors(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		bytes.NewReader(bytes.Repeat([]byte(" "), scenario.MaxBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %s, want 413", resp.Status)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", failingReader{}))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("failing body: status %d, want 400", rec.Code)
+	}
+}
+
+// failingReader is a request body whose every read fails.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
 
 func TestStudiesEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -339,6 +408,9 @@ func TestGracefulShutdownResume(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s1.Shutdown(ctx)
 	}()
+	// Release the job only once shutdown has cancelled it: released
+	// earlier, it can finish its last points before the cancel lands.
+	<-s1.baseCtx.Done()
 	close(release)
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -113,10 +113,9 @@ type Engine struct {
 	// per replication instead of allocated.
 	ctx san.Context
 
-	// scratch buffers for the instantaneous-race resolution, reused across
+	// scratch buffer for the instantaneous-race resolution, reused across
 	// firings so steady state allocates nothing.
 	instBuf []*san.Activity
-	raceW   []float64
 
 	// Common-random-numbers mode (UseCRN): instead of drawing every variate
 	// from the single replication stream in event-execution order, each
@@ -179,7 +178,7 @@ func NewEngine(model *san.Model, validate bool) *Engine {
 // cannot depend on the state, so the engine may reuse that value instead of
 // re-invoking the closure. Closures returning a different value per call
 // fail the identity check and stay unmemoized, which also preserves their
-// (resampling) behavior under ReactivateOnChange.
+// (resampling) behavior on every marking change that refreshes them.
 func probeConstDist(s *san.State, a *san.Activity) (d rng.Dist) {
 	defer func() {
 		// A panicking closure (state-dependent guard) or an uncomparable
@@ -302,7 +301,9 @@ func (e *Engine) cancel(a *san.Activity) {
 	}
 }
 
-// refresh re-evaluates scheduling for a after a marking change.
+// refresh re-evaluates scheduling for a after a marking change. A scheduled
+// completion is resampled only when the distribution changed (e.g. an
+// exponential's marking-dependent rate), which memorylessness makes exact.
 func (e *Engine) refresh(a *san.Activity) {
 	if a.Kind() != san.Timed {
 		return
@@ -316,17 +317,9 @@ func (e *Engine) refresh(a *san.Activity) {
 		e.sample(a, e.dist(a))
 		return
 	}
-	switch a.ReactivationPolicy() {
-	case san.ReactivateNever:
-		// keep the sampled completion
-	case san.ReactivateAlways:
+	if d := e.dist(a); d != ent.dist {
 		e.cancel(a)
-		e.sample(a, e.dist(a))
-	case san.ReactivateOnChange:
-		if d := e.dist(a); d != ent.dist {
-			e.cancel(a)
-			e.sample(a, d)
-		}
+		e.sample(a, d)
 	}
 }
 
@@ -520,20 +513,13 @@ func (e *Engine) RunOnceCtx(runCtx context.Context, until float64, stream *rng.S
 			if len(enabled) == 0 {
 				break
 			}
-			var a *san.Activity
-			if len(enabled) == 1 {
-				a = enabled[0]
-			} else {
-				weights := e.raceW[:0]
-				for _, en := range enabled {
-					weights = append(weights, en.Weight())
-				}
-				e.raceW = weights[:0]
+			a := enabled[0]
+			if len(enabled) > 1 {
 				race := e.rand
 				if e.crn {
 					race = e.raceStream
 				}
-				a = enabled[race.Category(weights)]
+				a = enabled[race.Race(len(enabled))]
 			}
 			ctx.Rand = e.randFor(a)
 			ci := a.ChooseCase(ctx)

@@ -161,11 +161,10 @@ func TestDeterministicTimes(t *testing.T) {
 	n := m.Place("n", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "tick", Kind: san.Timed,
-		Dist:         func(*san.State) rng.Dist { return rng.Deterministic{V: 1.5} },
-		Enabled:      func(s *san.State) bool { return s.Get(n) < 100 },
-		Reads:        []*san.Place{n},
-		Reactivation: san.ReactivateNever,
-		Cases:        []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(n, 1) }}},
+		Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 1.5} },
+		Enabled: func(s *san.State) bool { return s.Get(n) < 100 },
+		Reads:   []*san.Place{n},
+		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(n, 1) }}},
 	})
 	if err := m.Finalize(); err != nil {
 		t.Fatal(err)
@@ -184,11 +183,10 @@ func TestDeterministicTimes(t *testing.T) {
 
 func TestReactivationOnRateChange(t *testing.T) {
 	// Activity "work" has rate 100 while boost=1, else 0.001. "boost" fires
-	// deterministically at t=1 setting boost=1. With ReactivateOnChange the
-	// work activity resamples at t=1 with the fast rate, so it almost surely
-	// completes before t=1.5. With ReactivateNever it keeps its original
-	// (slow) sample and almost surely does not complete by t=1.5.
-	build := func(policy san.Reactivation) (*san.Model, *san.Place) {
+	// deterministically at t=1 setting boost=1. The work activity resamples
+	// at t=1 with the fast rate, so it almost surely completes before
+	// t=1.5; kept, its original (slow) sample would almost surely not.
+	build := func() (*san.Model, *san.Place) {
 		m := san.NewModel("react")
 		boost := m.Place("boost", 0)
 		done := m.Place("done", 0)
@@ -207,32 +205,25 @@ func TestReactivationOnRateChange(t *testing.T) {
 				}
 				return rng.Expo(0.001)
 			},
-			Enabled:      func(s *san.State) bool { return s.Get(done) == 0 },
-			Reads:        []*san.Place{boost, done},
-			Reactivation: policy,
-			Cases:        []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(done, 1) }}},
+			Enabled: func(s *san.State) bool { return s.Get(done) == 0 },
+			Reads:   []*san.Place{boost, done},
+			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(done, 1) }}},
 		})
 		if err := m.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 		return m, done
 	}
-	prob := func(policy san.Reactivation) float64 {
-		m, done := build(policy)
-		vars := []reward.Var{
-			&reward.AtTime{VarName: "done", F: func(s *san.State) float64 { return float64(s.Get(done)) }, T: 1.5},
-		}
-		res, err := Run(Spec{Model: m, Until: 1.5, Reps: 400, Seed: 5, Vars: vars, Validate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MustGet("done").Mean
+	m, done := build()
+	vars := []reward.Var{
+		&reward.AtTime{VarName: "done", F: func(s *san.State) float64 { return float64(s.Get(done)) }, T: 1.5},
 	}
-	if p := prob(san.ReactivateOnChange); p < 0.95 {
-		t.Fatalf("ReactivateOnChange completion prob %v, want ~1", p)
+	res, err := Run(Spec{Model: m, Until: 1.5, Reps: 400, Seed: 5, Vars: vars, Validate: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := prob(san.ReactivateNever); p > 0.05 {
-		t.Fatalf("ReactivateNever completion prob %v, want ~0", p)
+	if p := res.MustGet("done").Mean; p < 0.95 {
+		t.Fatalf("completion prob %v after the rate change, want ~1", p)
 	}
 }
 

@@ -102,8 +102,11 @@ func NumericalValidation(ctx context.Context, cfg Config) (*Figure, error) {
 	numS := Series{Name: "uniformization"}
 	horizons := []float64{1, 2, 3, 4, 5}
 	specs := make([]sim.Spec, len(horizons))
+	// One walk answers every horizon: a shorter horizon reuses the
+	// recorded steps, with the bits a walk of its own would give.
+	walk := chain.RewardWalk(improper)
 	for i, t := range horizons {
-		want, err := chain.IntervalAverageReward(t, improper)
+		want, err := walk.IntervalAverage(0, t)
 		if err != nil {
 			return nil, err
 		}

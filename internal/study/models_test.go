@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ituaval/internal/core"
-	"ituaval/internal/san"
 )
 
 // TestLintRegisteredModels is the model lint lane (`make lint-models`): it
@@ -28,7 +27,7 @@ func TestLintRegisteredModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range m.SAN.Lint(san.LintOptions{}) {
+			for _, f := range m.SAN.Lint() {
 				t.Errorf("%s", f)
 			}
 		})
@@ -39,7 +38,7 @@ func TestLintRegisteredModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range m.Lint(san.LintOptions{}) {
+		for _, f := range m.Lint() {
 			t.Errorf("%s", f)
 		}
 	})
