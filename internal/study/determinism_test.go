@@ -201,3 +201,73 @@ func TestDeterminismGolden(t *testing.T) {
 		compareLines(t, fmt.Sprintf("crosscheck/workers=%d", w), detCross(t, w), want["crosscheck/workers=1"])
 	}
 }
+
+var updatePrecisionGolden = flag.Bool("update-precision-golden", false,
+	"rewrite testdata/precision_golden.json from the current scheduler (Workers=1 reference)")
+
+const precisionGoldenPath = "testdata/precision_golden.json"
+
+// precisionFigureIDs are the figures pinned in precision mode: fig4 runs
+// two grids, one with its steady-state replications capped, and fig5 a
+// series × x grid.
+var precisionFigureIDs = []string{"fig4", "fig5"}
+
+// precisionFigure runs one figure under a relative half-width target whose
+// points stop after one to four doubling batches, and flattens every panel
+// value together with the point's replication counts, which pin each
+// point's stopping decision.
+func precisionFigure(t *testing.T, id string, workers int) []string {
+	t.Helper()
+	cfg := Config{Reps: 20, Seed: 7, Workers: workers, TargetRelHW: 0.25, MaxReps: 160}
+	fig, err := RunContext(context.Background(), id, cfg)
+	if err != nil {
+		t.Fatalf("%s (workers=%d): %v", id, workers, err)
+	}
+	out := flattenFigure(fig)
+	k := 0
+	for _, p := range fig.Panels {
+		for _, s := range p.Series {
+			for i := range s.X {
+				out[k] += fmt.Sprintf("|reps=%d|completed=%d", intAt(s.Reps, i), intAt(s.Completed, i))
+				k++
+			}
+		}
+	}
+	return out
+}
+
+// TestPrecisionGolden pins precision-mode sweeps bit for bit at every
+// worker count against a Workers=1 reference. Regenerate with
+// `go test ./internal/study -run TestPrecisionGolden
+// -update-precision-golden`, only for a change meant to alter sampled
+// trajectories or the stopping rule.
+func TestPrecisionGolden(t *testing.T) {
+	if *updatePrecisionGolden {
+		g := make(map[string][]string)
+		for _, id := range precisionFigureIDs {
+			g[id] = precisionFigure(t, id, 1)
+		}
+		data, err := json.MarshalIndent(g, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(precisionGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d figures)", precisionGoldenPath, len(g))
+		return
+	}
+	data, err := os.ReadFile(precisionGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-precision-golden): %v", err)
+	}
+	var want map[string][]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range detWorkers {
+		for _, id := range precisionFigureIDs {
+			compareLines(t, fmt.Sprintf("%s/workers=%d", id, w), precisionFigure(t, id, w), want[id])
+		}
+	}
+}
