@@ -21,8 +21,10 @@ type Opts struct {
 	// measure's *delta* meets its precision, bounded by MaxReps. Empty runs
 	// a single batch of specA.Reps replications.
 	Targets []Target
-	// InitialReps and MaxReps configure the sequential schedule exactly as
-	// in Spec (ignored without Targets).
+	// InitialReps is the first batch of the sequential schedule and
+	// MaxReps bounds its cumulative replication count, which doubles
+	// between precision checks. Both are required with Targets
+	// (InitialReps >= 1, MaxReps >= InitialReps) and ignored without.
 	InitialReps int
 	MaxReps     int
 }
@@ -121,11 +123,12 @@ func Compare(ctx context.Context, specA, specB sim.Spec, opts Opts) (*Comparison
 		if err := validateTargets(opts.Targets, known); err != nil {
 			return nil, err
 		}
-		sched := Spec{Sim: specA, Targets: opts.Targets,
-			InitialReps: opts.InitialReps, MaxReps: opts.MaxReps}
-		var err error
-		if initial, max, err = sched.normalize(); err != nil {
-			return nil, err
+		initial, max = opts.InitialReps, opts.MaxReps
+		if initial < 1 {
+			return nil, fmt.Errorf("precision: InitialReps must be >= 1, got %d", initial)
+		}
+		if max < initial {
+			return nil, fmt.Errorf("precision: MaxReps %d below the initial batch %d", max, initial)
 		}
 	} else {
 		if specA.Reps < 1 {
@@ -137,7 +140,7 @@ func Compare(ctx context.Context, specA, specB sim.Spec, opts Opts) (*Comparison
 	out := &Comparison{}
 	total := 0
 	for total < max {
-		reps := nextBatch(total, initial, max)
+		reps := NextBatch(total, initial, max)
 		first := specA.FirstRep + total
 		if err := runBatches(ctx, specA, specB, first, reps, &out.A, &out.B); err != nil {
 			out.finish(shared, idxA, idxB)

@@ -179,9 +179,25 @@ func TestCompareValidation(t *testing.T) {
 		t.Error("Compare accepted zero reps")
 	}
 
-	if _, err := Compare(context.Background(), a, b, Opts{
-		Targets: []Target{{Var: "nope", RelHW: 0.1}},
-	}); err == nil {
-		t.Error("Compare accepted a target on an unknown measure")
+	good := Opts{Targets: []Target{{Var: "avail", RelHW: 0.5}}, InitialReps: 16, MaxReps: 64}
+	cases := []struct {
+		name   string
+		mutate func(*Opts)
+	}{
+		{"unknown variable", func(o *Opts) { o.Targets = []Target{{Var: "nope", RelHW: 0.1}} }},
+		{"no precision requested", func(o *Opts) { o.Targets = []Target{{Var: "avail"}} }},
+		{"negative target", func(o *Opts) { o.Targets = []Target{{Var: "avail", RelHW: -1}} }},
+		{"no initial batch", func(o *Opts) { o.InitialReps = 0 }},
+		{"max below initial", func(o *Opts) { o.InitialReps = 64; o.MaxReps = 32 }},
+	}
+	for _, c := range cases {
+		opts := good
+		c.mutate(&opts)
+		if _, err := Compare(context.Background(), a, b, opts); err == nil {
+			t.Errorf("%s: Compare accepted an invalid schedule", c.name)
+		}
+	}
+	if _, err := Compare(context.Background(), a, b, good); err != nil {
+		t.Fatalf("baseline schedule rejected: %v", err)
 	}
 }

@@ -28,9 +28,11 @@ func tinyScenario(name string, seed uint64) string {
 		"run":{"reps":40,"seed":%d}}`, name, seed)
 }
 
-// precisionScenario runs its points sequentially (precision mode with an
-// immediately met absolute target), which makes checkpoint/shutdown timing
-// deterministic: point i is persisted before the test hook for point i runs.
+// precisionScenario runs in precision mode with an absolute target every
+// point meets in its first batch, which makes checkpoint/shutdown timing
+// deterministic: the points finish in one round and are committed in point
+// order, point i persisted before the test hook for point i runs, and the
+// sweep checks for cancellation before committing the next.
 func precisionScenario() string {
 	return `{"name":"precise","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"corruptionMult":5},
 		"horizon":2,"measures":[{"name":"u","kind":"unavailability"}],

@@ -32,8 +32,7 @@ func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 	dirS := [3]Series{{Name: "direct"}, {Name: "direct"}, {Name: "direct"}}
 	policies := []core.Policy{core.DomainExclusion, core.HostExclusion}
 	params := make([]core.Params, len(policies))
-	prs := make([]*PointResult, len(policies))
-	sw := newSweep(cfg)
+	pts := make([]PointSpec, len(policies))
 	for i, policy := range policies {
 		p := core.DefaultParams()
 		p.NumDomains = 4
@@ -42,23 +41,24 @@ func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 		p.RepsPerApp = 4
 		p.Policy = policy
 		params[i] = p
-		sw.add(&prs[i], fmt.Sprintf("crossval policy=%v", policy), cfg, p, T, uint64(4000+i),
-			func(m *core.Model) []reward.Var {
+		pts[i] = PointSpec{Label: fmt.Sprintf("crossval policy=%v", policy), Params: p, Until: T,
+			SeedOffset: uint64(4000 + i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("unavail", 0, 0, T),
 					m.Unreliability("unrel", 0, T),
 					m.FracDomainsExcluded("excl", T),
 				}
-			})
+			}}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for i := range policies {
 		x := float64(i + 1)
-		appendPoint(&sanS[0], x, "unavail", prs[i])
-		appendPoint(&sanS[1], x, "unrel", prs[i])
-		appendPoint(&sanS[2], x, "excl", prs[i])
+		AppendPoint(&sanS[0], x, "unavail", prs[i])
+		AppendPoint(&sanS[1], x, "unrel", prs[i])
+		AppendPoint(&sanS[2], x, "excl", prs[i])
 
 		dir, err := ituadirect.Replicate(ctx, params[i], cfg.Seed+uint64(4100+i), cfg.Reps, T)
 		if err != nil {
@@ -122,7 +122,7 @@ func NumericalValidation(ctx context.Context, cfg Config) (*Figure, error) {
 		if fr.Err != nil {
 			return nil, fr.Err
 		}
-		appendPoint(&simS, horizons[i], "u", newPointResult(fr.Results))
+		AppendPoint(&simS, horizons[i], "u", newPointResult(fr.Results))
 	}
 	fig.Panels = []Panel{{
 		ID: "X2", Measure: fmt.Sprintf("Time-averaged improper-service indicator (T up to %g)", T),
@@ -197,8 +197,7 @@ func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
 	unrel := Series{Name: "unreliability [0,5]"}
 	excl := Series{Name: "domains excluded at 5"}
 	rates := []float64{0.1, 0.25, 0.5, 1, 2, 4}
-	prs := make([]*PointResult, len(rates))
-	sw := newSweep(cfg)
+	pts := make([]PointSpec, len(rates))
 	for i, rate := range rates {
 		p := core.DefaultParams()
 		p.NumDomains = 12
@@ -208,22 +207,23 @@ func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
 		p.HostDetectRate = rate
 		p.ReplicaDetectRate = rate
 		p.MgrDetectRate = rate
-		sw.add(&prs[i], fmt.Sprintf("X3 rate=%v", rate), cfg, p, T, uint64(4300+i),
-			func(m *core.Model) []reward.Var {
+		pts[i] = PointSpec{Label: fmt.Sprintf("X3 rate=%v", rate), Params: p, Until: T,
+			SeedOffset: uint64(4300 + i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u", 0, 0, T),
 					m.Unreliability("r", 0, T),
 					m.FracDomainsExcluded("e", T),
 				}
-			})
+			}}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for i, rate := range rates {
-		appendPoint(&unavail, rate, "u", prs[i])
-		appendPoint(&unrel, rate, "r", prs[i])
-		appendPoint(&excl, rate, "e", prs[i])
+		AppendPoint(&unavail, rate, "u", prs[i])
+		AppendPoint(&unrel, rate, "r", prs[i])
+		AppendPoint(&excl, rate, "e", prs[i])
 	}
 	fig.Panels = []Panel{{ID: "X3", Measure: "Measures vs IDS rate (12×1 hosts, 4 apps)",
 		XLabel: "detection rate (1/h)", Series: []Series{unavail, unrel, excl}}}
@@ -239,8 +239,7 @@ func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
 	unavail := Series{Name: "unavailability [0,5]"}
 	unrel := Series{Name: "unreliability [0,5]"}
 	weights := []float64{0, 0.5, 1, 2, 4, 8}
-	prs := make([]*PointResult, len(weights))
-	sw := newSweep(cfg)
+	pts := make([]PointSpec, len(weights))
 	for i, wr := range weights {
 		p := core.DefaultParams()
 		p.NumDomains = 12
@@ -248,20 +247,21 @@ func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
 		p.NumApps = 4
 		p.RepsPerApp = 7
 		p.AttackSplitReplica = wr
-		sw.add(&prs[i], fmt.Sprintf("X4 split=%v", wr), cfg, p, T, uint64(4400+i),
-			func(m *core.Model) []reward.Var {
+		pts[i] = PointSpec{Label: fmt.Sprintf("X4 split=%v", wr), Params: p, Until: T,
+			SeedOffset: uint64(4400 + i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u", 0, 0, T),
 					m.Unreliability("r", 0, T),
 				}
-			})
+			}}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for i, wr := range weights {
-		appendPoint(&unavail, wr, "u", prs[i])
-		appendPoint(&unrel, wr, "r", prs[i])
+		AppendPoint(&unavail, wr, "u", prs[i])
+		AppendPoint(&unrel, wr, "r", prs[i])
 	}
 	fig.Panels = []Panel{{ID: "X4", Measure: "Measures vs replica attack weight (12×1 hosts)",
 		XLabel: "AttackSplitReplica", Series: []Series{unavail, unrel}}}
@@ -281,10 +281,8 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	modes := []bool{false, true}
 	hpds := []int{1, 2, 3, 4, 6, 12}
-	prs := make([][]*PointResult, len(modes))
-	sw := newSweep(cfg)
-	for mi, excludeOnConviction := range modes {
-		prs[mi] = make([]*PointResult, len(hpds))
+	var pts []PointSpec
+	for _, excludeOnConviction := range modes {
 		for pi, hpd := range hpds {
 			p := core.DefaultParams()
 			p.NumDomains = 12 / hpd
@@ -292,16 +290,17 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 			p.NumApps = 4
 			p.RepsPerApp = 7
 			p.ExcludeOnReplicaConviction = excludeOnConviction
-			sw.add(&prs[mi][pi], fmt.Sprintf("X5 exclude=%v hpd=%d", excludeOnConviction, hpd),
-				cfg, p, T, uint64(4500+pi), func(m *core.Model) []reward.Var {
+			pts = append(pts, PointSpec{Label: fmt.Sprintf("X5 exclude=%v hpd=%d", excludeOnConviction, hpd),
+				Params: p, Until: T, SeedOffset: uint64(4500 + pi), Vars: func(m *core.Model) []reward.Var {
 					return []reward.Var{
 						m.Unavailability("u", 0, 0, T),
 						m.FracDomainsExcluded("e", T),
 					}
-				})
+				}})
 		}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for mi, excludeOnConviction := range modes {
@@ -312,8 +311,9 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 		su := Series{Name: name}
 		se := Series{Name: name}
 		for pi, hpd := range hpds {
-			appendPoint(&su, float64(hpd), "u", prs[mi][pi])
-			appendPoint(&se, float64(hpd), "e", prs[mi][pi])
+			pr := prs[mi*len(hpds)+pi]
+			AppendPoint(&su, float64(hpd), "u", pr)
+			AppendPoint(&se, float64(hpd), "e", pr)
 		}
 		panels[0].Series = append(panels[0].Series, su)
 		panels[1].Series = append(panels[1].Series, se)
@@ -338,10 +338,8 @@ func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
 		core.UniformPlacement, core.LeastLoadedPlacement, core.WeightedRandomPlacement,
 	}
 	spreads := []float64{0, 5, 10}
-	prs := make([][]*PointResult, len(placements))
-	sw := newSweep(cfg)
-	for mi, placement := range placements {
-		prs[mi] = make([]*PointResult, len(spreads))
+	var pts []PointSpec
+	for _, placement := range placements {
 		for pi, spread := range spreads {
 			p := core.DefaultParams()
 			p.NumDomains = 10
@@ -351,24 +349,26 @@ func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
 			p.CorruptionMult = 5
 			p.DomainSpreadRate = spread
 			p.Placement = placement
-			sw.add(&prs[mi][pi], fmt.Sprintf("X6 %v spread=%v", placement, spread),
-				cfg, p, T, uint64(4600+pi), func(m *core.Model) []reward.Var {
+			pts = append(pts, PointSpec{Label: fmt.Sprintf("X6 %v spread=%v", placement, spread),
+				Params: p, Until: T, SeedOffset: uint64(4600 + pi), Vars: func(m *core.Model) []reward.Var {
 					return []reward.Var{
 						m.Unavailability("u", 0, 0, T),
 						m.LoadPerHost("load", T),
 					}
-				})
+				}})
 		}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for mi, placement := range placements {
 		su := Series{Name: placement.String()}
 		sl := Series{Name: placement.String()}
 		for pi, spread := range spreads {
-			appendPoint(&su, spread, "u", prs[mi][pi])
-			appendPoint(&sl, spread, "load", prs[mi][pi])
+			pr := prs[mi*len(spreads)+pi]
+			AppendPoint(&su, spread, "u", pr)
+			AppendPoint(&sl, spread, "load", pr)
 		}
 		panels[0].Series = append(panels[0].Series, su)
 		panels[1].Series = append(panels[1].Series, sl)

@@ -99,13 +99,13 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 	measures := []string{"u5", "u10", "r5", "r10"}
 
 	// Simulated arm: an ordinary checkpointable sweep.
-	sw := newSweep(cfg)
-	prs := make([]*PointResult, len(AnalyticSpreadRates))
+	pts := make([]PointSpec, len(AnalyticSpreadRates))
 	for pi, spread := range AnalyticSpreadRates {
-		sw.add(&prs[pi], fmt.Sprintf("analytic spread=%v", spread),
-			cfg, analyticParams(spread), T, uint64(4000+pi), analyticVars)
+		pts[pi] = PointSpec{Label: fmt.Sprintf("analytic spread=%v", spread),
+			Params: analyticParams(spread), Until: T, SeedOffset: uint64(4000 + pi), Vars: analyticVars}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 
@@ -141,7 +141,7 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 			"spread %g: %d states, %d transitions", spread, s.C.NumStates(), s.C.NumTransitions()))
 		for i, name := range measures {
 			appendCell(&exSeries[i], spread, ex[name], 0, 0, 0, 0, 0, 0)
-			appendPoint(&simSeries[i], spread, name, prs[pi])
+			AppendPoint(&simSeries[i], spread, name, prs[pi])
 			if e := prs[pi].Est[name]; e.HalfWidth95 > 0 {
 				if sig := math.Abs(e.Mean-ex[name]) / e.HalfWidth95; sig > worstSigma {
 					worstSigma = sig

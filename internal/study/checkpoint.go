@@ -37,7 +37,7 @@ const checkpointVersion = 3
 //
 // Resume is exact, not approximate: a point's key fingerprints the full
 // simulation spec (model parameters, horizon, replication schedule —
-// including any sequential precision targets — and the effective root
+// including any precision targets and cap — and the effective root
 // seed), and replication seeds are derived per-replication from the root
 // seed, so a resumed study is bit-identical to an uninterrupted one.
 type Checkpoint struct {
@@ -316,7 +316,7 @@ func (c *Checkpoint) appendLine(key string, pr *PointResult) error {
 }
 
 // precKey encodes the replication schedule of a point: the fixed count, or
-// the sequential precision targets and cap when precision mode is on. Two
+// the initial batch, precision targets and cap when precision mode is on. Two
 // configs with equal schedules produce equal results for equal seeds.
 func precKey(cfg Config) string {
 	if !cfg.precisionMode() {

@@ -75,16 +75,16 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 
 	// SAN arm: an ordinary checkpointable sweep, series-major like the
 	// compiled scenario grid (seed offsets 8000+pi).
-	sw := newSweep(cfg)
-	prs := make([]*PointResult, len(FaultCampaignRates)*nX)
+	pts := make([]PointSpec, len(FaultCampaignRates)*nX)
 	for si, camp := range FaultCampaignRates {
 		for xi, part := range FaultPartitionRates {
 			pi := si*nX + xi
-			sw.add(&prs[pi], fmt.Sprintf("faults camp=%g part=%g", camp, part),
-				cfg, faultsParams(part, camp), T, uint64(8000+pi), liveVars(T))
+			pts[pi] = PointSpec{Label: fmt.Sprintf("faults camp=%g part=%g", camp, part),
+				Params: faultsParams(part, camp), Until: T, SeedOffset: uint64(8000 + pi), Vars: liveVars(T)}
 		}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 
@@ -139,7 +139,7 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 				HalfWidth(float64) float64
 			}{&lres.Unavail, &lres.Unrel}
 			for i, name := range measures {
-				appendPoint(&sanSeries[si][i], part, name, prs[pi])
+				AppendPoint(&sanSeries[si][i], part, name, prs[pi])
 				appendCell(&dirSeries[si][i], part, dir[i].Mean(), dir[i].HalfWidth(0.95), dir[i].N(), cfg.Reps, cfg.Reps, 0, 0)
 				appendCell(&liveSeries[si][i], part, live[i].Mean(), live[i].HalfWidth(0.95),
 					int64(lres.Reps), cfg.Reps, lres.Reps, lres.Failed, 0)

@@ -38,10 +38,8 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 			m.FracDomainsExcluded("exclfrac", T),
 		}
 	}
-	sw := newSweep(cfg)
-	prs := make([][]*PointResult, len(Fig3Apps))
-	for ai, apps := range Fig3Apps {
-		prs[ai] = make([]*PointResult, len(Fig3HostsPerDomain))
+	var pts []PointSpec
+	for _, apps := range Fig3Apps {
 		for pi, hpd := range Fig3HostsPerDomain {
 			p := core.DefaultParams()
 			p.NumDomains = 12 / hpd
@@ -56,11 +54,12 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 			// the number of applications".
 			p.RateBaseHosts = 12
 			p.RateBaseReplicas = 28
-			sw.add(&prs[ai][pi], fmt.Sprintf("fig3 apps=%d hpd=%d", apps, hpd),
-				cfg, p, T, uint64(1000*apps+pi), vars)
+			pts = append(pts, PointSpec{Label: fmt.Sprintf("fig3 apps=%d hpd=%d", apps, hpd),
+				Params: p, Until: T, SeedOffset: uint64(1000*apps + pi), Vars: vars})
 		}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for ai, apps := range Fig3Apps {
@@ -69,12 +68,12 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 			series[i].Name = fmt.Sprintf("%d applications", apps)
 		}
 		for pi, hpd := range Fig3HostsPerDomain {
-			pr := prs[ai][pi]
+			pr := prs[ai*len(Fig3HostsPerDomain)+pi]
 			x := float64(hpd)
-			appendPoint(&series[0], x, "unavail", pr)
-			appendPoint(&series[1], x, "unrel", pr)
-			appendPoint(&series[2], x, "corrfrac", pr)
-			appendPoint(&series[3], x, "exclfrac", pr)
+			AppendPoint(&series[0], x, "unavail", pr)
+			AppendPoint(&series[1], x, "unrel", pr)
+			AppendPoint(&series[2], x, "corrfrac", pr)
+			AppendPoint(&series[3], x, "exclfrac", pr)
 		}
 		for i := range panels {
 			panels[i].Series = append(panels[i].Series, series[i])
@@ -110,15 +109,14 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 	ss := Series{Name: "steady state"}
 	e5 := Series{Name: "at time 5"}
 	e10 := Series{Name: "at time 10"}
-	sw := newSweep(cfg)
-	prs := make([]*PointResult, len(Fig4HostsPerDomain))
-	prSSs := make([]*PointResult, len(Fig4HostsPerDomain))
 	// Steady state: the model has no repair, so the long-horizon average
-	// over all exclusion events is the absorbed value.
+	// over all exclusion events is the absorbed value; its points run as a
+	// second sweep with replications capped at 500.
 	longCfg := cfg
 	if longCfg.Reps > 500 {
 		longCfg.Reps = 500
 	}
+	var pts, ssPts []PointSpec
 	for pi, hpd := range Fig4HostsPerDomain {
 		p := core.DefaultParams()
 		p.NumDomains = 10
@@ -126,8 +124,8 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 		p.NumApps = 4
 		p.RepsPerApp = 7
 		p.RateBaseHosts = 10 // constant per-host rates across the sweep
-		sw.add(&prs[pi], fmt.Sprintf("fig4 hpd=%d", hpd), cfg, p, T, uint64(2000+pi),
-			func(m *core.Model) []reward.Var {
+		pts = append(pts, PointSpec{Label: fmt.Sprintf("fig4 hpd=%d", hpd), Params: p, Until: T,
+			SeedOffset: uint64(2000 + pi), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u5", 0, 0, 5),
 					m.Unavailability("u10", 0, 0, 10),
@@ -136,24 +134,29 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 					m.FracDomainsExcluded("e5", 5),
 					m.FracDomainsExcluded("e10", 10),
 				}
-			})
-		sw.add(&prSSs[pi], fmt.Sprintf("fig4 steady hpd=%d", hpd), longCfg, p, steadyT, uint64(2100+pi),
-			func(m *core.Model) []reward.Var {
+			}})
+		ssPts = append(ssPts, PointSpec{Label: fmt.Sprintf("fig4 steady hpd=%d", hpd), Params: p, Until: steadyT,
+			SeedOffset: uint64(2100 + pi), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{m.FracCorruptHostsAtExclusion("cf", steadyT)}
-			})
+			}})
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
+		return nil, err
+	}
+	prSSs, err := RunSweep(ctx, longCfg, ssPts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for pi, hpd := range Fig4HostsPerDomain {
 		x := float64(hpd)
-		appendPoint(&s5, x, "u5", prs[pi])
-		appendPoint(&s10, x, "u10", prs[pi])
-		appendPoint(&r5, x, "r5", prs[pi])
-		appendPoint(&r10, x, "r10", prs[pi])
-		appendPoint(&ss, x, "cf", prSSs[pi])
-		appendPoint(&e5, x, "e5", prs[pi])
-		appendPoint(&e10, x, "e10", prs[pi])
+		AppendPoint(&s5, x, "u5", prs[pi])
+		AppendPoint(&s10, x, "u10", prs[pi])
+		AppendPoint(&r5, x, "r5", prs[pi])
+		AppendPoint(&r10, x, "r10", prs[pi])
+		AppendPoint(&ss, x, "cf", prSSs[pi])
+		AppendPoint(&e5, x, "e5", prs[pi])
+		AppendPoint(&e10, x, "e10", prs[pi])
 	}
 	panels[0].Series = []Series{s5, s10}
 	panels[1].Series = []Series{r5, r10}
@@ -180,16 +183,15 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "5d", Measure: "Unreliability for the first 10 hours", XLabel: "spread rate"},
 	}
 	policies := []core.Policy{core.HostExclusion, core.DomainExclusion}
-	sw := newSweep(cfg)
-	prs := make([][]*PointResult, len(policies))
+	var pts []PointSpec
 	for si, policy := range policies {
-		prs[si] = make([]*PointResult, len(Fig5SpreadRates))
 		for pi, spread := range Fig5SpreadRates {
-			sw.add(&prs[si][pi], fmt.Sprintf("fig5 %v spread=%v", policy, spread),
-				cfg, fig5Params(spread, policy), T, uint64(3000+100*si+pi), fig5Vars)
+			pts = append(pts, PointSpec{Label: fmt.Sprintf("fig5 %v spread=%v", policy, spread),
+				Params: fig5Params(spread, policy), Until: T, SeedOffset: uint64(3000 + 100*si + pi), Vars: fig5Vars})
 		}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 	for si, policy := range policies {
@@ -199,11 +201,11 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 		}[policy]
 		series := [4]Series{{Name: name}, {Name: name}, {Name: name}, {Name: name}}
 		for pi, spread := range Fig5SpreadRates {
-			pr := prs[si][pi]
-			appendPoint(&series[0], spread, "u5", pr)
-			appendPoint(&series[1], spread, "u10", pr)
-			appendPoint(&series[2], spread, "r5", pr)
-			appendPoint(&series[3], spread, "r10", pr)
+			pr := prs[si*len(Fig5SpreadRates)+pi]
+			AppendPoint(&series[0], spread, "u5", pr)
+			AppendPoint(&series[1], spread, "u10", pr)
+			AppendPoint(&series[2], spread, "r5", pr)
+			AppendPoint(&series[3], spread, "r10", pr)
 		}
 		for i := range panels {
 			panels[i].Series = append(panels[i].Series, series[i])
@@ -369,9 +371,9 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 			return nil, fmt.Errorf("fig5-paired spread=%v: %w", spread, err)
 		}
 		for i, v := range fig5MeasureNames {
-			appendPoint(&host[i], spread, v+".a", pr)
-			appendPoint(&dom[i], spread, v+".b", pr)
-			appendPoint(&delta[i], spread, v+".delta", pr)
+			AppendPoint(&host[i], spread, v+".a", pr)
+			AppendPoint(&dom[i], spread, v+".b", pr)
+			AppendPoint(&delta[i], spread, v+".delta", pr)
 			meanCorr[i] += pr.Est[v+".corr"].Mean / float64(len(Fig5SpreadRates))
 			meanVRF[i] += pr.Est[v+".vrf"].Mean / float64(len(Fig5SpreadRates))
 		}

@@ -61,13 +61,13 @@ func Live(ctx context.Context, cfg Config) (*Figure, error) {
 	measures := []string{"unavail", "unrel"}
 
 	// Model arm: an ordinary checkpointable SAN sweep.
-	sw := newSweep(cfg)
-	prs := make([]*PointResult, len(LiveSpreadRates))
+	pts := make([]PointSpec, len(LiveSpreadRates))
 	for pi, spread := range LiveSpreadRates {
-		sw.add(&prs[pi], fmt.Sprintf("live spread=%v", spread),
-			cfg, liveParams(spread), T, uint64(6000+pi), liveVars(T))
+		pts[pi] = PointSpec{Label: fmt.Sprintf("live spread=%v", spread),
+			Params: liveParams(spread), Until: T, SeedOffset: uint64(6000 + pi), Vars: liveVars(T)}
 	}
-	if err := sw.run(ctx); err != nil {
+	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	if err != nil {
 		return nil, err
 	}
 
@@ -104,7 +104,7 @@ func Live(ctx context.Context, cfg Config) (*Figure, error) {
 		}{&res.Unavail, &res.Unrel} {
 			appendCell(&liveSeries[i], spread, acc.Mean(), acc.HalfWidth(0.95),
 				int64(res.Reps), cfg.Reps, res.Reps, res.Failed, 0)
-			appendPoint(&sanSeries[i], spread, measures[i], prs[pi])
+			AppendPoint(&sanSeries[i], spread, measures[i], prs[pi])
 			e := prs[pi].Est[measures[i]]
 			if hw := e.HalfWidth95 + acc.HalfWidth(0.95); hw > 0 {
 				if sig := math.Abs(e.Mean-acc.Mean()) / hw; sig > worstSigma {

@@ -39,13 +39,13 @@ type Config struct {
 	// TargetRelHW, when positive, switches every sweep point to sequential
 	// precision mode: replications grow geometrically from Reps until every
 	// measure's 95% half-width falls to TargetRelHW·|mean| (or AbsHW,
-	// whichever is met first), bounded by MaxReps. See internal/precision.
+	// whichever is met first), bounded by MaxReps. See RunSweep.
 	TargetRelHW float64
 	// TargetAbsHW, when positive, is the absolute 95% half-width target of
 	// precision mode (combinable with TargetRelHW; either met suffices).
 	TargetAbsHW float64
 	// MaxReps bounds the replication count of a sweep point in precision
-	// mode (default 16·Reps). Ignored without a target.
+	// mode (default 16·Reps; at least Reps). Ignored without a target.
 	MaxReps int
 	// Checkpoint, when non-nil, records every completed sweep point and
 	// skips points it already holds, making interrupted studies resumable
@@ -243,9 +243,11 @@ func appendCell(s *Series, x, y, hw float64, n int64, reps, completed, failed, s
 	s.Skipped = append(s.Skipped, skipped)
 }
 
-// appendPoint pushes the named estimate of a sweep point onto a series,
-// carrying the point's replication accounting along.
-func appendPoint(s *Series, x float64, name string, pr *PointResult) {
+// AppendPoint appends the named measure of pr, at abscissa x, to the
+// series, carrying the point's replication accounting along. The
+// registered figure runners and the scenario compiler (internal/scenario)
+// both assemble their figures with it.
+func AppendPoint(s *Series, x float64, name string, pr *PointResult) {
 	e := pr.Est[name]
 	appendCell(s, x, e.Mean, e.HalfWidth95, e.N, pr.Reps, pr.Completed, pr.Failed, pr.Skipped)
 }

@@ -235,13 +235,11 @@ func TestWriters(t *testing.T) {
 // runPoint runs a one-point sweep at horizon T.
 func runPoint(t *testing.T, cfg Config, p core.Params, T float64, vars func(m *core.Model) []reward.Var) *PointResult {
 	t.Helper()
-	var pr *PointResult
-	sw := newSweep(cfg)
-	sw.add(&pr, "point", cfg, p, T, 0, vars)
-	if err := sw.run(context.Background()); err != nil {
+	prs, err := RunSweep(context.Background(), cfg, []PointSpec{{Label: "point", Params: p, Until: T, Vars: vars}}, SweepHooks{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pr
+	return prs[0]
 }
 
 // TestPointPrecisionMode drives one sweep point under a relative half-width
