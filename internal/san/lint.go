@@ -412,18 +412,6 @@ func (pr *prober) pickCase(a *Activity, stream *rng.Stream) int {
 			return fresh[pr.rnd.Intn(len(fresh))]
 		}
 	}
-	return pr.safeChooseCase(a, stream)
-}
-
-// safeChooseCase picks a case index, falling back to case 0 if the case
-// weights are degenerate (a NaN probability passes Finalize), so the lint
-// still reports the case-probability sum instead of panicking.
-func (pr *prober) safeChooseCase(a *Activity, stream *rng.Stream) (ci int) {
-	defer func() {
-		if recover() != nil {
-			ci = 0
-		}
-	}()
 	if len(a.def.Cases) == 1 {
 		return 0
 	}

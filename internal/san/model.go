@@ -3,6 +3,7 @@ package san
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -156,13 +157,17 @@ func (m *Model) Finalize() error {
 		if len(d.Cases) > 1 {
 			total := 0.0
 			for _, c := range d.Cases {
-				if c.Prob < 0 {
-					errs = append(errs, fmt.Errorf("activity %q case %q has negative probability", d.Name, c.Name))
+				// NaN fails every comparison and +Inf swamps the draw, so
+				// both would pass a plain sign check and break sampling.
+				if !(c.Prob >= 0) || math.IsInf(c.Prob, 1) {
+					errs = append(errs, fmt.Errorf("activity %q case %q has probability %v, want finite and >= 0", d.Name, c.Name, c.Prob))
 				}
 				total += c.Prob
 			}
 			if total <= 0 {
 				errs = append(errs, fmt.Errorf("activity %q has non-positive total case probability", d.Name))
+			} else if math.IsInf(total, 1) {
+				errs = append(errs, fmt.Errorf("activity %q has an infinite total case probability", d.Name))
 			}
 		}
 		if len(d.Reads) == 0 {

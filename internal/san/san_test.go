@@ -1,6 +1,7 @@
 package san
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -139,16 +140,26 @@ func TestFinalizeValidation(t *testing.T) {
 }
 
 func TestFinalizeRejectsNegativeCaseProb(t *testing.T) {
-	m := NewModel("bad")
-	p := m.Place("p", 0)
-	m.AddActivity(ActivityDef{
-		Name: "a", Kind: Instant,
-		Enabled: func(*State) bool { return false },
-		Reads:   []*Place{p},
-		Cases:   []Case{{Prob: -0.5}, {Prob: 1.5}},
-	})
-	if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), "negative probability") {
-		t.Fatalf("err = %v", err)
+	for _, c := range []struct {
+		probs [2]float64
+		want  string
+	}{
+		{[2]float64{-0.5, 1.5}, "want finite and >= 0"},
+		{[2]float64{math.NaN(), 1.5}, "want finite and >= 0"},
+		{[2]float64{math.Inf(1), 1.5}, "want finite and >= 0"},
+		{[2]float64{math.MaxFloat64, math.MaxFloat64}, "infinite total case probability"},
+	} {
+		m := NewModel("bad")
+		p := m.Place("p", 0)
+		m.AddActivity(ActivityDef{
+			Name: "a", Kind: Instant,
+			Enabled: func(*State) bool { return false },
+			Reads:   []*Place{p},
+			Cases:   []Case{{Prob: c.probs[0]}, {Prob: c.probs[1]}},
+		})
+		if err := m.Finalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("probs %v: err = %v", c.probs, err)
+		}
 	}
 }
 

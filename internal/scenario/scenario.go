@@ -188,7 +188,7 @@ type Run struct {
 	// precision mode (see study.Config).
 	TargetRelHW float64 `json:"targetRelHW,omitempty"`
 	TargetAbsHW float64 `json:"targetAbsHW,omitempty"`
-	// MaxReps bounds precision mode (default 16×Reps).
+	// MaxReps bounds precision mode (default 16×Reps; at least Reps).
 	MaxReps int `json:"maxReps,omitempty"`
 }
 

@@ -136,18 +136,20 @@ func TestParseRejects(t *testing.T) {
 		t.Fatalf("baseline scenario rejected: %v", err)
 	}
 	cases := map[string]string{
-		"unknown field":   `{"name":"x","modle":{}}`,
-		"trailing data":   valid + `{"name":"y"}`,
-		"empty input":     ``,
-		"zero topology":   `{"name":"x","model":{"domains":0,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
-		"no measures":     `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[]}`,
-		"bad kind":        `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"availability"}]}`,
-		"bad policy":      `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"policy":"none"},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
-		"negative rate":   `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"totalAttackRate":-1},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
-		"enum x axis":     `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"sweep":{"x":{"param":"policy","strings":["host-exclusion"]}}}`,
-		"yaml nan rate":   "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\n  totalAttackRate: .nan\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
-		"yaml dup key":    "name: x\nname: y\n",
-		"oversized input": `{"name":"` + strings.Repeat("a", MaxBytes) + `"}`,
+		"unknown field":              `{"name":"x","modle":{}}`,
+		"trailing data":              valid + `{"name":"y"}`,
+		"empty input":                ``,
+		"zero topology":              `{"name":"x","model":{"domains":0,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
+		"no measures":                `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[]}`,
+		"bad kind":                   `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"availability"}]}`,
+		"bad policy":                 `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"policy":"none"},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
+		"negative rate":              `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"totalAttackRate":-1},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
+		"enum x axis":                `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"sweep":{"x":{"param":"policy","strings":["host-exclusion"]}}}`,
+		"yaml nan rate":              "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\n  totalAttackRate: .nan\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
+		"yaml dup key":               "name: x\nname: y\n",
+		"oversized input":            `{"name":"` + strings.Repeat("a", MaxBytes) + `"}`,
+		"maxReps below reps":         `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"run":{"reps":100,"maxReps":50,"targetRelHW":0.1}}`,
+		"maxReps below default reps": `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"run":{"maxReps":50,"targetAbsHW":0.1}}`,
 	}
 	for label, in := range cases {
 		sc, err := Parse([]byte(in))
