@@ -56,10 +56,15 @@
 #   bench-test   the bench module's own tests: every workload at smoke
 #                size (traced and untraced results must agree exactly)
 #                and the full-size golden values of testdata/golden.json
+#   results      regenerate the committed results/*.csv and
+#                results_figures.txt with the two EXPERIMENTS.md
+#                commands, minus the wall-clock `completed in` lines;
+#                every figure is bit-identical at every worker count, so
+#                CI fails on any diff against the committed files
 # Performance has one benchmark: `bash bench/run.sh` (see bench/README.md).
 GO ?= go
 
-.PHONY: ci fmt vet build test race lint-models fuzz-smoke serve-smoke examples-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test
+.PHONY: ci fmt vet build test race lint-models fuzz-smoke serve-smoke examples-smoke crosscheck livecheck faultcheck lumpcheck bench-build bench-test results
 
 ci: fmt vet build bench-build test bench-test race
 
@@ -129,3 +134,9 @@ bench-build:
 
 bench-test:
 	cd bench && $(GO) test ./...
+
+results:
+	$(GO) run ./cmd/figures -reps 4000 -csv results fig3 fig4 fig5 > results_figures.tmp
+	$(GO) run ./cmd/figures -reps 2000 -csv results xval numval abl-detect abl-split abl-convict abl-placement >> results_figures.tmp
+	grep -v 'completed in' results_figures.tmp > results_figures.txt
+	rm results_figures.tmp
