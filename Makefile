@@ -16,8 +16,10 @@
 #                lumped generation calls from every worker, under the
 #                race detector
 # Self-checking lanes (also run in CI, except lint-models):
-#   lint-models  static SAN lint over every registered study model shape,
-#                for local use: its one test runs in `test` and `race`
+#   lint-models  static SAN lint over every point of every registered
+#                study's grid (study.Registry's Grid, each distinct
+#                configuration once) and numval's reduced model, for local
+#                use: its one test runs in `test` and `race`
 #   fuzz-smoke   short fuzz runs of the checkpoint decoder, the SAN
 #                marking-key codec, the live wire codec, the scenario DSL
 #                decoder, the symmetry canonicalizer's keys, the
@@ -43,9 +45,10 @@
 #                campaigns, bounded repair crew active in every engine:
 #                SAN vs direct vs live vs exact), heavier than the
 #                fault smoke variant inside `make test`
-#   lumpcheck    symmetry-lumping gate: exhaustive lumped-vs-full
-#                equivalence over every study model shape, the full
-#                4x1 chain's state and transition counts, and the 4x2
+#   lumpcheck    symmetry-lumping gate: lumped-vs-full equivalence over
+#                every distinct configuration of the analytic, live and
+#                faults grids plus a 1x3 host domain, the full 4x1
+#                chain's state and transition counts, and the 4x2
 #                lumped-anchor cross-check, heavier than the
 #                two-configuration equivalence and lumped-count tests
 #                inside `make test`
@@ -116,11 +119,14 @@ livecheck:
 faultcheck:
 	FAULTCHECK_FULL=1 $(GO) test ./internal/integrity -run TestCrossCheckFaultsFull -count=1 -v -timeout 30m
 
-# lumpcheck is the symmetry-lumping gate: the exhaustive lumped-vs-full
-# equivalence sweep over every registered study model shape (worker
-# counts 1 and 4, agreement to 1e-12), plus the 4-domain x 2-host anchor
-# cross-check — a topology whose full chain is far beyond the default
-# MaxStates, solved exactly on the quotient and required to land inside
+# lumpcheck is the symmetry-lumping gate: the lumped-vs-full equivalence
+# sweep over every distinct configuration (Analytic forced) of the
+# analytic, live and faults grids, the studies sized so that their full
+# chains generate, plus a 1-domain x 3-host case (worker counts 1 and 4,
+# agreement to 1e-12; a full chain that hits its state cap, 1<<20 or
+# 1<<21 for 1x3, fails), plus the 4-domain x 2-host anchor cross-check —
+# a topology whose full chain is far beyond the default MaxStates,
+# solved exactly on the quotient and required to land inside
 # the SAN and direct simulators' confidence-interval union. It also pins
 # the size of the full 4-domain x 1-host chain (806,275 states) that the
 # 39,062-state quotient in `make test` is measured against.

@@ -5,8 +5,8 @@ package exact_test
 // exactly (up to floating-point accumulation order, bounded far below the
 // solver's 1e-12 uniformization tolerance). TestLumpedEquivalence checks
 // a fixed pair of small configurations on every `go test` run; the
-// exhaustive sweep over every registered study shape — plus the
-// worker-count determinism check — runs under LUMPCHECK_FULL=1
+// sweep over every configuration of the analytic, live and faults grids —
+// plus the worker-count determinism check — runs under LUMPCHECK_FULL=1
 // (`make lumpcheck`).
 
 import (
@@ -116,33 +116,35 @@ func TestLumpedEquivalence(t *testing.T) {
 }
 
 // TestLumpedEquivalenceShapes is the exhaustive sweep (`make lumpcheck`):
-// every registered study shape, Analytic forced, full chain attempted
-// under a 1<<20 cap — whatever generates must match its quotient to
-// lumpTol at worker counts 1 and 4, and shapes too large to generate in
-// full are logged and skipped (that scaling gap is exactly what the
-// lumped path exists for).
+// every distinct configuration of the analytic, live and faults grids (the
+// studies sized so that their full chains generate), with Analytic forced,
+// plus a 1x3 host-symmetry case. Each full chain must generate under a
+// 1<<20 state cap and match its quotient to lumpTol at worker counts 1 and
+// 4; a configuration that hits the cap fails.
 func TestLumpedEquivalenceShapes(t *testing.T) {
 	if os.Getenv("LUMPCHECK_FULL") == "" {
 		t.Skip("set LUMPCHECK_FULL=1 (make lumpcheck) to run the exhaustive shape sweep")
 	}
-	shapes := study.StudyModelShapes()
-	checked := 0
-	for _, sh := range shapes {
-		p := sh.Params
-		p.Analytic = true
-		if checkLumpedEquivalence(t, sh.Study+"/"+sh.Name, p, 1<<20, []int{1, 4}) {
-			checked++
+	seen := map[core.Params]bool{}
+	for _, id := range []string{"analytic", "live", "faults"} {
+		for _, pt := range study.Registry[id].Grid() {
+			p := pt.Params
+			p.Analytic = true
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			if !checkLumpedEquivalence(t, pt.Label, p, 1<<20, []int{1, 4}) {
+				t.Errorf("%s: full chain must generate under 1<<20 states", pt.Label)
+			}
 		}
 	}
 	// A three-host domain exercises a non-trivial host orbit (3! = 6).
 	tall := core.DefaultParams()
 	tall.NumDomains, tall.HostsPerDomain, tall.NumApps, tall.RepsPerApp = 1, 3, 1, 1
 	tall.DomainSpreadRate = 0
-	if checkLumpedEquivalence(t, "1x3 host-symmetry", tall, 1<<21, []int{1, 4}) {
-		checked++
+	if !checkLumpedEquivalence(t, "1x3 host-symmetry", tall, 1<<21, []int{1, 4}) {
+		t.Error("1x3 host-symmetry: full chain must generate under 1<<21 states")
 	}
-	if checked == 0 {
-		t.Fatal("no shape generated in full; the equivalence sweep checked nothing")
-	}
-	t.Logf("equivalence verified on %d configurations", checked)
+	t.Logf("equivalence checked on %d configurations", len(seen)+1)
 }

@@ -43,8 +43,8 @@ const meanLatency = 1e-6
 type Spec struct {
 	// Params is the ITUA configuration (topology, rates, policy).
 	Params core.Params
-	// T is the study horizon in hours (default 6, the paper's interval;
-	// must be finite).
+	// T is the study horizon in hours (zero selects 6, the paper's
+	// interval; must be finite and non-negative).
 	T float64
 	// Reps is the number of independent replications (default 200).
 	Reps int
@@ -62,7 +62,8 @@ type Spec struct {
 	// exceeding it records a "deadline" failure instead of hanging the run.
 	RepDeadline time.Duration
 	// MaxFailureFrac is the tolerated fraction of failed replications
-	// before the whole run errors out (default 0.05).
+	// before the whole run errors out. Zero selects 0.05; a negative value
+	// tolerates no failures at all, as in sim.Spec.
 	MaxFailureFrac float64
 
 	// Behavior maps a corrupted replica slot to its Byzantine script
@@ -74,7 +75,7 @@ type Spec struct {
 }
 
 func (s *Spec) fill() {
-	if s.T <= 0 {
+	if s.T == 0 {
 		s.T = 6
 	}
 	if s.Reps <= 0 {
@@ -92,7 +93,10 @@ func (s *Spec) fill() {
 	if s.RepDeadline <= 0 {
 		s.RepDeadline = 30 * time.Second
 	}
-	if s.MaxFailureFrac <= 0 {
+	switch {
+	case s.MaxFailureFrac < 0:
+		s.MaxFailureFrac = 0
+	case s.MaxFailureFrac == 0:
 		s.MaxFailureFrac = 0.05
 	}
 }
@@ -152,8 +156,8 @@ type repOut struct {
 // attack process against freshly booted replica groups, aggregated in
 // replication order (deterministic for a fixed Seed regardless of Workers).
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	if math.IsNaN(spec.T) || math.IsInf(spec.T, 0) {
-		return nil, fmt.Errorf("rsm: horizon T must be finite, got %v", spec.T)
+	if math.IsNaN(spec.T) || math.IsInf(spec.T, 0) || spec.T < 0 {
+		return nil, fmt.Errorf("rsm: horizon T must be finite and non-negative, got %v", spec.T)
 	}
 	spec.fill()
 	if err := spec.Params.Validate(); err != nil {

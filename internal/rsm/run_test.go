@@ -115,10 +115,24 @@ func TestRunEventBudgetClassified(t *testing.T) {
 	if _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("failure fraction above the budget did not error")
 	}
+	// One budget failure in 40 (2.5%) passes the default gate, and a
+	// negative fraction tolerates none.
+	spec = Spec{Params: smallParams(), T: 6, Reps: 40, Seed: 3, MaxEvents: 20}
+	res, err = Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("2.5%% failures under the default 5%% gate: %v", err)
+	}
+	if res.Failed == 0 || float64(res.Failed) > 0.05*float64(spec.Reps) {
+		t.Fatalf("%d of %d replications failed; the case needs a fraction in (0, 5%%]", res.Failed, spec.Reps)
+	}
+	spec.MaxFailureFrac = -1
+	if _, err := Run(context.Background(), spec); err == nil {
+		t.Fatal("a negative MaxFailureFrac tolerated a failed replication")
+	}
 }
 
-// A non-finite horizon is rejected up front instead of returning NaN
-// measures.
+// A non-finite or negative horizon is rejected up front instead of
+// returning NaN measures or running the default horizon.
 func TestRunRejectsNonFiniteHorizon(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -127,6 +141,7 @@ func TestRunRejectsNonFiniteHorizon(t *testing.T) {
 		{"NaN", math.NaN()},
 		{"+Inf", math.Inf(1)},
 		{"-Inf", math.Inf(-1)},
+		{"-1", -1},
 	} {
 		res, err := Run(context.Background(), Spec{Params: smallParams(), T: c.T, Reps: 2, Seed: 1})
 		if err == nil {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,61 +23,51 @@ func paramsJSON(t *testing.T, p core.Params) string {
 	return string(b)
 }
 
-// TestGoldenShapes proves the exemplar scenarios compile to byte-identical
-// core.Params as the hand-written figure runners, using the registered
-// study shapes (internal/study/models.go) as the golden source. Every
-// shape of the covered studies must be hit by some compiled grid point —
-// a scenario that silently drifted from its runner fails here.
-func TestGoldenShapes(t *testing.T) {
-	cases := []struct {
-		file  string
-		study string
-		key   func(pt Point) string // must match models.go's shape names
-	}{
-		{"fig5.json", "fig5", func(pt Point) string {
-			return fmt.Sprintf("%s,spread=%g", pt.Params.Policy, pt.X)
-		}},
-		{"fig5.yaml", "fig5", func(pt Point) string {
-			return fmt.Sprintf("%s,spread=%g", pt.Params.Policy, pt.X)
-		}},
-		{"analytic.json", "analytic", func(pt Point) string {
-			return fmt.Sprintf("spread=%g", pt.X)
-		}},
-		{"live.json", "live", func(pt Point) string {
-			return fmt.Sprintf("spread=%g", pt.X)
-		}},
-		{"faults.json", "faults", func(pt Point) string {
-			return fmt.Sprintf("camp=%g,part=%g", pt.Params.CampaignRate, pt.X)
-		}},
-		{"faults.yaml", "faults", func(pt Point) string {
-			return fmt.Sprintf("camp=%g,part=%g", pt.Params.CampaignRate, pt.X)
-		}},
+// measureNames builds pt's model and lists the names of its measures.
+func measureNames(t *testing.T, pt study.PointSpec) []string {
+	t.Helper()
+	m, err := core.Build(pt.Params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shapes := study.StudyModelShapes()
-	for _, tc := range cases {
+	var names []string
+	for _, v := range pt.Vars(m) {
+		names = append(names, v.Name())
+	}
+	return names
+}
+
+// TestGoldenShapes proves each exemplar scenario compiles to the grid its
+// registered study runs (study.Registry's Grid), point by point and in
+// order: byte-identical core.Params, the same seed offset, horizon and
+// measure names. A scenario that drifted from its study fails here.
+func TestGoldenShapes(t *testing.T) {
+	for _, tc := range []struct{ file, study string }{
+		{"fig5.json", "fig5"},
+		{"fig5.yaml", "fig5"},
+		{"analytic.json", "analytic"},
+		{"live.json", "live"},
+		{"faults.json", "faults"},
+		{"faults.yaml", "faults"},
+	} {
 		t.Run(tc.file, func(t *testing.T) {
-			c := compileFile(t, tc.file, Defaults{})
-			compiled := make(map[string]string, len(c.Points))
-			for _, pt := range c.Points {
-				compiled[tc.key(pt)] = paramsJSON(t, pt.Params)
+			got := compileFile(t, tc.file, Defaults{}).PointSpecs()
+			want := study.Registry[tc.study].Grid()
+			if len(got) != len(want) {
+				t.Fatalf("%d compiled points, study %s runs %d", len(got), tc.study, len(want))
 			}
-			n := 0
-			for _, sh := range shapes {
-				if sh.Study != tc.study {
-					continue
+			for i := range want {
+				g, w := got[i], want[i]
+				if gp, wp := paramsJSON(t, g.Params), paramsJSON(t, w.Params); gp != wp {
+					t.Errorf("point %d (%s) params:\n compiled: %s\n registry: %s", i, w.Label, gp, wp)
 				}
-				n++
-				got, ok := compiled[sh.Name]
-				if !ok {
-					t.Errorf("no compiled point for registered shape %q", sh.Name)
-					continue
+				if g.SeedOffset != w.SeedOffset || g.Until != w.Until {
+					t.Errorf("point %d (%s): compiled seed offset %d, horizon %g; registry %d, %g",
+						i, w.Label, g.SeedOffset, g.Until, w.SeedOffset, w.Until)
 				}
-				if want := paramsJSON(t, sh.Params); got != want {
-					t.Errorf("shape %q:\n compiled: %s\n registry: %s", sh.Name, got, want)
+				if gn, wn := measureNames(t, g), measureNames(t, w); !reflect.DeepEqual(gn, wn) {
+					t.Errorf("point %d (%s) measures: compiled %v, registry %v", i, w.Label, gn, wn)
 				}
-			}
-			if n == 0 {
-				t.Fatalf("no registered shapes for study %q", tc.study)
 			}
 		})
 	}

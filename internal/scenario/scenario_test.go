@@ -12,10 +12,10 @@ import (
 
 // lintCorners runs the static SAN linter over the grid's structural corner
 // shapes (the first and last value of each axis — the corners that change
-// which activities and places exist), the same defence the lint-models
-// lane gives the registered studies. Findings indicate a structurally
-// defective workload: dead activities, orphan places, or case
-// distributions that do not sum to one.
+// which activities and places exist), a cheaper form of the lint-models
+// lane, which lints every point of the registered studies' grids.
+// Findings indicate a structurally defective workload: dead activities,
+// orphan places, or case distributions that do not sum to one.
 func lintCorners(t *testing.T, name string, c *Compiled) []san.LintFinding {
 	t.Helper()
 	corner := func(n, i int) bool { return i == 0 || i == n-1 }

@@ -14,14 +14,37 @@ import (
 	"ituaval/internal/stats"
 )
 
+// xvalGrid is the SAN arm of the cross-validation: the 4×2 baseline under
+// domain exclusion, then under host exclusion.
+func xvalGrid() []PointSpec {
+	const T = 6.0
+	var pts []PointSpec
+	for i, policy := range []core.Policy{core.DomainExclusion, core.HostExclusion} {
+		p := core.DefaultParams()
+		p.NumDomains = 4
+		p.HostsPerDomain = 2
+		p.NumApps = 3
+		p.RepsPerApp = 4
+		p.Policy = policy
+		pts = append(pts, PointSpec{Label: fmt.Sprintf("crossval policy=%v", policy), Params: p, Until: T,
+			SeedOffset: uint64(4000 + i), Vars: func(m *core.Model) []reward.Var {
+				return []reward.Var{
+					m.Unavailability("unavail", 0, 0, T),
+					m.Unreliability("unrel", 0, T),
+					m.FracDomainsExcluded("excl", T),
+				}
+			}})
+	}
+	return pts
+}
+
 // CrossValidation (experiment X1) compares the SAN model against the
-// independent direct simulator on the baseline configuration under both
-// exclusion policies, returning a figure with one panel per measure, each
-// holding a "SAN" and a "direct" series indexed by policy (x = 1 for
-// domain exclusion, 2 for host exclusion).
+// independent direct simulator at every point of xvalGrid, returning a
+// figure with one panel per measure, each holding a "SAN" and a "direct"
+// series indexed by policy (x = 1 for domain exclusion, 2 for host
+// exclusion).
 func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	const T = 6.0
 	fig := &Figure{ID: "X1", Title: "SAN model vs independent direct simulator"}
 	panels := []Panel{
 		{ID: "X1-unavail", Measure: "Unavailability [0,6]", XLabel: "policy (1=domain 2=host)"},
@@ -30,37 +53,18 @@ func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	sanS := [3]Series{{Name: "SAN"}, {Name: "SAN"}, {Name: "SAN"}}
 	dirS := [3]Series{{Name: "direct"}, {Name: "direct"}, {Name: "direct"}}
-	policies := []core.Policy{core.DomainExclusion, core.HostExclusion}
-	params := make([]core.Params, len(policies))
-	pts := make([]PointSpec, len(policies))
-	for i, policy := range policies {
-		p := core.DefaultParams()
-		p.NumDomains = 4
-		p.HostsPerDomain = 2
-		p.NumApps = 3
-		p.RepsPerApp = 4
-		p.Policy = policy
-		params[i] = p
-		pts[i] = PointSpec{Label: fmt.Sprintf("crossval policy=%v", policy), Params: p, Until: T,
-			SeedOffset: uint64(4000 + i), Vars: func(m *core.Model) []reward.Var {
-				return []reward.Var{
-					m.Unavailability("unavail", 0, 0, T),
-					m.Unreliability("unrel", 0, T),
-					m.FracDomainsExcluded("excl", T),
-				}
-			}}
-	}
+	pts := xvalGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i := range policies {
+	for i, pt := range pts {
 		x := float64(i + 1)
 		AppendPoint(&sanS[0], x, "unavail", prs[i])
 		AppendPoint(&sanS[1], x, "unrel", prs[i])
 		AppendPoint(&sanS[2], x, "excl", prs[i])
 
-		dir, err := ituadirect.Replicate(ctx, params[i], cfg.Seed+uint64(4100+i), cfg.Reps, T)
+		dir, err := ituadirect.Replicate(ctx, pt.Params, cfg.Seed+uint64(4100+i), cfg.Reps, pt.Until)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +137,7 @@ func NumericalValidation(ctx context.Context, cfg Config) (*Figure, error) {
 
 // reducedValidationModel builds the small failure/detection/recovery SAN
 // that NumericalValidation solves exactly; factored out so the model lint
-// lane covers it alongside the composed ITUA shapes.
+// lane covers it alongside the registered grids.
 func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err error) {
 	const (
 		attack  = 0.6
@@ -187,18 +191,12 @@ func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err 
 	return m, good, bad, pending, nil
 }
 
-// AblationDetectionRate (experiment X3) sweeps the IDS pipeline rate to
-// show how the calibrated default (0.25/h) governs exclusion dynamics.
-func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// detectGrid is the sweep of the detection ablation: the host, replica and
+// manager detection rates set together, on 12 single-host domains.
+func detectGrid() []PointSpec {
 	const T = 5.0
-	fig := &Figure{ID: "X3", Title: "Sensitivity to the detection pipeline rate"}
-	unavail := Series{Name: "unavailability [0,5]"}
-	unrel := Series{Name: "unreliability [0,5]"}
-	excl := Series{Name: "domains excluded at 5"}
-	rates := []float64{0.1, 0.25, 0.5, 1, 2, 4}
-	pts := make([]PointSpec, len(rates))
-	for i, rate := range rates {
+	var pts []PointSpec
+	for i, rate := range []float64{0.1, 0.25, 0.5, 1, 2, 4} {
 		p := core.DefaultParams()
 		p.NumDomains = 12
 		p.HostsPerDomain = 1
@@ -207,20 +205,33 @@ func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
 		p.HostDetectRate = rate
 		p.ReplicaDetectRate = rate
 		p.MgrDetectRate = rate
-		pts[i] = PointSpec{Label: fmt.Sprintf("X3 rate=%v", rate), Params: p, Until: T,
+		pts = append(pts, PointSpec{Label: fmt.Sprintf("X3 rate=%v", rate), Params: p, Until: T,
 			SeedOffset: uint64(4300 + i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u", 0, 0, T),
 					m.Unreliability("r", 0, T),
 					m.FracDomainsExcluded("e", T),
 				}
-			}}
+			}})
 	}
+	return pts
+}
+
+// AblationDetectionRate (experiment X3) sweeps the IDS pipeline rate
+// (detectGrid) to show how the calibrated default (0.25/h) governs
+// exclusion dynamics.
+func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "X3", Title: "Sensitivity to the detection pipeline rate"}
+	unavail := Series{Name: "unavailability [0,5]"}
+	unrel := Series{Name: "unreliability [0,5]"}
+	excl := Series{Name: "domains excluded at 5"}
+	pts := detectGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i, rate := range rates {
+	for i, pt := range pts {
+		rate := pt.Params.HostDetectRate
 		AppendPoint(&unavail, rate, "u", prs[i])
 		AppendPoint(&unrel, rate, "r", prs[i])
 		AppendPoint(&excl, rate, "e", prs[i])
@@ -230,36 +241,42 @@ func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationRateSplit (experiment X4) sweeps the share of the attack budget
-// aimed directly at replicas.
-func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// splitGrid is the sweep of the split ablation: the replica share of the
+// attack budget, on 12 single-host domains.
+func splitGrid() []PointSpec {
 	const T = 5.0
-	fig := &Figure{ID: "X4", Title: "Sensitivity to the attack-budget split"}
-	unavail := Series{Name: "unavailability [0,5]"}
-	unrel := Series{Name: "unreliability [0,5]"}
-	weights := []float64{0, 0.5, 1, 2, 4, 8}
-	pts := make([]PointSpec, len(weights))
-	for i, wr := range weights {
+	var pts []PointSpec
+	for i, wr := range []float64{0, 0.5, 1, 2, 4, 8} {
 		p := core.DefaultParams()
 		p.NumDomains = 12
 		p.HostsPerDomain = 1
 		p.NumApps = 4
 		p.RepsPerApp = 7
 		p.AttackSplitReplica = wr
-		pts[i] = PointSpec{Label: fmt.Sprintf("X4 split=%v", wr), Params: p, Until: T,
+		pts = append(pts, PointSpec{Label: fmt.Sprintf("X4 split=%v", wr), Params: p, Until: T,
 			SeedOffset: uint64(4400 + i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u", 0, 0, T),
 					m.Unreliability("r", 0, T),
 				}
-			}}
+			}})
 	}
+	return pts
+}
+
+// AblationRateSplit (experiment X4) sweeps the share of the attack budget
+// aimed directly at replicas (splitGrid).
+func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "X4", Title: "Sensitivity to the attack-budget split"}
+	unavail := Series{Name: "unavailability [0,5]"}
+	unrel := Series{Name: "unreliability [0,5]"}
+	pts := splitGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i, wr := range weights {
+	for i, pt := range pts {
+		wr := pt.Params.AttackSplitReplica
 		AppendPoint(&unavail, wr, "u", prs[i])
 		AppendPoint(&unrel, wr, "r", prs[i])
 	}
@@ -268,22 +285,18 @@ func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationConviction (experiment X5) compares the two readings of the
-// management response to replica convictions: restart-only (default) versus
-// domain/host exclusion on every conviction (the strict prose reading).
-func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// convictModes are the series of the conviction ablation: restart-only,
+// then exclusion on every conviction.
+var convictModes = []bool{false, true}
+
+// convictGrid is the sweep of the conviction ablation: for each response
+// mode, 12 hosts split into domains as in study 1. Both modes share their
+// seed offsets, so equal hosts/domain points run on the same streams.
+func convictGrid() []PointSpec {
 	const T = 5.0
-	fig := &Figure{ID: "X5", Title: "Replica-conviction response: restart vs exclusion"}
-	panels := []Panel{
-		{ID: "X5-unavail", Measure: "Unavailability [0,5]", XLabel: "hosts/domain"},
-		{ID: "X5-excl", Measure: "Fraction domains excluded at 5", XLabel: "hosts/domain"},
-	}
-	modes := []bool{false, true}
-	hpds := []int{1, 2, 3, 4, 6, 12}
 	var pts []PointSpec
-	for _, excludeOnConviction := range modes {
-		for pi, hpd := range hpds {
+	for _, excludeOnConviction := range convictModes {
+		for pi, hpd := range Fig3HostsPerDomain {
 			p := core.DefaultParams()
 			p.NumDomains = 12 / hpd
 			p.HostsPerDomain = hpd
@@ -299,19 +312,32 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 				}})
 		}
 	}
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	return pts
+}
+
+// AblationConviction (experiment X5) compares the two readings of the
+// management response to replica convictions (convictGrid): restart-only
+// (default) versus domain/host exclusion on every conviction (the strict
+// prose reading).
+func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "X5", Title: "Replica-conviction response: restart vs exclusion"}
+	panels := []Panel{
+		{ID: "X5-unavail", Measure: "Unavailability [0,5]", XLabel: "hosts/domain"},
+		{ID: "X5-excl", Measure: "Fraction domains excluded at 5", XLabel: "hosts/domain"},
+	}
+	prs, err := RunSweep(ctx, cfg, convictGrid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for mi, excludeOnConviction := range modes {
+	for mi, excludeOnConviction := range convictModes {
 		name := "restart replica (default)"
 		if excludeOnConviction {
 			name = "exclude on conviction"
 		}
 		su := Series{Name: name}
 		se := Series{Name: name}
-		for pi, hpd := range hpds {
-			pr := prs[mi*len(hpds)+pi]
+		for pi, hpd := range Fig3HostsPerDomain {
+			pr := prs[mi*len(Fig3HostsPerDomain)+pi]
 			AppendPoint(&su, float64(hpd), "u", pr)
 			AppendPoint(&se, float64(hpd), "e", pr)
 		}
@@ -322,25 +348,21 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationPlacement (experiment X6) compares the recovery placement
-// strategies: the paper's uniform choice, deterministic least-loaded, and
-// inverse-load weighted random ("unpredictable adaptation" with load
-// balancing), on the study-3 topology.
-func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// placements are the series of the placement ablation.
+var placements = []core.Placement{core.UniformPlacement, core.LeastLoadedPlacement, core.WeightedRandomPlacement}
+
+// placementSpreads are the intra-domain spread rates the placement
+// ablation sweeps.
+var placementSpreads = []float64{0, 5, 10}
+
+// placementGrid is the sweep of the placement ablation: for each recovery
+// placement strategy, spread rates on the study-3 topology. The strategies
+// share their seed offsets, so equal spread points run on the same streams.
+func placementGrid() []PointSpec {
 	const T = 10.0
-	fig := &Figure{ID: "X6", Title: "Recovery placement strategies"}
-	panels := []Panel{
-		{ID: "X6-unavail", Measure: "Unavailability [0,10]", XLabel: "spread rate"},
-		{ID: "X6-load", Measure: "Load per live host at 10", XLabel: "spread rate"},
-	}
-	placements := []core.Placement{
-		core.UniformPlacement, core.LeastLoadedPlacement, core.WeightedRandomPlacement,
-	}
-	spreads := []float64{0, 5, 10}
 	var pts []PointSpec
 	for _, placement := range placements {
-		for pi, spread := range spreads {
+		for pi, spread := range placementSpreads {
 			p := core.DefaultParams()
 			p.NumDomains = 10
 			p.HostsPerDomain = 3
@@ -358,15 +380,28 @@ func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
 				}})
 		}
 	}
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	return pts
+}
+
+// AblationPlacement (experiment X6) compares the recovery placement
+// strategies of placementGrid: the paper's uniform choice, deterministic
+// least-loaded, and inverse-load weighted random ("unpredictable
+// adaptation" with load balancing).
+func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "X6", Title: "Recovery placement strategies"}
+	panels := []Panel{
+		{ID: "X6-unavail", Measure: "Unavailability [0,10]", XLabel: "spread rate"},
+		{ID: "X6-load", Measure: "Load per live host at 10", XLabel: "spread rate"},
+	}
+	prs, err := RunSweep(ctx, cfg, placementGrid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
 	for mi, placement := range placements {
 		su := Series{Name: placement.String()}
 		sl := Series{Name: placement.String()}
-		for pi, spread := range spreads {
-			pr := prs[mi*len(spreads)+pi]
+		for pi, spread := range placementSpreads {
+			pr := prs[mi*len(placementSpreads)+pi]
 			AppendPoint(&su, spread, "u", pr)
 			AppendPoint(&sl, spread, "load", pr)
 		}

@@ -10,30 +10,6 @@ import (
 	"ituaval/internal/reward"
 )
 
-// AnalyticSpreadRates is the sweep grid of the analytic study — the same
-// intra-domain spread rates as Figure 5.
-var AnalyticSpreadRates = Fig5SpreadRates
-
-// analyticParams is the largest ITUA configuration whose CTMC stays
-// comfortably generateable (~3·10^5 states with spread enabled): two
-// domains of one host, one application with two replicas, corruption
-// multiplier 5, like study 3 swept over the intra-domain spread rate.
-// Analytic is set so the intrusions counter saturates (finite state
-// space); the simulated arm runs the same saturated model, which agrees
-// with the unbounded one on every observable.
-func analyticParams(spread float64) core.Params {
-	p := core.DefaultParams()
-	p.NumDomains = 2
-	p.HostsPerDomain = 1
-	p.NumApps = 1
-	p.RepsPerApp = 2
-	p.CorruptionMult = 5
-	p.DomainSpreadRate = spread
-	p.Policy = core.DomainExclusion
-	p.Analytic = true
-	return p
-}
-
 // AnalyticAnchorParams is the full-scale exact anchor made reachable by
 // symmetry lumping (PR 9): the Figure-5 topology at four domains of two
 // hosts, three applications with two replicas each, corruption multiplier
@@ -65,30 +41,52 @@ func AnalyticAnchorParams() core.Params {
 // (~1.59M states; the full chain blows through 2^22).
 const AnalyticAnchorMaxStates = 1 << 21
 
-// analyticVars are the simulated counterparts of the exactly computed
-// measures, evaluated on application 0 like study 3.
-func analyticVars(m *core.Model) []reward.Var {
-	return []reward.Var{
-		m.Unavailability("u5", 0, 0, 5),
-		m.Unavailability("u10", 0, 0, 10),
-		m.Unreliability("r5", 0, 5),
-		m.Unreliability("r10", 0, 10),
+// analyticGrid is the simulated arm of the analytic study: the Figure-5
+// spread rates on the largest ITUA configuration whose CTMC stays
+// comfortably generateable (~3·10^5 states with spread enabled): two
+// domains of one host, one application with two replicas, corruption
+// multiplier 5, domain exclusion. Analytic is set so the intrusions counter
+// saturates (finite state space); the simulated arm runs the same
+// saturated model, which agrees with the unbounded one on every
+// observable. The measures are those the exact arm computes, on
+// application 0 like study 3.
+func analyticGrid() []PointSpec {
+	const T = 10.0
+	pts := make([]PointSpec, len(Fig5SpreadRates))
+	for pi, spread := range Fig5SpreadRates {
+		p := core.DefaultParams()
+		p.NumDomains = 2
+		p.HostsPerDomain = 1
+		p.NumApps = 1
+		p.RepsPerApp = 2
+		p.CorruptionMult = 5
+		p.DomainSpreadRate = spread
+		p.Policy = core.DomainExclusion
+		p.Analytic = true
+		pts[pi] = PointSpec{Label: fmt.Sprintf("analytic spread=%v", spread), Params: p, Until: T,
+			SeedOffset: uint64(4000 + pi), Vars: func(m *core.Model) []reward.Var {
+				return []reward.Var{
+					m.Unavailability("u5", 0, 0, 5),
+					m.Unavailability("u10", 0, 0, 10),
+					m.Unreliability("r5", 0, 5),
+					m.Unreliability("r10", 0, 10),
+				}
+			}}
 	}
+	return pts
 }
 
-// Analytic is the exact-vs-simulated study: for every Figure-5 spread
-// rate on the small analyticParams configuration it computes interval
-// unavailability and unreliability twice — numerically (state-space
-// generation plus uniformization, internal/exact; no sampling error) and
-// by the ordinary simulation sweep — and plots both series per panel.
-// The exact series carries zero half-widths; the notes record the chain
-// sizes and the worst simulated deviation in units of the simulation's
-// 95% half-width, so a bias in either path is visible at a glance.
-// Exact values are not checkpointed: recomputing them is cheap and they
-// are deterministic.
+// Analytic is the exact-vs-simulated study: at every point of analyticGrid
+// it computes interval unavailability and unreliability twice —
+// numerically (state-space generation plus uniformization, internal/exact;
+// no sampling error) and by the ordinary simulation sweep — and plots both
+// series per panel. The exact series carries zero half-widths; the notes
+// record the chain sizes and the worst simulated deviation in units of the
+// simulation's 95% half-width, so a bias in either path is visible at a
+// glance. Exact values are not checkpointed: recomputing them is cheap and
+// they are deterministic.
 func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	const T = 10.0
 	fig := &Figure{ID: "A", Title: "Exact (Uniformization) versus Simulated Measures, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "Aa", Measure: "Unavailability for the first 5 hours", XLabel: "spread rate"},
@@ -96,14 +94,9 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "Ac", Measure: "Unreliability for the first 5 hours", XLabel: "spread rate"},
 		{ID: "Ad", Measure: "Unreliability for the first 10 hours", XLabel: "spread rate"},
 	}
-	measures := []string{"u5", "u10", "r5", "r10"}
 
 	// Simulated arm: an ordinary checkpointable sweep.
-	pts := make([]PointSpec, len(AnalyticSpreadRates))
-	for pi, spread := range AnalyticSpreadRates {
-		pts[pi] = PointSpec{Label: fmt.Sprintf("analytic spread=%v", spread),
-			Params: analyticParams(spread), Until: T, SeedOffset: uint64(4000 + pi), Vars: analyticVars}
-	}
+	pts := analyticGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
@@ -116,11 +109,12 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 		simSeries[i].Name = "simulation"
 	}
 	worstSigma := 0.0
-	for pi, spread := range AnalyticSpreadRates {
+	for pi, pt := range pts {
+		spread := pt.Params.DomainSpreadRate
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s, err := exact.NewSolver(analyticParams(spread), exact.Options{Workers: cfg.Workers})
+		s, err := exact.NewSolver(pt.Params, exact.Options{Workers: cfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("analytic spread=%v: %w", spread, err)
 		}
@@ -139,7 +133,7 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"spread %g: %d states, %d transitions", spread, s.C.NumStates(), s.C.NumTransitions()))
-		for i, name := range measures {
+		for i, name := range fig5MeasureNames {
 			appendCell(&exSeries[i], spread, ex[name], 0, 0, 0, 0, 0, 0)
 			AppendPoint(&simSeries[i], spread, name, prs[pi])
 			if e := prs[pi].Est[name]; e.HalfWidth95 > 0 {

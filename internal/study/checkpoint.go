@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"ituaval/internal/core"
+	"ituaval/internal/reward"
 )
 
 // checkpointVersion is bumped whenever the on-disk format or the point-key
@@ -36,10 +37,10 @@ const checkpointVersion = 3
 // entries is written in its place. Recovery reports what happened.
 //
 // Resume is exact, not approximate: a point's key fingerprints the full
-// simulation spec (model parameters, horizon, replication schedule —
-// including any precision targets and cap — and the effective root
-// seed), and replication seeds are derived per-replication from the root
-// seed, so a resumed study is bit-identical to an uninterrupted one.
+// simulation spec (model parameters, horizon, measure names, replication
+// schedule — including any precision targets and cap — and the effective
+// root seed), and replication seeds are derived per-replication from the
+// root seed, so a resumed study is bit-identical to an uninterrupted one.
 type Checkpoint struct {
 	mu       sync.Mutex
 	path     string
@@ -327,19 +328,30 @@ func precKey(cfg Config) string {
 }
 
 // pointKey fingerprints everything that determines a sweep point's result:
-// the model parameters, the horizon, the replication schedule, and the
-// effective root seed. Two points with equal keys are guaranteed equal
-// results, which is what makes resume exact.
-func pointKey(cfg Config, p core.Params, until float64, seedOffset uint64) string {
-	return fmt.Sprintf("v%d|%s|seed=%d|until=%g|params=%s",
-		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, paramsJSON(p))
+// the model parameters, the horizon, the names of the measures, the
+// replication schedule, and the effective root seed. Two points with equal
+// keys are guaranteed equal results, which is what makes resume exact.
+func pointKey(cfg Config, p core.Params, until float64, seedOffset uint64, vars []reward.Var) string {
+	return fmt.Sprintf("v%d|%s|seed=%d|until=%g|vars=%q|params=%s",
+		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, varNames(vars), paramsJSON(p))
 }
 
 // pairedPointKey fingerprints a CRN-paired sweep point: both parameter
-// sets plus the shared schedule and seed.
-func pairedPointKey(cfg Config, a, b core.Params, until float64, seedOffset uint64) string {
-	return fmt.Sprintf("v%d|paired|%s|seed=%d|until=%g|a=%s|b=%s",
-		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, paramsJSON(a), paramsJSON(b))
+// sets and measure lists plus the shared schedule and seed.
+func pairedPointKey(cfg Config, a, b core.Params, until float64, seedOffset uint64, varsA, varsB []reward.Var) string {
+	return fmt.Sprintf("v%d|paired|%s|seed=%d|until=%g|vars.a=%q|vars.b=%q|a=%s|b=%s",
+		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, varNames(varsA), varNames(varsB),
+		paramsJSON(a), paramsJSON(b))
+}
+
+// varNames lists the measure names of vars; the keys print them quoted,
+// so no name can run into its neighbour.
+func varNames(vars []reward.Var) []string {
+	names := make([]string, len(vars))
+	for i, v := range vars {
+		names[i] = v.Name()
+	}
+	return names
 }
 
 func paramsJSON(p core.Params) []byte {

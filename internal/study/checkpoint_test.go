@@ -12,6 +12,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"ituaval/internal/core"
+	"ituaval/internal/reward"
 )
 
 // testResume interrupts runner after two completed points, then resumes it
@@ -159,6 +162,40 @@ func TestCheckpointKeyDiscriminates(t *testing.T) {
 		}
 		if ck.Len() != before+n {
 			t.Fatalf("%s change reused checkpointed points: %d -> %d", name, before, ck.Len())
+		}
+	}
+
+	// The same point measuring something else — a sweep point or a paired
+	// one — must not restore the other measure's entry.
+	pt := liveGrid()[0]
+	measure := func(name string) func(m *core.Model) []reward.Var {
+		return func(m *core.Model) []reward.Var {
+			if name == "u" {
+				return []reward.Var{m.Unavailability("u", 0, 0, pt.Until)}
+			}
+			return []reward.Var{m.Unreliability("r", 0, pt.Until)}
+		}
+	}
+	for _, name := range []string{"u", "r"} {
+		p := pt
+		p.Vars = measure(name)
+		before := ck.Len()
+		prs, err := RunSweep(context.Background(), base, []PointSpec{p}, SweepHooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := prs[0].Est[name]; ck.Len() != before+1 || e.N == 0 {
+			t.Fatalf("measure %s: restored another measure's entry (checkpoint %d -> %d, %s n=%d)",
+				name, before, ck.Len(), name, e.N)
+		}
+		before = ck.Len()
+		pr, err := pairedPoint(context.Background(), base.withDefaults(), p, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := pr.Est[name+".delta"]; ck.Len() != before+1 || e.N == 0 {
+			t.Fatalf("paired measure %s: restored another measure's entry (checkpoint %d -> %d, %s.delta n=%d)",
+				name, before, ck.Len(), name, e.N)
 		}
 	}
 }

@@ -20,28 +20,39 @@ var FaultPartitionRates = []float64{0, 2, 4, 8}
 // and on (each firing targets a Binomial(2, 0.5) batch of hosts).
 var FaultCampaignRates = []float64{0, 0.5}
 
-// faultsParams is the configuration the environment-fault study sweeps: the
-// same small two-domain topology as the live study, with the full
-// environment vocabulary armed — exponential-healing partitions, correlated
-// attack campaigns (inert while CampaignRate is zero), and a single-member
-// repair crew (with one application, capacity one is distributionally
-// identical to the unbounded crew, so the zero-rate corner stays the
-// baseline).
-func faultsParams(partRate, campRate float64) core.Params {
-	p := core.DefaultParams()
-	p.NumDomains = 2
-	p.HostsPerDomain = 1
-	p.NumApps = 1
-	p.RepsPerApp = 2
-	p.CorruptionMult = 5
-	p.Policy = core.DomainExclusion
-	p.PartitionRate = partRate
-	p.PartitionHealRate = 2
-	p.CampaignRate = campRate
-	p.CampaignSize = 2
-	p.CampaignProb = 0.5
-	p.RepairCrew = 1
-	return p
+// faultsGrid is the SAN arm of the environment-fault study, series-major
+// like the compiled scenario grid (seed offsets 8000+pi): the partition
+// rates for each campaign rate, on the same small two-domain topology as
+// the live study with the full environment vocabulary armed —
+// exponential-healing partitions, correlated attack campaigns (inert while
+// CampaignRate is zero), and a single-member repair crew (with one
+// application, capacity one is distributionally identical to the unbounded
+// crew, so the zero-rate corner stays the baseline).
+func faultsGrid() []PointSpec {
+	const T = 6.0
+	nX := len(FaultPartitionRates)
+	pts := make([]PointSpec, len(FaultCampaignRates)*nX)
+	for si, camp := range FaultCampaignRates {
+		for xi, part := range FaultPartitionRates {
+			p := core.DefaultParams()
+			p.NumDomains = 2
+			p.HostsPerDomain = 1
+			p.NumApps = 1
+			p.RepsPerApp = 2
+			p.CorruptionMult = 5
+			p.Policy = core.DomainExclusion
+			p.PartitionRate = part
+			p.PartitionHealRate = 2
+			p.CampaignRate = camp
+			p.CampaignSize = 2
+			p.CampaignProb = 0.5
+			p.RepairCrew = 1
+			pi := si*nX + xi
+			pts[pi] = PointSpec{Label: fmt.Sprintf("faults camp=%g part=%g", camp, part),
+				Params: p, Until: T, SeedOffset: uint64(8000 + pi), Vars: liveVars(T)}
+		}
+	}
+	return pts
 }
 
 // faultSeriesName labels one (arm, campaign-rate) series. The SAN arm's
@@ -51,9 +62,9 @@ func faultSeriesName(arm string, campRate float64) string {
 	return fmt.Sprintf("%s campaignRate=%g", arm, campRate)
 }
 
-// Faults is the environment-fault study: over a partition-rate × campaign
-// grid on the small faultsParams configuration it estimates interval
-// unavailability and unreliability three ways — the SAN model, the
+// Faults is the environment-fault study: over the partition-rate × campaign
+// grid of faultsGrid it estimates interval unavailability and
+// unreliability three ways — the SAN model, the
 // independent direct simulator, and a real fault-injected replica group
 // whose transport links are actually severed and healed — and anchors one
 // grid point to the numerically exact uniformization values. The notes
@@ -64,7 +75,6 @@ func faultSeriesName(arm string, campRate float64) string {
 // at study effort and the exact values are deterministic.
 func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	const T = 6.0
 	fig := &Figure{ID: "X9", Title: "Environment Faults: Partitions, Campaigns, and a Bounded Repair Crew, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "X9a", Measure: "Unavailability for the first 6 hours", XLabel: "partition rate (1/h)"},
@@ -73,16 +83,8 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 	measures := []string{"unavail", "unrel"}
 	nX := len(FaultPartitionRates)
 
-	// SAN arm: an ordinary checkpointable sweep, series-major like the
-	// compiled scenario grid (seed offsets 8000+pi).
-	pts := make([]PointSpec, len(FaultCampaignRates)*nX)
-	for si, camp := range FaultCampaignRates {
-		for xi, part := range FaultPartitionRates {
-			pi := si*nX + xi
-			pts[pi] = PointSpec{Label: fmt.Sprintf("faults camp=%g part=%g", camp, part),
-				Params: faultsParams(part, camp), Until: T, SeedOffset: uint64(8000 + pi), Vars: liveVars(T)}
-		}
-	}
+	// SAN arm: an ordinary checkpointable sweep.
+	pts := faultsGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
@@ -104,7 +106,7 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 	for si, camp := range FaultCampaignRates {
 		for xi, part := range FaultPartitionRates {
 			pi := si*nX + xi
-			p := faultsParams(part, camp)
+			p, T := pts[pi].Params, pts[pi].Until
 
 			// Direct arm: the independently coded Gillespie simulator.
 			dres, err := ituadirect.Replicate(ctx, p, cfg.Seed+uint64(8100+pi), cfg.Reps, T)
@@ -170,21 +172,22 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 
 	// Exact anchor: the partition-only point at rate FaultPartitionRates[1]
-	// stays generateable (~6·10^5 states), pinning the sampled arms to the
-	// uniformization values of the same fault-extended model.
-	anchor := faultsParams(FaultPartitionRates[1], 0)
+	// (the first series has no campaigns) stays generateable (~6·10^5
+	// states), pinning the sampled arms to the uniformization values of the
+	// same fault-extended model.
+	anchor := pts[1]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, err := exact.NewSolver(anchor, exact.Options{Workers: cfg.Workers})
+	s, err := exact.NewSolver(anchor.Params, exact.Options{Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("faults exact anchor: %w", err)
 	}
-	exU, err := s.Unavailability(0, T)
+	exU, err := s.Unavailability(0, anchor.Until)
 	if err != nil {
 		return nil, fmt.Errorf("faults exact anchor unavailability: %w", err)
 	}
-	exR, err := s.Unreliability(0, T)
+	exR, err := s.Unreliability(0, anchor.Until)
 	if err != nil {
 		return nil, fmt.Errorf("faults exact anchor unreliability: %w", err)
 	}
@@ -192,7 +195,7 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 		fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences),
 		fmt.Sprintf("worst pairwise |SAN - other arm| across all points: %.2f combined half-widths (expect < 1 at 95%%)", worstSigma),
 		fmt.Sprintf("exact anchor (camp=0, part=%g, %d states): unavail %.6g, unrel %.6g",
-			FaultPartitionRates[1], s.C.NumStates(), exU, exR))
+			anchor.Params.PartitionRate, s.C.NumStates(), exU, exR))
 	fig.Panels = panels
 	return fig, nil
 }

@@ -18,18 +18,11 @@ var Fig3HostsPerDomain = []int{1, 2, 3, 4, 6, 12}
 // Fig3Apps are the application counts of study 1.
 var Fig3Apps = []int{2, 4, 6, 8}
 
-// Fig3 reproduces Figure 3 (Section 4.1): different distributions of 12
-// hosts into domains, 7 replicas per application, first 5 hours.
-func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// fig3Grid is the sweep of study 1: for every application count, 12 hosts
+// split into 12/hpd domains of hpd hosts, 7 replicas per application, first
+// 5 hours. Points are application-major.
+func fig3Grid() []PointSpec {
 	const T = 5.0
-	fig := &Figure{ID: "3", Title: "Variations in Measures for Different Distributions of 12 Hosts (first 5 h)"}
-	panels := []Panel{
-		{ID: "3a", Measure: "Unavailability for first 5 hours", XLabel: "hosts/domain"},
-		{ID: "3b", Measure: "Unreliability for first 5 hours", XLabel: "hosts/domain"},
-		{ID: "3c", Measure: "Fraction of corrupt hosts in an excluded domain", XLabel: "hosts/domain"},
-		{ID: "3d", Measure: "Fraction of domains excluded at 5 h", XLabel: "hosts/domain"},
-	}
 	vars := func(m *core.Model) []reward.Var {
 		return []reward.Var{
 			m.Unavailability("unavail", 0, 0, T),
@@ -58,7 +51,19 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 				Params: p, Until: T, SeedOffset: uint64(1000*apps + pi), Vars: vars})
 		}
 	}
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	return pts
+}
+
+// Fig3 reproduces Figure 3 (Section 4.1) over fig3Grid.
+func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "3", Title: "Variations in Measures for Different Distributions of 12 Hosts (first 5 h)"}
+	panels := []Panel{
+		{ID: "3a", Measure: "Unavailability for first 5 hours", XLabel: "hosts/domain"},
+		{ID: "3b", Measure: "Unreliability for first 5 hours", XLabel: "hosts/domain"},
+		{ID: "3c", Measure: "Fraction of corrupt hosts in an excluded domain", XLabel: "hosts/domain"},
+		{ID: "3d", Measure: "Fraction of domains excluded at 5 h", XLabel: "hosts/domain"},
+	}
+	prs, err := RunSweep(ctx, cfg, fig3Grid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -87,35 +92,15 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 // hosts each.
 var Fig4HostsPerDomain = []int{1, 2, 3, 4}
 
-// Fig4 reproduces Figure 4 (Section 4.2): 10 domains, growing hosts per
-// domain, 4 applications with 7 replicas each. The per-host intrusion
-// probability is held constant across the sweep (RateBaseHosts pins the
-// rate denominators to the 10-host baseline), as the paper states.
-func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
-	const T = 10.0
-	const steadyT = 120.0
-	fig := &Figure{ID: "4", Title: "Variations in Measures for Different Numbers of Hosts in 10 Domains"}
-	panels := []Panel{
-		{ID: "4a", Measure: "Unavailability", XLabel: "hosts/domain"},
-		{ID: "4b", Measure: "Unreliability", XLabel: "hosts/domain"},
-		{ID: "4c", Measure: "Fraction of corrupt hosts in an excluded domain (steady state)", XLabel: "hosts/domain"},
-		{ID: "4d", Measure: "Fraction of domains excluded", XLabel: "hosts/domain"},
-	}
-	s5 := Series{Name: "for interval [0,5]"}
-	s10 := Series{Name: "for interval [0,10]"}
-	r5 := Series{Name: "for interval [0,5]"}
-	r10 := Series{Name: "for interval [0,10]"}
-	ss := Series{Name: "steady state"}
-	e5 := Series{Name: "at time 5"}
-	e10 := Series{Name: "at time 10"}
-	// Steady state: the model has no repair, so the long-horizon average
-	// over all exclusion events is the absorbed value; its points run as a
-	// second sweep with replications capped at 500.
-	longCfg := cfg
-	if longCfg.Reps > 500 {
-		longCfg.Reps = 500
-	}
+// fig4Grid is the sweep of study 2: 10 domains of 1-4 hosts, 4 applications
+// with 7 replicas each, per-host intrusion probability held constant across
+// the sweep (RateBaseHosts pins the rate denominators to the 10-host
+// baseline), as the paper states. The transient points over [0, 10] come
+// first, then one steady-state point per configuration: the model has no
+// repair, so the long-horizon average over all exclusion events is the
+// absorbed value.
+func fig4Grid() []PointSpec {
+	const T, steadyT = 10.0, 120.0
 	var pts, ssPts []PointSpec
 	for pi, hpd := range Fig4HostsPerDomain {
 		p := core.DefaultParams()
@@ -123,7 +108,7 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 		p.HostsPerDomain = hpd
 		p.NumApps = 4
 		p.RepsPerApp = 7
-		p.RateBaseHosts = 10 // constant per-host rates across the sweep
+		p.RateBaseHosts = 10
 		pts = append(pts, PointSpec{Label: fmt.Sprintf("fig4 hpd=%d", hpd), Params: p, Until: T,
 			SeedOffset: uint64(2000 + pi), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
@@ -140,11 +125,37 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 				return []reward.Var{m.FracCorruptHostsAtExclusion("cf", steadyT)}
 			}})
 	}
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	return append(pts, ssPts...)
+}
+
+// Fig4 reproduces Figure 4 (Section 4.2) over fig4Grid. The steady-state
+// points run as a second sweep with replications capped at 500.
+func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: "4", Title: "Variations in Measures for Different Numbers of Hosts in 10 Domains"}
+	panels := []Panel{
+		{ID: "4a", Measure: "Unavailability", XLabel: "hosts/domain"},
+		{ID: "4b", Measure: "Unreliability", XLabel: "hosts/domain"},
+		{ID: "4c", Measure: "Fraction of corrupt hosts in an excluded domain (steady state)", XLabel: "hosts/domain"},
+		{ID: "4d", Measure: "Fraction of domains excluded", XLabel: "hosts/domain"},
+	}
+	s5 := Series{Name: "for interval [0,5]"}
+	s10 := Series{Name: "for interval [0,10]"}
+	r5 := Series{Name: "for interval [0,5]"}
+	r10 := Series{Name: "for interval [0,10]"}
+	ss := Series{Name: "steady state"}
+	e5 := Series{Name: "at time 5"}
+	e10 := Series{Name: "at time 10"}
+	cfg = cfg.withDefaults()
+	longCfg := cfg
+	if longCfg.Reps > 500 {
+		longCfg.Reps = 500
+	}
+	pts, n := fig4Grid(), len(Fig4HostsPerDomain)
+	prs, err := RunSweep(ctx, cfg, pts[:n], SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	prSSs, err := RunSweep(ctx, longCfg, ssPts, SweepHooks{})
+	prSSs, err := RunSweep(ctx, longCfg, pts[n:], SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -169,12 +180,45 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 // Fig5SpreadRates are the sweep points of study 3.
 var Fig5SpreadRates = []float64{0, 2, 4, 6, 8, 10}
 
-// Fig5 reproduces Figure 5 (Section 4.3): domain-exclusion versus
-// host-exclusion for varying intra-domain attack-spread rates; 10 domains
-// of 3 hosts, 4 applications with 7 replicas, corruption multiplier 5.
-func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
+// fig5Policies are the series of study 3, in grid order.
+var fig5Policies = []core.Policy{core.HostExclusion, core.DomainExclusion}
+
+// fig5MeasureNames are the measures of study 3, in order.
+var fig5MeasureNames = []string{"u5", "u10", "r5", "r10"}
+
+// fig5Grid is the sweep of study 3: 10 domains of 3 hosts, 4 applications
+// with 7 replicas, corruption multiplier 5, over the intra-domain spread
+// rates under host exclusion, then under domain exclusion.
+func fig5Grid() []PointSpec {
 	const T = 10.0
+	var pts []PointSpec
+	for si, policy := range fig5Policies {
+		for pi, spread := range Fig5SpreadRates {
+			p := core.DefaultParams()
+			p.NumDomains = 10
+			p.HostsPerDomain = 3
+			p.NumApps = 4
+			p.RepsPerApp = 7
+			p.CorruptionMult = 5
+			p.DomainSpreadRate = spread
+			p.Policy = policy
+			pts = append(pts, PointSpec{Label: fmt.Sprintf("fig5 %v spread=%v", policy, spread),
+				Params: p, Until: T, SeedOffset: uint64(3000 + 100*si + pi), Vars: func(m *core.Model) []reward.Var {
+					return []reward.Var{
+						m.Unavailability("u5", 0, 0, 5),
+						m.Unavailability("u10", 0, 0, 10),
+						m.Unreliability("r5", 0, 5),
+						m.Unreliability("r10", 0, 10),
+					}
+				}})
+		}
+	}
+	return pts
+}
+
+// Fig5 reproduces Figure 5 (Section 4.3) over fig5Grid: domain-exclusion
+// versus host-exclusion for varying intra-domain attack-spread rates.
+func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 	fig := &Figure{ID: "5", Title: "Unavailability and Unreliability for Different Exclusion Algorithms"}
 	panels := []Panel{
 		{ID: "5a", Measure: "Unavailability for the first 5 hours", XLabel: "spread rate"},
@@ -182,19 +226,11 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "5c", Measure: "Unreliability for the first 5 hours", XLabel: "spread rate"},
 		{ID: "5d", Measure: "Unreliability for the first 10 hours", XLabel: "spread rate"},
 	}
-	policies := []core.Policy{core.HostExclusion, core.DomainExclusion}
-	var pts []PointSpec
-	for si, policy := range policies {
-		for pi, spread := range Fig5SpreadRates {
-			pts = append(pts, PointSpec{Label: fmt.Sprintf("fig5 %v spread=%v", policy, spread),
-				Params: fig5Params(spread, policy), Until: T, SeedOffset: uint64(3000 + 100*si + pi), Vars: fig5Vars})
-		}
-	}
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	prs, err := RunSweep(ctx, cfg, fig5Grid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for si, policy := range policies {
+	for si, policy := range fig5Policies {
 		name := map[core.Policy]string{
 			core.HostExclusion:   "Host exclusion",
 			core.DomainExclusion: "Domain exclusion",
@@ -202,10 +238,9 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 		series := [4]Series{{Name: name}, {Name: name}, {Name: name}, {Name: name}}
 		for pi, spread := range Fig5SpreadRates {
 			pr := prs[si*len(Fig5SpreadRates)+pi]
-			AppendPoint(&series[0], spread, "u5", pr)
-			AppendPoint(&series[1], spread, "u10", pr)
-			AppendPoint(&series[2], spread, "r5", pr)
-			AppendPoint(&series[3], spread, "r10", pr)
+			for i, v := range fig5MeasureNames {
+				AppendPoint(&series[i], spread, v, pr)
+			}
 		}
 		for i := range panels {
 			panels[i].Series = append(panels[i].Series, series[i])
@@ -214,34 +249,6 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 	fig.Panels = panels
 	return fig, nil
 }
-
-// fig5Params is the study-3 configuration: 10 domains of 3 hosts, 4
-// applications with 7 replicas, corruption multiplier 5, swept over the
-// intra-domain spread rate under either exclusion policy.
-func fig5Params(spread float64, policy core.Policy) core.Params {
-	p := core.DefaultParams()
-	p.NumDomains = 10
-	p.HostsPerDomain = 3
-	p.NumApps = 4
-	p.RepsPerApp = 7
-	p.CorruptionMult = 5
-	p.DomainSpreadRate = spread
-	p.Policy = policy
-	return p
-}
-
-// fig5Vars are the four measures of study 3.
-func fig5Vars(m *core.Model) []reward.Var {
-	return []reward.Var{
-		m.Unavailability("u5", 0, 0, 5),
-		m.Unavailability("u10", 0, 0, 10),
-		m.Unreliability("r5", 0, 5),
-		m.Unreliability("r10", 0, 10),
-	}
-}
-
-// fig5MeasureNames are the var names of fig5Vars, in order.
-var fig5MeasureNames = []string{"u5", "u10", "r5", "r10"}
 
 // finiteOr0 maps NaN and ±Inf to 0 so derived statistics (correlation and
 // VRF can be undefined at zero variance) stay JSON-encodable in
@@ -253,47 +260,47 @@ func finiteOr0(x float64) float64 {
 	return x
 }
 
-// pairedPoint runs one CRN-paired sweep point comparing two configurations
-// (internal/precision.Compare) and flattens the comparison into a
-// PointResult so it checkpoints exactly like an ordinary point. For every
-// shared measure <v> the estimate map holds <v>.a and <v>.b (the marginal
-// estimates), <v>.delta (mean = paired delta A−B, half-width = paired-t
-// 95% half-width, N = complete pairs), and <v>.corr / <v>.vrf (the
-// CRN-induced correlation and variance-reduction factor, as means; 0 when
-// undefined). Replication accounting sums both configurations. With a
-// precision target configured the comparison is sequential on the deltas.
-func pairedPoint(ctx context.Context, cfg Config, pa, pb core.Params, until float64, seedOffset uint64,
-	vars func(m *core.Model) []reward.Var) (*PointResult, error) {
-	var key string
-	if cfg.Checkpoint != nil {
-		key = pairedPointKey(cfg, pa, pb, until, seedOffset)
-		if pr, ok := cfg.Checkpoint.lookup(key); ok {
-			return pr, nil
-		}
-	}
-	mkSpec := func(p core.Params) (sim.Spec, error) {
-		m, err := core.Build(p)
+// pairedPoint runs the configurations of points a and b as one CRN-paired
+// sweep point (internal/precision.Compare) over a's horizon, at root seed
+// cfg.Seed+seedOffset, and flattens the comparison into a PointResult so it
+// checkpoints exactly like an ordinary point. For every shared measure <v>
+// the estimate map holds <v>.a and <v>.b (the marginal estimates),
+// <v>.delta (mean = paired delta A−B, half-width = paired-t 95% half-width,
+// N = complete pairs), and <v>.corr / <v>.vrf (the CRN-induced correlation
+// and variance-reduction factor, as means; 0 when undefined). Replication
+// accounting sums both configurations. With a precision target configured
+// the comparison is sequential on the deltas.
+func pairedPoint(ctx context.Context, cfg Config, a, b PointSpec, seedOffset uint64) (*PointResult, error) {
+	mkSpec := func(p PointSpec) (sim.Spec, error) {
+		m, err := core.Build(p.Params)
 		if err != nil {
 			return sim.Spec{}, err
 		}
 		return sim.Spec{
 			Model:          m.SAN,
-			Until:          until,
+			Until:          a.Until,
 			Reps:           cfg.Reps,
 			Seed:           cfg.Seed + seedOffset,
 			Workers:        cfg.Workers,
-			Vars:           vars(m),
+			Vars:           p.Vars(m),
 			RepDeadline:    cfg.RepDeadline,
 			MaxFailureFrac: cfg.MaxFailureFrac,
 		}, nil
 	}
-	specA, err := mkSpec(pa)
+	specA, err := mkSpec(a)
 	if err != nil {
 		return nil, err
 	}
-	specB, err := mkSpec(pb)
+	specB, err := mkSpec(b)
 	if err != nil {
 		return nil, err
+	}
+	var key string
+	if cfg.Checkpoint != nil {
+		key = pairedPointKey(cfg, a.Params, b.Params, a.Until, seedOffset, specA.Vars, specB.Vars)
+		if pr, ok := cfg.Checkpoint.lookup(key); ok {
+			return pr, nil
+		}
 	}
 	opts := precision.Opts{}
 	if cfg.precisionMode() {
@@ -337,17 +344,16 @@ func pairedPoint(ctx context.Context, cfg Config, pa, pb core.Params, until floa
 }
 
 // Fig5Paired is the variance-reduced reading of study 3: instead of two
-// independent sweeps, each spread rate runs host- against domain-exclusion
-// on common random numbers and reports the paired delta with its paired-t
-// interval — the statistically sound way to resolve where the two policy
-// curves of Figure 5 cross. Panels carry the two marginal series plus the
-// delta series; crossover locations estimated from the delta sign changes
-// (linear interpolation, flagged resolved when the bracketing deltas clear
-// their intervals) land in Figure.Notes together with the observed
-// CRN variance-reduction factors.
+// independent sweeps, each spread rate of fig5Grid runs its host- against
+// its domain-exclusion point on common random numbers and reports the
+// paired delta with its paired-t interval — the statistically sound way to
+// resolve where the two policy curves of Figure 5 cross. Panels carry the
+// two marginal series plus the delta series; crossover locations estimated
+// from the delta sign changes (linear interpolation, flagged resolved when
+// the bracketing deltas clear their intervals) land in Figure.Notes
+// together with the observed CRN variance-reduction factors.
 func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	const T = 10.0
 	fig := &Figure{ID: "5p", Title: "Exclusion Algorithms Compared on Common Random Numbers (host - domain deltas)"}
 	panels := []Panel{
 		{ID: "5pa", Measure: "Unavailability for the first 5 hours", XLabel: "spread rate"},
@@ -362,11 +368,11 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 		delta[i].Name = "delta (host - domain)"
 	}
 	var meanCorr, meanVRF [4]float64
+	pts, n := fig5Grid(), len(Fig5SpreadRates)
 	for pi, spread := range Fig5SpreadRates {
-		pr, err := pairedPoint(ctx, cfg,
-			fig5Params(spread, core.HostExclusion),
-			fig5Params(spread, core.DomainExclusion),
-			T, uint64(3500+pi), fig5Vars)
+		// Host exclusion is fig5Grid's first series, domain exclusion its
+		// second.
+		pr, err := pairedPoint(ctx, cfg, pts[pi], pts[n+pi], uint64(3500+pi))
 		if err != nil {
 			return nil, fmt.Errorf("fig5-paired spread=%v: %w", spread, err)
 		}
@@ -374,8 +380,8 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 			AppendPoint(&host[i], spread, v+".a", pr)
 			AppendPoint(&dom[i], spread, v+".b", pr)
 			AppendPoint(&delta[i], spread, v+".delta", pr)
-			meanCorr[i] += pr.Est[v+".corr"].Mean / float64(len(Fig5SpreadRates))
-			meanVRF[i] += pr.Est[v+".vrf"].Mean / float64(len(Fig5SpreadRates))
+			meanCorr[i] += pr.Est[v+".corr"].Mean / float64(n)
+			meanVRF[i] += pr.Est[v+".vrf"].Mean / float64(n)
 		}
 	}
 	for i := range panels {

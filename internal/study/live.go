@@ -10,26 +10,6 @@ import (
 	"ituaval/internal/rsm"
 )
 
-// LiveSpreadRates is the sweep grid of the live study — the Figure-5
-// intra-domain spread rates.
-var LiveSpreadRates = Fig5SpreadRates
-
-// liveParams is the configuration the live study sweeps: the same small
-// two-domain topology as the analytic study, so the live service's replica
-// groups stay cheap enough to run thousands of protocol executions per
-// sweep point.
-func liveParams(spread float64) core.Params {
-	p := core.DefaultParams()
-	p.NumDomains = 2
-	p.HostsPerDomain = 1
-	p.NumApps = 1
-	p.RepsPerApp = 2
-	p.CorruptionMult = 5
-	p.DomainSpreadRate = spread
-	p.Policy = core.DomainExclusion
-	return p
-}
-
 // liveVars are the SAN counterparts of the live service's measures.
 func liveVars(T float64) func(m *core.Model) []reward.Var {
 	return func(m *core.Model) []reward.Var {
@@ -40,19 +20,41 @@ func liveVars(T float64) func(m *core.Model) []reward.Var {
 	}
 }
 
-// Live is the model-vs-measurement study: for every Figure-5 spread rate on
-// the small liveParams configuration it estimates interval unavailability
-// and unreliability twice — by simulating the SAN model, and by running a
-// real message-passing replica group (internal/rsm) under the model's
-// attack process and measuring the service a synthetic client actually
-// receives — and plots both series per panel. The notes record the live
-// probe count, the probe-vs-oracle divergences (zero under the worst-case
-// adversary), and the worst model-vs-live deviation in units of the
-// combined 95% half-widths. Live points are not checkpointed: a sweep point
-// is a few thousand in-process protocol runs and recomputing it is cheap.
+// liveGrid is the model arm of the live study: the Figure-5 spread rates on
+// the same small two-domain topology as the analytic study (without
+// intrusion-counter saturation, since nothing is generated), so the live
+// service's replica groups stay cheap enough to run thousands of protocol
+// executions per sweep point.
+func liveGrid() []PointSpec {
+	const T = 6.0
+	pts := make([]PointSpec, len(Fig5SpreadRates))
+	for pi, spread := range Fig5SpreadRates {
+		p := core.DefaultParams()
+		p.NumDomains = 2
+		p.HostsPerDomain = 1
+		p.NumApps = 1
+		p.RepsPerApp = 2
+		p.CorruptionMult = 5
+		p.DomainSpreadRate = spread
+		p.Policy = core.DomainExclusion
+		pts[pi] = PointSpec{Label: fmt.Sprintf("live spread=%v", spread),
+			Params: p, Until: T, SeedOffset: uint64(6000 + pi), Vars: liveVars(T)}
+	}
+	return pts
+}
+
+// Live is the model-vs-measurement study: at every point of liveGrid it
+// estimates interval unavailability and unreliability twice — by
+// simulating the SAN model, and by running a real message-passing replica
+// group (internal/rsm) under the model's attack process and measuring the
+// service a synthetic client actually receives — and plots both series per
+// panel. The notes record the live probe count, the probe-vs-oracle
+// divergences (zero under the worst-case adversary), and the worst
+// model-vs-live deviation in units of the combined 95% half-widths. Live
+// points are not checkpointed: a sweep point is a few thousand in-process
+// protocol runs and recomputing it is cheap.
 func Live(ctx context.Context, cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
-	const T = 6.0
 	fig := &Figure{ID: "L", Title: "Model versus Live Replicated Service, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "La", Measure: "Unavailability for the first 6 hours", XLabel: "spread rate"},
@@ -61,11 +63,7 @@ func Live(ctx context.Context, cfg Config) (*Figure, error) {
 	measures := []string{"unavail", "unrel"}
 
 	// Model arm: an ordinary checkpointable SAN sweep.
-	pts := make([]PointSpec, len(LiveSpreadRates))
-	for pi, spread := range LiveSpreadRates {
-		pts[pi] = PointSpec{Label: fmt.Sprintf("live spread=%v", spread),
-			Params: liveParams(spread), Until: T, SeedOffset: uint64(6000 + pi), Vars: liveVars(T)}
-	}
+	pts := liveGrid()
 	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
 	if err != nil {
 		return nil, err
@@ -79,10 +77,11 @@ func Live(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	var probes, divergences int64
 	worstSigma := 0.0
-	for pi, spread := range LiveSpreadRates {
+	for pi, pt := range pts {
+		spread := pt.Params.DomainSpreadRate
 		res, err := rsm.Run(ctx, rsm.Spec{
-			Params:         liveParams(spread),
-			T:              T,
+			Params:         pt.Params,
+			T:              pt.Until,
 			Reps:           cfg.Reps,
 			Seed:           cfg.Seed + uint64(7000+pi),
 			Workers:        cfg.Workers,

@@ -189,6 +189,21 @@ func TestRegistry(t *testing.T) {
 	if _, err := Run("nope", quick()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
+	// Every entry shows a description on the discovery surfaces, and every
+	// entry but numval (which solves its own reduced model) carries the
+	// grid its runner sweeps.
+	for _, id := range ids {
+		e := Registry[id]
+		if e.Description == "" {
+			t.Errorf("%s: empty description", id)
+		}
+		if id == "numval" {
+			continue
+		}
+		if e.Grid == nil || len(e.Grid()) == 0 {
+			t.Errorf("%s: no sweep grid", id)
+		}
+	}
 }
 
 func TestWriters(t *testing.T) {

@@ -101,9 +101,14 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 	var running []*sweepPoint
 	for i := range points {
 		p := &points[i]
+		m, err := core.Build(p.Params)
+		if err != nil {
+			return prs, fmt.Errorf("%s: %w", p.Label, err)
+		}
+		vars := p.Vars(m)
 		var key string
 		if cfg.Checkpoint != nil {
-			key = pointKey(cfg, p.Params, p.Until, p.SeedOffset)
+			key = pointKey(cfg, p.Params, p.Until, p.SeedOffset, vars)
 			if pr, ok := cfg.Checkpoint.lookup(key); ok {
 				prs[i] = pr
 				if hooks.OnPoint != nil {
@@ -112,17 +117,13 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 				continue
 			}
 		}
-		m, err := core.Build(p.Params)
-		if err != nil {
-			return prs, fmt.Errorf("%s: %w", p.Label, err)
-		}
 		running = append(running, &sweepPoint{i: i, key: key, spec: sim.Spec{
 			Model:          m.SAN,
 			Until:          p.Until,
 			Reps:           cfg.Reps,
 			Seed:           cfg.Seed + p.SeedOffset,
 			Workers:        cfg.Workers,
-			Vars:           p.Vars(m),
+			Vars:           vars,
 			RepDeadline:    cfg.RepDeadline,
 			MaxFailureFrac: cfg.MaxFailureFrac,
 			KeepPerRep:     precise,

@@ -20,10 +20,11 @@ import (
 // its measures differ in relative noise and a tight target takes each
 // point a different number of doubling rounds.
 func precisionSweep() []PointSpec {
+	p := liveGrid()[2].Params // spread rate 4
 	var pts []PointSpec
 	for i, T := range []float64{1.5, 3, 6} {
 		pts = append(pts, PointSpec{Label: fmt.Sprintf("T=%v", T),
-			Params: liveParams(4), Until: T, SeedOffset: uint64(i), Vars: liveVars(T)})
+			Params: p, Until: T, SeedOffset: uint64(i), Vars: liveVars(T)})
 	}
 	return pts
 }
