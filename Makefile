@@ -143,6 +143,6 @@ bench-test:
 
 results:
 	$(GO) run ./cmd/figures -reps 4000 -csv results fig3 fig4 fig5 > results_figures.tmp
-	$(GO) run ./cmd/figures -reps 2000 -csv results xval numval abl-detect abl-split abl-convict abl-placement >> results_figures.tmp
+	$(GO) run ./cmd/figures -reps 2000 -csv results xval numval abl-detect abl-split abl-convict abl-placement fig5-paired >> results_figures.tmp
 	grep -v 'completed in' results_figures.tmp > results_figures.txt
 	rm results_figures.tmp

@@ -223,6 +223,12 @@ func precisionFigure(t *testing.T, id string, workers int) []string {
 	if err != nil {
 		t.Fatalf("%s (workers=%d): %v", id, workers, err)
 	}
+	return flattenCounts(fig)
+}
+
+// flattenCounts is flattenFigure with every value's replication counts
+// appended.
+func flattenCounts(fig *Figure) []string {
 	out := flattenFigure(fig)
 	k := 0
 	for _, p := range fig.Panels {
@@ -268,6 +274,71 @@ func TestPrecisionGolden(t *testing.T) {
 	for _, w := range detWorkers {
 		for _, id := range precisionFigureIDs {
 			compareLines(t, fmt.Sprintf("%s/workers=%d", id, w), precisionFigure(t, id, w), want[id])
+		}
+	}
+}
+
+var updatePairedGolden = flag.Bool("update-paired-golden", false,
+	"rewrite testdata/paired_golden.json from the current paired sweep (Workers=1 reference)")
+
+const pairedGoldenPath = "testdata/paired_golden.json"
+
+// pairedConfigs are the schedules the paired golden pins fig5-paired
+// under: a fixed replication count, a relative half-width target on the
+// paired deltas that no point meets before the cap, and an absolute one
+// whose points stop after one to three doubling batches.
+var pairedConfigs = map[string]Config{
+	"fixed":         {Reps: 60, Seed: 7},
+	"precision":     {Reps: 20, Seed: 7, TargetRelHW: 0.25, MaxReps: 160},
+	"precision-abs": {Reps: 20, Seed: 7, TargetAbsHW: 0.2, MaxReps: 160},
+}
+
+// pairedFigure runs fig5-paired under the named schedule and flattens
+// every panel value with its replication counts, then the figure's notes
+// (crossovers and CRN variance reduction).
+func pairedFigure(t *testing.T, mode string, workers int) []string {
+	t.Helper()
+	cfg := pairedConfigs[mode]
+	cfg.Workers = workers
+	fig, err := RunContext(context.Background(), "fig5-paired", cfg)
+	if err != nil {
+		t.Fatalf("fig5-paired %s (workers=%d): %v", mode, workers, err)
+	}
+	return append(flattenCounts(fig), fig.Notes...)
+}
+
+// TestPairedGolden pins the CRN-paired study, fig5-paired, in both
+// schedules bit for bit at every worker count against a Workers=1
+// reference. Regenerate with `go test ./internal/study -run
+// TestPairedGolden -update-paired-golden`, only for a change meant to alter
+// sampled trajectories, the pairing or the stopping rule.
+func TestPairedGolden(t *testing.T) {
+	if *updatePairedGolden {
+		g := make(map[string][]string)
+		for mode := range pairedConfigs {
+			g[mode] = pairedFigure(t, mode, 1)
+		}
+		data, err := json.MarshalIndent(g, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pairedGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d schedules)", pairedGoldenPath, len(g))
+		return
+	}
+	data, err := os.ReadFile(pairedGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-paired-golden): %v", err)
+	}
+	var want map[string][]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range detWorkers {
+		for mode := range pairedConfigs {
+			compareLines(t, fmt.Sprintf("fig5-paired/%s/workers=%d", mode, w), pairedFigure(t, mode, w), want[mode])
 		}
 	}
 }
