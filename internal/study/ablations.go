@@ -290,12 +290,12 @@ func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
 var convictModes = []bool{false, true}
 
 // convictGrid is the sweep of the conviction ablation: for each response
-// mode, 12 hosts split into domains as in study 1. Both modes share their
-// seed offsets, so equal hosts/domain points run on the same streams.
+// mode, 12 hosts split into domains as in study 1. Each mode has its own
+// block of seed offsets, so the two modes sample independently.
 func convictGrid() []PointSpec {
 	const T = 5.0
 	var pts []PointSpec
-	for _, excludeOnConviction := range convictModes {
+	for mi, excludeOnConviction := range convictModes {
 		for pi, hpd := range Fig3HostsPerDomain {
 			p := core.DefaultParams()
 			p.NumDomains = 12 / hpd
@@ -304,7 +304,7 @@ func convictGrid() []PointSpec {
 			p.RepsPerApp = 7
 			p.ExcludeOnReplicaConviction = excludeOnConviction
 			pts = append(pts, PointSpec{Label: fmt.Sprintf("X5 exclude=%v hpd=%d", excludeOnConviction, hpd),
-				Params: p, Until: T, SeedOffset: uint64(4500 + pi), Vars: func(m *core.Model) []reward.Var {
+				Params: p, Until: T, SeedOffset: uint64(4500 + 10*mi + pi), Vars: func(m *core.Model) []reward.Var {
 					return []reward.Var{
 						m.Unavailability("u", 0, 0, T),
 						m.FracDomainsExcluded("e", T),
@@ -356,12 +356,13 @@ var placements = []core.Placement{core.UniformPlacement, core.LeastLoadedPlaceme
 var placementSpreads = []float64{0, 5, 10}
 
 // placementGrid is the sweep of the placement ablation: for each recovery
-// placement strategy, spread rates on the study-3 topology. The strategies
-// share their seed offsets, so equal spread points run on the same streams.
+// placement strategy, spread rates on the study-3 topology. Each strategy
+// has its own block of seed offsets, so the strategies sample
+// independently.
 func placementGrid() []PointSpec {
 	const T = 10.0
 	var pts []PointSpec
-	for _, placement := range placements {
+	for si, placement := range placements {
 		for pi, spread := range placementSpreads {
 			p := core.DefaultParams()
 			p.NumDomains = 10
@@ -372,7 +373,7 @@ func placementGrid() []PointSpec {
 			p.DomainSpreadRate = spread
 			p.Placement = placement
 			pts = append(pts, PointSpec{Label: fmt.Sprintf("X6 %v spread=%v", placement, spread),
-				Params: p, Until: T, SeedOffset: uint64(4600 + pi), Vars: func(m *core.Model) []reward.Var {
+				Params: p, Until: T, SeedOffset: uint64(4600 + 10*si + pi), Vars: func(m *core.Model) []reward.Var {
 					return []reward.Var{
 						m.Unavailability("u", 0, 0, T),
 						m.LoadPerHost("load", T),
