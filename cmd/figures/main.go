@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figures [-reps N] [-seed S] [-precision R] [-paired] [-analytic] [-live] [-faults] [-csv dir] [-checkpoint file] [-resume] [experiment ...]
+//	figures [-reps N] [-seed S] [-precision R] [-analytic] [-live] [-faults] [-csv dir] [-checkpoint file] [-resume] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs. Text
 // tables go to stdout; -csv additionally writes one CSV file per
@@ -15,11 +15,11 @@
 // to sequential stopping: replications grow geometrically from -reps until
 // each measure's 95% confidence half-width falls below R times its mean
 // (combinable with -abs-precision for an absolute target), bounded by
-// -max-reps. -paired substitutes the CRN-paired variant for experiments
-// that have one (fig5 becomes fig5-paired): both exclusion policies run on
-// common random numbers and the figure reports host-minus-domain deltas
+// -max-reps. The experiment fig5-paired runs study 3 with both exclusion
+// policies on common random numbers and reports host-minus-domain deltas
 // with paired-t intervals, crossover locations, and the observed
-// variance-reduction factors.
+// variance-reduction factors; under -precision its targets apply to the
+// deltas.
 //
 // -analytic adds the exact-vs-simulated study (experiment id "analytic"):
 // on a two-domain, one-host-per-domain configuration every Figure-5 spread
@@ -91,7 +91,6 @@ func run() int {
 	relHW := flag.Float64("precision", 0, "relative 95% half-width target per measure; grows replications from -reps until met (0 = fixed -reps)")
 	absHW := flag.Float64("abs-precision", 0, "absolute 95% half-width target per measure (0 = none)")
 	maxReps := flag.Int("max-reps", 0, "replication cap per sweep point in precision mode (0 = 16x -reps)")
-	paired := flag.Bool("paired", false, "use the CRN-paired variant of experiments that have one (fig5 -> fig5-paired)")
 	analytic := flag.Bool("analytic", false, "include the analytic study: exact (uniformization) vs simulated measures on a small configuration")
 	live := flag.Bool("live", false, "include the live study: SAN model vs a real fault-injected replica group on a small configuration")
 	faults := flag.Bool("faults", false, "include the environment-fault study: partitions x campaigns x repair crew, SAN vs direct vs live with an exact anchor")
@@ -179,20 +178,6 @@ func run() int {
 				ids = append(ids, id)
 			}
 		}
-	}
-	if *paired {
-		seen := make(map[string]bool)
-		deduped := ids[:0]
-		for _, id := range ids {
-			if id == "fig5" {
-				id = "fig5-paired"
-			}
-			if !seen[id] {
-				seen[id] = true
-				deduped = append(deduped, id)
-			}
-		}
-		ids = deduped
 	}
 	cfg := study.Config{
 		Reps: *reps, Seed: *seed, Workers: *workers,

@@ -19,7 +19,7 @@ import (
 	"ituaval/internal/core"
 	"ituaval/internal/precision"
 	"ituaval/internal/reward"
-	"ituaval/internal/sim"
+	"ituaval/internal/study"
 )
 
 const (
@@ -27,7 +27,7 @@ const (
 	reps    = 1500
 )
 
-func spec(spread float64, policy core.Policy) sim.Spec {
+func params(spread float64, policy core.Policy) core.Params {
 	p := core.DefaultParams()
 	p.NumDomains = 10
 	p.HostsPerDomain = 3
@@ -36,17 +36,7 @@ func spec(spread float64, policy core.Policy) sim.Spec {
 	p.CorruptionMult = 5
 	p.DomainSpreadRate = spread
 	p.Policy = policy
-	m, err := core.Build(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return sim.Spec{
-		Model: m.SAN, Until: horizon, Reps: reps, Seed: 7,
-		Vars: []reward.Var{
-			m.Unavailability("u", 0, 0, horizon),
-			m.Unreliability("r", 0, horizon),
-		},
-	}
+	return p
 }
 
 func main() {
@@ -56,28 +46,39 @@ func main() {
 	fmt.Printf("%7s | %32s | %32s\n", "", "unavailability [0,10]", "unreliability [0,10]")
 	fmt.Printf("%7s | %25s %6s | %25s %6s\n", "spread", "delta (host - domain)", "VRF", "delta (host - domain)", "VRF")
 
-	var xs []float64
-	var du, dhw []float64
+	// One CRN pair per spread rate: host exclusion is arm A, domain
+	// exclusion arm B. Every pair runs at root seed 7.
+	var pts []study.PointSpec
 	for _, spread := range spreads {
-		cmp, err := precision.Compare(context.Background(),
-			spec(spread, core.HostExclusion), spec(spread, core.DomainExclusion),
-			precision.Opts{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		u, _ := cmp.Get("u")
-		r, _ := cmp.Get("r")
+		dom := params(spread, core.DomainExclusion)
+		pts = append(pts, study.PointSpec{
+			Label: fmt.Sprintf("spread=%v", spread), Params: params(spread, core.HostExclusion), PairedWith: &dom,
+			Until: horizon, Vars: func(m *core.Model) []reward.Var {
+				return []reward.Var{
+					m.Unavailability("u", 0, 0, horizon),
+					m.Unreliability("r", 0, horizon),
+				}
+			},
+		})
+	}
+	prs, err := study.RunSweep(context.Background(), study.Config{Reps: reps, Seed: 7}, pts, study.SweepHooks{})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	var du, dhw []float64
+	for i, pr := range prs {
+		u, r := pr.Est["u.delta"], pr.Est["r.delta"]
 		fmt.Printf("%7.0f | %10.4f ±%7.4f %5s %6.1f | %10.4f ±%7.4f %5s %6.1f\n",
-			spread,
-			u.Delta, u.HalfWidth, sign(u.Lo, u.Hi), u.VRF,
-			r.Delta, r.HalfWidth, sign(r.Lo, r.Hi), r.VRF)
-		xs = append(xs, spread)
-		du = append(du, u.Delta)
-		dhw = append(dhw, u.HalfWidth)
+			spreads[i],
+			u.Mean, u.HalfWidth95, sign(u.Min, u.Max), pr.Est["u.vrf"].Mean,
+			r.Mean, r.HalfWidth95, sign(r.Min, r.Max), pr.Est["r.vrf"].Mean)
+		du = append(du, u.Mean)
+		dhw = append(dhw, u.HalfWidth95)
 	}
 
 	fmt.Println()
-	for _, c := range precision.Crossovers(xs, du, dhw) {
+	for _, c := range precision.Crossovers(spreads, du, dhw) {
 		state := "but the bracketing deltas are within noise"
 		if c.Resolved {
 			state = "resolved by the paired intervals"

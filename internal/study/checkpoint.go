@@ -328,20 +328,20 @@ func precKey(cfg Config) string {
 }
 
 // pointKey fingerprints everything that determines a sweep point's result:
-// the model parameters, the horizon, the names of the measures, the
-// replication schedule, and the effective root seed. Two points with equal
-// keys are guaranteed equal results, which is what makes resume exact.
-func pointKey(cfg Config, p core.Params, until float64, seedOffset uint64, vars []reward.Var) string {
-	return fmt.Sprintf("v%d|%s|seed=%d|until=%g|vars=%q|params=%s",
-		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, varNames(vars), paramsJSON(p))
-}
-
-// pairedPointKey fingerprints a CRN-paired sweep point: both parameter
-// sets and measure lists plus the shared schedule and seed.
-func pairedPointKey(cfg Config, a, b core.Params, until float64, seedOffset uint64, varsA, varsB []reward.Var) string {
+// the model parameters, the horizon, the names of the measures (vars holds
+// them per arm), the replication schedule, and the effective root seed. A
+// pair's key carries both arms' parameters and measure lists. Two points
+// with equal keys are guaranteed equal results, which is what makes resume
+// exact.
+func pointKey(cfg Config, p *PointSpec, vars [][]reward.Var) string {
+	seed := cfg.Seed + p.SeedOffset
+	if p.PairedWith == nil {
+		return fmt.Sprintf("v%d|%s|seed=%d|until=%g|vars=%q|params=%s",
+			checkpointVersion, precKey(cfg), seed, p.Until, varNames(vars[0]), paramsJSON(p.Params))
+	}
 	return fmt.Sprintf("v%d|paired|%s|seed=%d|until=%g|vars.a=%q|vars.b=%q|a=%s|b=%s",
-		checkpointVersion, precKey(cfg), cfg.Seed+seedOffset, until, varNames(varsA), varNames(varsB),
-		paramsJSON(a), paramsJSON(b))
+		checkpointVersion, precKey(cfg), seed, p.Until, varNames(vars[0]), varNames(vars[1]),
+		paramsJSON(p.Params), paramsJSON(*p.PairedWith))
 }
 
 // varNames lists the measure names of vars; the keys print them quoted,

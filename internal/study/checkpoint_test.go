@@ -189,11 +189,12 @@ func TestCheckpointKeyDiscriminates(t *testing.T) {
 				name, before, ck.Len(), name, e.N)
 		}
 		before = ck.Len()
-		pr, err := pairedPoint(context.Background(), base.withDefaults(), p, p, 1)
+		p.PairedWith = &p.Params
+		prs, err = RunSweep(context.Background(), base, []PointSpec{p}, SweepHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := pr.Est[name+".delta"]; ck.Len() != before+1 || e.N == 0 {
+		if e := prs[0].Est[name+".delta"]; ck.Len() != before+1 || e.N == 0 {
 			t.Fatalf("paired measure %s: restored another measure's entry (checkpoint %d -> %d, %s.delta n=%d)",
 				name, before, ck.Len(), name, e.N)
 		}

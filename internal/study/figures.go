@@ -3,12 +3,10 @@ package study
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ituaval/internal/core"
 	"ituaval/internal/precision"
 	"ituaval/internal/reward"
-	"ituaval/internal/sim"
 )
 
 // Fig3HostsPerDomain are the sweep points of study 1: 12 hosts distributed
@@ -250,110 +248,35 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 	return fig, nil
 }
 
-// finiteOr0 maps NaN and ±Inf to 0 so derived statistics (correlation and
-// VRF can be undefined at zero variance) stay JSON-encodable in
-// checkpoints; 0 reads as "undefined" downstream.
-func finiteOr0(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0
+// fig5PairedGrid is the CRN-paired sweep of study 3: at each spread rate,
+// fig5Grid's host-exclusion point (arm A) paired with its domain-exclusion
+// point (arm B), at seed offsets 3500+i.
+func fig5PairedGrid() []PointSpec {
+	pts, n := fig5Grid(), len(Fig5SpreadRates)
+	paired := make([]PointSpec, n)
+	for pi, spread := range Fig5SpreadRates {
+		// Host exclusion is fig5Grid's first series, domain exclusion its
+		// second.
+		p := pts[pi]
+		p.Label = fmt.Sprintf("fig5-paired spread=%v", spread)
+		p.SeedOffset = uint64(3500 + pi)
+		p.PairedWith = &pts[n+pi].Params
+		paired[pi] = p
 	}
-	return x
+	return paired
 }
 
-// pairedPoint runs the configurations of points a and b as one CRN-paired
-// sweep point (internal/precision.Compare) over a's horizon, at root seed
-// cfg.Seed+seedOffset, and flattens the comparison into a PointResult so it
-// checkpoints exactly like an ordinary point. For every shared measure <v>
-// the estimate map holds <v>.a and <v>.b (the marginal estimates),
-// <v>.delta (mean = paired delta A−B, half-width = paired-t 95% half-width,
-// N = complete pairs), and <v>.corr / <v>.vrf (the CRN-induced correlation
-// and variance-reduction factor, as means; 0 when undefined). Replication
-// accounting sums both configurations. With a precision target configured
-// the comparison is sequential on the deltas.
-func pairedPoint(ctx context.Context, cfg Config, a, b PointSpec, seedOffset uint64) (*PointResult, error) {
-	mkSpec := func(p PointSpec) (sim.Spec, error) {
-		m, err := core.Build(p.Params)
-		if err != nil {
-			return sim.Spec{}, err
-		}
-		return sim.Spec{
-			Model:          m.SAN,
-			Until:          a.Until,
-			Reps:           cfg.Reps,
-			Seed:           cfg.Seed + seedOffset,
-			Workers:        cfg.Workers,
-			Vars:           p.Vars(m),
-			RepDeadline:    cfg.RepDeadline,
-			MaxFailureFrac: cfg.MaxFailureFrac,
-		}, nil
-	}
-	specA, err := mkSpec(a)
-	if err != nil {
-		return nil, err
-	}
-	specB, err := mkSpec(b)
-	if err != nil {
-		return nil, err
-	}
-	var key string
-	if cfg.Checkpoint != nil {
-		key = pairedPointKey(cfg, a.Params, b.Params, a.Until, seedOffset, specA.Vars, specB.Vars)
-		if pr, ok := cfg.Checkpoint.lookup(key); ok {
-			return pr, nil
-		}
-	}
-	opts := precision.Opts{}
-	if cfg.precisionMode() {
-		opts.Targets = cfg.targets(specA.Vars)
-		opts.InitialReps = cfg.Reps
-		opts.MaxReps = cfg.MaxReps
-	}
-	cmp, err := precision.Compare(ctx, specA, specB, opts)
-	if err != nil {
-		return nil, err
-	}
-	if !cmp.Met {
-		cfg.warnf("study: paired precision target (rel %g, abs %g) not reached at this sweep point after %d replications per arm",
-			cfg.TargetRelHW, cfg.TargetAbsHW, cmp.Reps)
-	}
-	if failed := cmp.A.Failed + cmp.B.Failed; failed > 0 {
-		cfg.warnf("study: %d replications failed across the two arms of this paired sweep point; %d complete pairs remain",
-			failed, cmp.Measures[0].N)
-	}
-	est := make(map[string]sim.Estimate, 5*len(cmp.Measures))
-	for _, m := range cmp.Measures {
-		est[m.Name+".a"] = m.A
-		est[m.Name+".b"] = m.B
-		est[m.Name+".delta"] = sim.Estimate{Name: m.Name + ".delta",
-			Mean: m.Delta, HalfWidth95: m.HalfWidth, N: int64(m.N), Min: m.Lo, Max: m.Hi}
-		est[m.Name+".corr"] = sim.Estimate{Name: m.Name + ".corr", Mean: finiteOr0(m.Corr), N: int64(m.N)}
-		est[m.Name+".vrf"] = sim.Estimate{Name: m.Name + ".vrf", Mean: finiteOr0(m.VRF), N: int64(m.N)}
-	}
-	pr := &PointResult{Est: est,
-		Reps:      cmp.A.Reps + cmp.B.Reps,
-		Completed: cmp.A.Completed + cmp.B.Completed,
-		Failed:    cmp.A.Failed + cmp.B.Failed,
-		Skipped:   cmp.A.Skipped + cmp.B.Skipped,
-	}
-	if cfg.Checkpoint != nil {
-		if err := cfg.Checkpoint.store(key, pr); err != nil {
-			return nil, err
-		}
-	}
-	return pr, nil
-}
-
-// Fig5Paired is the variance-reduced reading of study 3: instead of two
-// independent sweeps, each spread rate of fig5Grid runs its host- against
-// its domain-exclusion point on common random numbers and reports the
-// paired delta with its paired-t interval — the statistically sound way to
-// resolve where the two policy curves of Figure 5 cross. Panels carry the
-// two marginal series plus the delta series; crossover locations estimated
-// from the delta sign changes (linear interpolation, flagged resolved when
-// the bracketing deltas clear their intervals) land in Figure.Notes
-// together with the observed CRN variance-reduction factors.
+// Fig5Paired is the variance-reduced reading of study 3 over
+// fig5PairedGrid: instead of two independent sweeps, each spread rate runs
+// its host- against its domain-exclusion point on common random numbers
+// and reports the paired delta with its paired-t interval — the
+// statistically sound way to resolve where the two policy curves of
+// Figure 5 cross. Panels carry the two marginal series plus the delta
+// series; crossover locations estimated from the delta sign changes
+// (linear interpolation, flagged resolved when the bracketing deltas clear
+// their intervals) land in Figure.Notes together with the observed CRN
+// variance-reduction factors.
 func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
 	fig := &Figure{ID: "5p", Title: "Exclusion Algorithms Compared on Common Random Numbers (host - domain deltas)"}
 	panels := []Panel{
 		{ID: "5pa", Measure: "Unavailability for the first 5 hours", XLabel: "spread rate"},
@@ -367,15 +290,14 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 		dom[i].Name = "Domain exclusion"
 		delta[i].Name = "delta (host - domain)"
 	}
+	prs, err := RunSweep(ctx, cfg, fig5PairedGrid(), SweepHooks{})
+	if err != nil {
+		return nil, err
+	}
 	var meanCorr, meanVRF [4]float64
-	pts, n := fig5Grid(), len(Fig5SpreadRates)
+	n := len(Fig5SpreadRates)
 	for pi, spread := range Fig5SpreadRates {
-		// Host exclusion is fig5Grid's first series, domain exclusion its
-		// second.
-		pr, err := pairedPoint(ctx, cfg, pts[pi], pts[n+pi], uint64(3500+pi))
-		if err != nil {
-			return nil, fmt.Errorf("fig5-paired spread=%v: %w", spread, err)
-		}
+		pr := prs[pi]
 		for i, v := range fig5MeasureNames {
 			AppendPoint(&host[i], spread, v+".a", pr)
 			AppendPoint(&dom[i], spread, v+".b", pr)

@@ -32,7 +32,7 @@ var Registry = map[string]Entry{
 	"fig4": {Fig4, "Figure 4: measures for 10 domains with a growing number of hosts per domain", fig4Grid},
 	"fig5": {Fig5, "Figure 5: domain- vs host-exclusion over intra-domain attack-spread rates", fig5Grid},
 	"fig5-paired": {Fig5Paired,
-		"Figure 5 on common random numbers: host-minus-domain deltas with paired-t CIs and crossovers", fig5Grid},
+		"Figure 5 on common random numbers: host-minus-domain deltas with paired-t CIs and crossovers", fig5PairedGrid},
 	"analytic": {Analytic, "exact (CTMC uniformization) vs simulated measures on a 2-domain configuration", analyticGrid},
 	"live": {Live,
 		"SAN model vs a real fault-injected replica group (internal/rsm) on a 2-domain configuration", liveGrid},

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"ituaval/internal/precision"
-	"ituaval/internal/reward"
 	"ituaval/internal/sim"
 )
 
@@ -38,8 +36,9 @@ type Config struct {
 	MaxFailureFrac float64
 	// TargetRelHW, when positive, switches every sweep point to sequential
 	// precision mode: replications grow geometrically from Reps until every
-	// measure's 95% half-width falls to TargetRelHW·|mean| (or AbsHW,
-	// whichever is met first), bounded by MaxReps. See RunSweep.
+	// measure's 95% half-width (a CRN pair's paired deltas') falls to
+	// TargetRelHW·|mean| (or AbsHW, whichever is met first), bounded by
+	// MaxReps. See RunSweep.
 	TargetRelHW float64
 	// TargetAbsHW, when positive, is the absolute 95% half-width target of
 	// precision mode (combinable with TargetRelHW; either met suffices).
@@ -78,16 +77,6 @@ func (c Config) withDefaults() Config {
 		c.MaxReps = 16 * c.Reps
 	}
 	return c
-}
-
-// targets builds one precision target per reward variable from the
-// configured half-widths.
-func (c Config) targets(vars []reward.Var) []precision.Target {
-	ts := make([]precision.Target, len(vars))
-	for i, v := range vars {
-		ts[i] = precision.Target{Var: v.Name(), RelHW: c.TargetRelHW, AbsHW: c.TargetAbsHW}
-	}
-	return ts
 }
 
 // PointResult is everything a sweep point contributes to a figure: the
