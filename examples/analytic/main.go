@@ -18,7 +18,6 @@ import (
 
 	"ituaval/internal/mc"
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 )
@@ -38,7 +37,7 @@ func build() (*san.Model, *san.Place, *san.Place, *san.Place) {
 	spares := m.Place("spares", nSpares)
 	m.AddActivity(san.ActivityDef{
 		Name: "attack", Kind: san.Timed,
-		Dist:    func(s *san.State) rng.Dist { return rng.Expo(attackRate * float64(s.Get(good))) },
+		Rate:    func(s *san.State) float64 { return attackRate * float64(s.Get(good)) },
 		Enabled: func(s *san.State) bool { return s.Get(good) > 0 },
 		Reads:   []*san.Place{good},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -48,16 +47,14 @@ func build() (*san.Model, *san.Place, *san.Place, *san.Place) {
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "convict", Kind: san.Timed,
-		Dist:    func(s *san.State) rng.Dist { return rng.Expo(detectRate * float64(s.Get(bad))) },
+		Rate:    func(s *san.State) float64 { return detectRate * float64(s.Get(bad)) },
 		Enabled: func(s *san.State) bool { return s.Get(bad) > 0 },
 		Reads:   []*san.Place{bad},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(bad, -1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "activate", Kind: san.Timed,
-		Dist: func(s *san.State) rng.Dist {
-			return rng.Expo(startRate)
-		},
+		Rate: func(*san.State) float64 { return startRate },
 		Enabled: func(s *san.State) bool {
 			return s.Get(spares) > 0 && s.Int(good)+s.Int(bad) < nReplicas
 		},

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 )
@@ -42,7 +41,7 @@ func main() {
 		q := sc.Shared("repair_queue")
 		sc.Activity(san.ActivityDef{
 			Name: "attack", Kind: san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(attackRate) },
+			Rate:    func(*san.State) float64 { return attackRate },
 			Enabled: func(s *san.State) bool { return s.Get(compromised) == 0 && s.Get(h) > 0 },
 			Reads:   []*san.Place{compromised, h},
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -52,7 +51,7 @@ func main() {
 		})
 		sc.Activity(san.ActivityDef{
 			Name: "detect", Kind: san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(detectRate) },
+			Rate:    func(*san.State) float64 { return detectRate },
 			Enabled: func(s *san.State) bool { return s.Get(compromised) == 1 },
 			Reads:   []*san.Place{compromised},
 			Cases: []san.Case{
@@ -65,7 +64,7 @@ func main() {
 		})
 		sc.Activity(san.ActivityDef{
 			Name: "repair", Kind: san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(repairRate) },
+			Rate:    func(*san.State) float64 { return repairRate },
 			Enabled: func(s *san.State) bool { return s.Get(compromised) == 2 },
 			Reads:   []*san.Place{compromised},
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

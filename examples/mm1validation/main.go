@@ -13,7 +13,6 @@ import (
 
 	"ituaval/internal/mc"
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 )
@@ -29,14 +28,14 @@ func buildQueue() (*san.Model, *san.Place) {
 	q := m.Place("queue", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "arrive", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(lambda) },
+		Rate:    func(*san.State) float64 { return lambda },
 		Enabled: func(s *san.State) bool { return s.Int(q) < k },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, 1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "serve", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(mu) },
+		Rate:    func(*san.State) float64 { return mu },
 		Enabled: func(s *san.State) bool { return s.Get(q) > 0 },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, -1) }}},

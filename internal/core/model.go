@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -506,13 +505,13 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".attack_host",
 				Kind: san.Timed,
-				Dist: func(st *san.State) rng.Dist {
+				Rate: func(st *san.State) float64 {
 					// One spread variable per level governs both how fast the
 					// attack propagates and how much more vulnerable the
 					// exposed hosts become (Section 3.4).
 					boost := p.DomainSpreadRate*float64(st.Get(m.SpreadDom[d])) +
 						p.SystemSpreadRate*float64(st.Get(m.SpreadSys))
-					return rng.Expo(rt.hostAttack * (1 + p.SpreadRateCoeff*boost))
+					return rt.hostAttack * (1 + p.SpreadRateCoeff*boost)
 				},
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.HostExcluded[g]) == 0 && st.Get(m.HostStatus[g]) == 0
@@ -541,7 +540,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".propagate_domain",
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(p.DomainSpreadRate) },
+				Rate: func(*san.State) float64 { return p.DomainSpreadRate },
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.HostStatus[g]) > 0 &&
 						st.Get(m.HostExcluded[g]) == 0 && st.Get(m.PropDomDone[g]) == 0
@@ -563,7 +562,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".propagate_sys",
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(p.SystemSpreadRate) },
+				Rate: func(*san.State) float64 { return p.SystemSpreadRate },
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.HostStatus[g]) > 0 &&
 						st.Get(m.HostExcluded[g]) == 0 && st.Get(m.PropSysDone[g]) == 0 &&
@@ -583,13 +582,13 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".attack_mgmt",
 				Kind: san.Timed,
-				Dist: func(st *san.State) rng.Dist {
+				Rate: func(st *san.State) float64 {
 					rate := rt.mgrAttack
 					if st.Get(m.HostStatus[g]) > 0 {
 						rate *= p.CorruptionMult
 					}
 					boost := p.DomainSpreadRate * float64(st.Get(m.SpreadDom[d]))
-					return rng.Expo(rate * (1 + p.AssetSpreadCoeff*boost))
+					return rate * (1 + p.AssetSpreadCoeff*boost)
 				},
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.HostExcluded[g]) == 0 && st.Get(m.MgrStatus[g]) == 0
@@ -617,7 +616,7 @@ func Build(p Params) (*Model, error) {
 				s.AddActivity(san.ActivityDef{
 					Name: fmt.Sprintf("%s.valid_ID_%s", hostScope, suffix),
 					Kind: san.Timed,
-					Dist: func(*san.State) rng.Dist { return rng.Expo(p.HostDetectRate) },
+					Rate: func(*san.State) float64 { return p.HostDetectRate },
 					Enabled: func(st *san.State) bool {
 						return st.Int(m.HostStatus[g]) == class &&
 							st.Get(m.HostExcluded[g]) == 0 && st.Get(m.HostDetectDone[g]) == 0
@@ -645,7 +644,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".valid_ID_mgr",
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(p.MgrDetectRate) },
+				Rate: func(*san.State) float64 { return p.MgrDetectRate },
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.MgrStatus[g]) == 1 &&
 						st.Get(m.HostExcluded[g]) == 0 && st.Get(m.MgrDetectDone[g]) == 0
@@ -674,7 +673,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: hostScope + ".false_ID",
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(rt.hostFalse) },
+				Rate: func(*san.State) float64 { return rt.hostFalse },
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.HostExcluded[g]) == 0 && st.Get(m.Intrusions) == 0
 				},
@@ -739,7 +738,7 @@ func Build(p Params) (*Model, error) {
 		s.AddActivity(san.ActivityDef{
 			Name:    "env.partition",
 			Kind:    san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(p.PartitionRate) },
+			Rate:    func(*san.State) float64 { return p.PartitionRate },
 			Enabled: func(st *san.State) bool { return st.Get(m.PartitionA) == 0 },
 			Reads:   []*san.Place{m.PartitionA},
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -761,7 +760,7 @@ func Build(p Params) (*Model, error) {
 		s.AddActivity(san.ActivityDef{
 			Name:    "env.partition_heal",
 			Kind:    san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(p.PartitionHealRate) },
+			Rate:    func(*san.State) float64 { return p.PartitionHealRate },
 			Enabled: func(st *san.State) bool { return st.Get(m.PartitionA) != 0 },
 			Reads:   []*san.Place{m.PartitionA},
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -778,7 +777,7 @@ func Build(p Params) (*Model, error) {
 		s.AddActivity(san.ActivityDef{
 			Name: "env.campaign",
 			Kind: san.Timed,
-			Dist: func(*san.State) rng.Dist { return rng.Expo(p.CampaignRate) },
+			Rate: func(*san.State) float64 { return p.CampaignRate },
 			Enabled: func(st *san.State) bool {
 				for g := 0; g < nHosts; g++ {
 					if st.Get(m.HostStatus[g]) == 0 && st.Get(m.HostExcluded[g]) == 0 {
@@ -848,7 +847,7 @@ func Build(p Params) (*Model, error) {
 				s.AddActivity(san.ActivityDef{
 					Name: repScope + ".attack_rep",
 					Kind: san.Timed,
-					Dist: func(st *san.State) rng.Dist {
+					Rate: func(st *san.State) float64 {
 						rate := rt.replicaAttack
 						if g := st.Int(onHost) - 1; g >= 0 {
 							if st.Get(m.HostStatus[g]) > 0 {
@@ -857,7 +856,7 @@ func Build(p Params) (*Model, error) {
 							boost := p.DomainSpreadRate * float64(st.Get(m.SpreadDom[g/H]))
 							rate *= 1 + p.AssetSpreadCoeff*boost
 						}
-						return rng.Expo(rate)
+						return rate
 					},
 					Enabled: func(st *san.State) bool {
 						return st.Get(onHost) > 0 &&
@@ -880,7 +879,7 @@ func Build(p Params) (*Model, error) {
 				s.AddActivity(san.ActivityDef{
 					Name: repScope + ".valid_ID",
 					Kind: san.Timed,
-					Dist: func(*san.State) rng.Dist { return rng.Expo(p.ReplicaDetectRate) },
+					Rate: func(*san.State) float64 { return p.ReplicaDetectRate },
 					Enabled: func(st *san.State) bool {
 						return st.Get(corrupt) == 1 &&
 							st.Get(convicted) == 0 && st.Get(detectDone) == 0
@@ -906,7 +905,7 @@ func Build(p Params) (*Model, error) {
 				s.AddActivity(san.ActivityDef{
 					Name: repScope + ".rep_misbehave",
 					Kind: san.Timed,
-					Dist: func(*san.State) rng.Dist { return rng.Expo(p.MisbehaveRate) },
+					Rate: func(*san.State) float64 { return p.MisbehaveRate },
 					Enabled: func(st *san.State) bool {
 						return st.Get(corrupt) == 1 && st.Get(convicted) == 0 &&
 							st.Int(m.Running[a]) > 3*st.Int(m.Undet[a])
@@ -926,7 +925,7 @@ func Build(p Params) (*Model, error) {
 				s.AddActivity(san.ActivityDef{
 					Name: repScope + ".false_ID",
 					Kind: san.Timed,
-					Dist: func(*san.State) rng.Dist { return rng.Expo(rt.replicaFalse) },
+					Rate: func(*san.State) float64 { return rt.replicaFalse },
 					Enabled: func(st *san.State) bool {
 						return st.Get(onHost) > 0 &&
 							st.Get(corrupt) == 0 && st.Get(convicted) == 0 &&
@@ -1004,13 +1003,19 @@ func Build(p Params) (*Model, error) {
 		}
 		doRecovery := func(ctx *san.Context) {
 			st := ctx.State
-			var doms []int
+			n := 0
 			for d := 0; d < D; d++ {
 				if qualifying(st, d) {
-					doms = append(doms, d)
+					n++
 				}
 			}
-			d := doms[ctx.Choose(len(doms))]
+			// Walk to the k-th qualifying domain: the same draw, and under
+			// enumeration the same branches, as indexing a list of them.
+			d := -1
+			for k := ctx.Choose(n); k >= 0; k-- {
+				for d++; !qualifying(st, d); d++ {
+				}
+			}
 			g := chooseHost(ctx, d)
 			slot := -1
 			for r := 0; r < nSlots; r++ {
@@ -1054,7 +1059,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: fmt.Sprintf("app[%d].recovery", a),
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(p.RecoveryRate) },
+				Rate: func(*san.State) float64 { return p.RecoveryRate },
 				Enabled: func(st *san.State) bool {
 					// The crew member stays claimed if every qualifying
 					// domain disappears mid-service; the timer resumes when
@@ -1073,7 +1078,7 @@ func Build(p Params) (*Model, error) {
 			s.AddActivity(san.ActivityDef{
 				Name: fmt.Sprintf("app[%d].recovery", a),
 				Kind: san.Timed,
-				Dist: func(*san.State) rng.Dist { return rng.Expo(p.RecoveryRate) },
+				Rate: func(*san.State) float64 { return p.RecoveryRate },
 				Enabled: func(st *san.State) bool {
 					return st.Get(m.NeedRecovery[a]) > 0 && globalQuorumOK(st) && anyQualifying(st)
 				},

@@ -350,10 +350,3 @@ func (p Params) derive() rates {
 	}
 	return r
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -17,14 +16,14 @@ func buildStageDecay(t *testing.T, l1, l2 float64) (*san.Model, *san.Place) {
 	stage := m.Place("stage", 0) // 0 up, 1 degraded, 2 down
 	m.AddActivity(san.ActivityDef{
 		Name: "degrade", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(l1) },
+		Rate:    func(*san.State) float64 { return l1 },
 		Enabled: func(s *san.State) bool { return s.Get(stage) == 0 },
 		Reads:   []*san.Place{stage},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(stage, 1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "die", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(l2) },
+		Rate:    func(*san.State) float64 { return l2 },
 		Enabled: func(s *san.State) bool { return s.Get(stage) == 1 },
 		Reads:   []*san.Place{stage},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(stage, 2) }}},
@@ -104,7 +103,7 @@ func TestAbsorptionMatchesSimulatedMTTA(t *testing.T) {
 	stage := m.Place("stage", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "leave", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return s.Get(stage) == 0 },
 		Reads:   []*san.Place{stage},
 		Cases: []san.Case{
@@ -114,7 +113,7 @@ func TestAbsorptionMatchesSimulatedMTTA(t *testing.T) {
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "die", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(4) },
+		Rate:    func(*san.State) float64 { return 4 },
 		Enabled: func(s *san.State) bool { return s.Get(stage) == 1 },
 		Reads:   []*san.Place{stage},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(stage, 2) }}},

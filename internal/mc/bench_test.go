@@ -11,7 +11,6 @@ package mc
 import (
 	"testing"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -31,7 +30,7 @@ func buildTandem(k int) *san.Model {
 	move := func(name string, rate float64, from, to *san.Place) {
 		m.AddActivity(san.ActivityDef{
 			Name: name, Kind: san.Timed,
-			Dist: func(*san.State) rng.Dist { return rng.Expo(rate) },
+			Rate: func(*san.State) float64 { return rate },
 			Enabled: func(s *san.State) bool {
 				if from != nil && s.Get(from) == 0 {
 					return false

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -18,7 +17,7 @@ func buildPureBirth(r float64, k int) *san.Model {
 	q := m.Place("q", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "arrive", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(r) },
+		Rate:    func(*san.State) float64 { return r },
 		Enabled: func(s *san.State) bool { return s.Int(q) < k },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, 1) }}},

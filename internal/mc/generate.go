@@ -1,18 +1,18 @@
-// Package mc converts all-exponential SAN models into continuous-time
-// Markov chains and solves them numerically — the analytic path of the
-// Möbius tool ("Möbius can solve SANs analytically by converting them into
-// equivalent continuous time Markov chains"). The paper's full model was
-// simulated; this package cross-validates the simulator exactly, the
-// methodological check a validation study needs.
+// Package mc converts SAN models into continuous-time Markov chains and
+// solves them numerically — the analytic path of the Möbius tool ("Möbius
+// can solve SANs analytically by converting them into equivalent continuous
+// time Markov chains"). The paper's full model was simulated; this package
+// cross-validates the simulator exactly, the methodological check a
+// validation study needs.
 //
-// Requirements on the model: every timed activity's distribution must be
-// rng.Exponential (possibly marking-dependent), and no gate effect or
-// initialization hook may draw from ctx.Rand directly (the generator
-// passes a nil random stream). Effects that need randomness through the
-// enumerable choice methods (san.Context.Choose / ChooseWeighted /
-// Permute) remain solvable: every alternative becomes a probabilistic
-// branch. Instantaneous races and cases are likewise enumerated, not
-// sampled.
+// Every timed activity is exponential at its (possibly marking-dependent)
+// rate, which must be finite and positive wherever the activity is
+// enabled. No gate effect or initialization hook may draw from ctx.Rand
+// directly (the generator passes a nil random stream). Effects that need
+// randomness through the enumerable choice methods (san.Context.Choose /
+// ChooseWeighted / Permute) remain solvable: every alternative becomes a
+// probabilistic branch. Instantaneous races and cases are likewise
+// enumerated, not sampled.
 //
 // Generation runs on a pool of workers over a sharded byte-arena
 // interner keyed by the compact marking encoding; a sequential renumber
@@ -38,13 +38,8 @@ import (
 	"runtime"
 	"sync"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
-
-// ErrNotMarkovian is returned when a timed activity has a non-exponential
-// distribution.
-var ErrNotMarkovian = errors.New("mc: model has a non-exponential timed activity")
 
 // ErrRandomGate is returned when a gate effect or init hook draws random
 // numbers during generation.
@@ -356,10 +351,9 @@ func (w *genWorker) expand(pid uint32) error {
 		if !a.Enabled(w.scratch) {
 			continue
 		}
-		dist := a.Dist(w.scratch)
-		expo, ok := dist.(rng.Exponential)
-		if !ok {
-			return fmt.Errorf("%w: activity %q has %v", ErrNotMarkovian, a.Name(), dist)
+		rate := a.Rate(w.scratch)
+		if err := san.CheckRate(a, rate); err != nil {
+			return fmt.Errorf("mc: %w", err)
 		}
 		weights := a.CaseWeights()
 		totalW := 0.0
@@ -373,7 +367,7 @@ func (w *genWorker) expand(pid uint32) error {
 			if weights[ci] == 0 {
 				continue
 			}
-			w.rateScale = expo.R * (weights[ci] / totalW)
+			w.rateScale = rate * (weights[ci] / totalW)
 			if err := w.res.Resolve(w.scratch, a, ci, nil, w.visitFn); err != nil {
 				return err
 			}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 )
@@ -18,14 +17,14 @@ func buildMM1K(t *testing.T, lambda, mu float64, k int) (*san.Model, *san.Place)
 	q := m.Place("q", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "arrive", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(lambda) },
+		Rate:    func(*san.State) float64 { return lambda },
 		Enabled: func(s *san.State) bool { return s.Int(q) < k },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, 1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "serve", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(mu) },
+		Rate:    func(*san.State) float64 { return mu },
 		Enabled: func(s *san.State) bool { return s.Get(q) > 0 },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, -1) }}},
@@ -82,14 +81,14 @@ func buildTwoState(t *testing.T, lambda, mu float64) (*san.Model, *san.Place) {
 	up := m.Place("up", 1)
 	m.AddActivity(san.ActivityDef{
 		Name: "fail", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(lambda) },
+		Rate:    func(*san.State) float64 { return lambda },
 		Enabled: func(s *san.State) bool { return s.Get(up) == 1 },
 		Reads:   []*san.Place{up},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(up, 0) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "repair", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(mu) },
+		Rate:    func(*san.State) float64 { return mu },
 		Enabled: func(s *san.State) bool { return s.Get(up) == 0 },
 		Reads:   []*san.Place{up},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(up, 1) }}},
@@ -174,7 +173,7 @@ func buildBranching(t *testing.T) (*san.Model, *san.Place, *san.Place) {
 	const cap = 4
 	m.AddActivity(san.ActivityDef{
 		Name: "arrive", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(2) },
+		Rate:    func(*san.State) float64 { return 2 },
 		Enabled: func(s *san.State) bool { return s.Int(q1)+s.Int(q2)+s.Int(pending) < cap },
 		Reads:   []*san.Place{q1, q2, pending},
 		Cases: []san.Case{
@@ -196,8 +195,8 @@ func buildBranching(t *testing.T) (*san.Model, *san.Place, *san.Place) {
 		name := []string{"serve1", "serve2"}[i]
 		m.AddActivity(san.ActivityDef{
 			Name: name, Kind: san.Timed,
-			Dist: func(s *san.State) rng.Dist {
-				return rng.Expo(1.5 * float64(s.Get(q))) // marking-dependent
+			Rate: func(s *san.State) float64 {
+				return 1.5 * float64(s.Get(q)) // marking-dependent
 			},
 			Enabled: func(s *san.State) bool { return s.Get(q) > 0 },
 			Reads:   []*san.Place{q},
@@ -249,21 +248,36 @@ func TestSimulatorMatchesNumericalSolution(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsNonExponential(t *testing.T) {
-	m := san.NewModel("det")
-	p := m.Place("p", 1)
-	m.AddActivity(san.ActivityDef{
-		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 1} },
-		Enabled: func(s *san.State) bool { return s.Get(p) > 0 },
-		Reads:   []*san.Place{p},
-		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(p, 0) }}},
-	})
-	if err := m.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(m, Options{}); !errors.Is(err, ErrNotMarkovian) {
-		t.Fatalf("err = %v, want ErrNotMarkovian", err)
+// TestGenerateRejectsBadRates: an enabled timed activity whose rate is
+// not finite and positive is a model error naming the activity, not a
+// transition rate copied into the chain. The same activity disabled is
+// fine whatever its rate.
+func TestGenerateRejectsBadRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -1, 0} {
+		m := san.NewModel("bad-rate")
+		p := m.Place("p", 1)
+		q := m.Place("q", 0)
+		m.AddActivity(san.ActivityDef{
+			Name: "tick", Kind: san.Timed,
+			Rate:    func(s *san.State) float64 { return 2 - float64(s.Get(p)) },
+			Enabled: func(s *san.State) bool { return s.Get(p) > 0 },
+			Reads:   []*san.Place{p},
+			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(p, 0) }}},
+		})
+		m.AddActivity(san.ActivityDef{
+			Name: "bad", Kind: san.Timed,
+			Rate:    func(*san.State) float64 { return rate },
+			Enabled: func(s *san.State) bool { return s.Get(p) == 0 && s.Get(q) == 0 },
+			Reads:   []*san.Place{p, q},
+			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(q, 1) }}},
+		})
+		if err := m.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Generate(m, Options{})
+		if !errors.Is(err, san.ErrRate) || !strings.Contains(err.Error(), `"bad"`) {
+			t.Errorf("rate %v: err = %v, want san.ErrRate naming activity \"bad\"", rate, err)
+		}
 	}
 }
 
@@ -272,7 +286,7 @@ func TestGenerateRejectsRandomGate(t *testing.T) {
 	p := m.Place("p", 1)
 	m.AddActivity(san.ActivityDef{
 		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return s.Get(p) > 0 },
 		Reads:   []*san.Place{p},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -327,7 +341,7 @@ func TestAbsorbingChainSteadyState(t *testing.T) {
 	up := m.Place("up", 1)
 	m.AddActivity(san.ActivityDef{
 		Name: "fail", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(3) },
+		Rate:    func(*san.State) float64 { return 3 },
 		Enabled: func(s *san.State) bool { return s.Get(up) == 1 },
 		Reads:   []*san.Place{up},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(up, 0) }}},
@@ -370,7 +384,7 @@ func TestInitialDistributionFromInstantRace(t *testing.T) {
 	// A do-nothing timed activity so the chain is non-trivial.
 	m.AddActivity(san.ActivityDef{
 		Name: "noop", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return s.Get(sink) == 0 },
 		Reads:   []*san.Place{sink},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(sink, 1) }}},

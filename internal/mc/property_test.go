@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 )
@@ -42,7 +41,7 @@ func buildRandomMigration(r *mrand.Rand) *san.Model {
 		rt := rate()
 		m.AddActivity(san.ActivityDef{
 			Name: fmt.Sprintf("arrive%d", a), Kind: san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Expo(rt) },
+			Rate:    func(*san.State) float64 { return rt },
 			Enabled: func(s *san.State) bool { return total(s) < nPlaces*cap },
 			Reads:   places,
 			Cases: []san.Case{
@@ -58,16 +57,16 @@ func buildRandomMigration(r *mrand.Rand) *san.Model {
 		dst := places[(r.Intn(nPlaces-1)+1)%nPlaces]
 		rt := rate()
 		scaled := r.Intn(2) == 0
-		dist := func(s *san.State) rng.Dist {
+		rateOf := func(s *san.State) float64 {
 			if scaled {
-				return rng.Expo(rt * float64(s.Get(src)))
+				return rt * float64(s.Get(src))
 			}
-			return rng.Expo(rt)
+			return rt
 		}
 		if r.Intn(3) == 0 { // departure
 			m.AddActivity(san.ActivityDef{
 				Name: fmt.Sprintf("depart%d", a), Kind: san.Timed,
-				Dist:    dist,
+				Rate:    rateOf,
 				Enabled: func(s *san.State) bool { return s.Get(src) > 0 },
 				Reads:   []*san.Place{src},
 				Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(src, -1) }}},
@@ -75,7 +74,7 @@ func buildRandomMigration(r *mrand.Rand) *san.Model {
 		} else {
 			m.AddActivity(san.ActivityDef{
 				Name: fmt.Sprintf("move%d", a), Kind: san.Timed,
-				Dist:    dist,
+				Rate:    rateOf,
 				Enabled: func(s *san.State) bool { return s.Get(src) > 0 && s.Int(dst) < cap },
 				Reads:   []*san.Place{src, dst},
 				Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -15,7 +14,7 @@ func scriptedModel(t *testing.T) (*san.Model, *san.Place, *san.Activity) {
 	p := m.Place("p", 0)
 	a := m.AddActivity(san.ActivityDef{
 		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return true },
 		Reads:   []*san.Place{p},
 		Cases:   []san.Case{{Prob: 1}},

@@ -13,12 +13,12 @@ import (
 	"ituaval/internal/stats"
 )
 
-func ksCheck(t *testing.T, name string, d rng.Dist, cdf func(float64) float64) {
+func ksCheck(t *testing.T, name string, sample func(*rng.Stream) float64, cdf func(float64) float64) {
 	t.Helper()
 	s := rng.New(0xcafe)
 	xs := make([]float64, 4000)
 	for i := range xs {
-		xs[i] = d.Sample(s)
+		xs[i] = sample(s)
 	}
 	stat := stats.KSStatistic(xs, cdf)
 	p := stats.KSPValue(stat, len(xs))
@@ -28,7 +28,7 @@ func ksCheck(t *testing.T, name string, d rng.Dist, cdf func(float64) float64) {
 }
 
 func TestKSExponential(t *testing.T) {
-	ksCheck(t, "Expo(2.5)", rng.Expo(2.5), func(x float64) float64 {
+	ksCheck(t, "Expo(2.5)", func(s *rng.Stream) float64 { return s.Expo(2.5) }, func(x float64) float64 {
 		if x < 0 {
 			return 0
 		}

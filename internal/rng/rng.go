@@ -151,9 +151,9 @@ func mul64(a, b uint64) (hi, lo uint64) {
 }
 
 // Expo returns an exponential variate with the given rate. It panics if
-// rate <= 0.
+// rate is not positive (NaN included).
 func (s *Stream) Expo(rate float64) float64 {
-	if rate <= 0 {
+	if !(rate > 0) {
 		panic("rng: Expo with non-positive rate")
 	}
 	return -math.Log(s.OpenFloat64()) / rate

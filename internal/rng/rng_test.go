@@ -257,6 +257,19 @@ func TestExpoMoments(t *testing.T) {
 	}
 }
 
+func TestExpoPanicsOnNonPositiveRate(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Expo(%v) did not panic", rate)
+				}
+			}()
+			New(1).Expo(rate)
+		}()
+	}
+}
+
 // quickStream gives property tests a stream derived from the quick seed.
 func quickStream(seed uint64) *Stream { return New(seed) }
 

@@ -1,7 +1,9 @@
 package san
 
 import (
-	"ituaval/internal/rng"
+	"errors"
+	"fmt"
+	"math"
 )
 
 // Kind distinguishes timed activities (which complete after a random delay)
@@ -10,7 +12,8 @@ import (
 type Kind int
 
 const (
-	// Timed activities sample a firing delay from their distribution.
+	// Timed activities complete after an exponentially distributed delay
+	// at their rate.
 	Timed Kind = iota + 1
 	// Instant activities fire immediately upon becoming enabled, before any
 	// timed activity can complete.
@@ -37,13 +40,15 @@ type ActivityDef struct {
 	Name string
 	// Kind is Timed or Instant.
 	Kind Kind
-	// Dist gives the firing-time distribution, possibly depending on the
-	// marking. Required for Timed activities; ignored for Instant ones.
-	Dist func(s *State) rng.Dist
+	// Rate gives the rate of the exponential firing-time distribution,
+	// possibly depending on the marking. Required for Timed activities;
+	// ignored for Instant ones. While the activity is enabled the rate must
+	// be finite and positive (see CheckRate).
+	Rate func(s *State) float64
 	// Enabled is the conjunction of the activity's input-gate predicates.
 	// Required: an activity with no predicate would never stop firing.
 	Enabled func(s *State) bool
-	// Reads lists every place that Enabled or Dist may read.
+	// Reads lists every place that Enabled or Rate may read.
 	// The engine re-evaluates the activity only when one of these places
 	// changes; an omitted dependency is a modeling bug that the engine's
 	// validation mode detects by read tracing.
@@ -85,8 +90,21 @@ func (a *Activity) Priority() int { return a.def.Priority }
 // Enabled reports whether the activity is enabled in s.
 func (a *Activity) Enabled(s *State) bool { return a.def.Enabled(s) }
 
-// Dist returns the current firing-time distribution.
-func (a *Activity) Dist(s *State) rng.Dist { return a.def.Dist(s) }
+// Rate returns the current rate of the firing-time distribution.
+func (a *Activity) Rate(s *State) float64 { return a.def.Rate(s) }
+
+// ErrRate is wrapped by the error either solver returns when an enabled
+// timed activity's rate is not finite and positive.
+var ErrRate = errors.New("san: timed activity rate is not finite and positive")
+
+// CheckRate returns nil if rate is a usable rate for a, and otherwise an
+// error wrapping ErrRate that names a.
+func CheckRate(a *Activity, rate float64) error {
+	if rate > 0 && !math.IsInf(rate, 1) {
+		return nil
+	}
+	return fmt.Errorf("%w: activity %q has rate %v", ErrRate, a.def.Name, rate)
+}
 
 // Cases returns the case list.
 func (a *Activity) Cases() []Case { return a.def.Cases }

@@ -2,8 +2,6 @@ package san
 
 import (
 	"testing"
-
-	"ituaval/internal/rng"
 )
 
 // lintClasses returns the set of classes present in findings, and the
@@ -28,7 +26,7 @@ func chain(t *testing.T, init Marking, extras func(m *Model, src, dst *Place)) *
 	m.AddActivity(ActivityDef{
 		Name:    "move",
 		Kind:    Timed,
-		Dist:    func(*State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*State) float64 { return 1 },
 		Enabled: func(s *State) bool { return s.Get(src) > 0 },
 		Reads:   []*Place{src},
 		Cases: []Case{{Prob: 1, Effect: func(ctx *Context) {
@@ -62,7 +60,7 @@ func TestLintCaseProbSum(t *testing.T) {
 		m.AddActivity(ActivityDef{
 			Name:    "skew",
 			Kind:    Timed,
-			Dist:    func(*State) rng.Dist { return rng.Expo(1) },
+			Rate:    func(*State) float64 { return 1 },
 			Enabled: func(s *State) bool { return s.Get(src) > 0 },
 			Reads:   []*Place{src},
 			Cases:   []Case{{Prob: 0.5}, {Prob: 0.6}},

@@ -145,8 +145,8 @@ func (m *Model) Finalize() error {
 		if d.Kind != Timed && d.Kind != Instant {
 			errs = append(errs, fmt.Errorf("activity %q has invalid kind %d", d.Name, d.Kind))
 		}
-		if d.Kind == Timed && d.Dist == nil {
-			errs = append(errs, fmt.Errorf("timed activity %q has no distribution", d.Name))
+		if d.Kind == Timed && d.Rate == nil {
+			errs = append(errs, fmt.Errorf("timed activity %q has no rate", d.Name))
 		}
 		if d.Enabled == nil {
 			errs = append(errs, fmt.Errorf("activity %q has no enabling predicate", d.Name))
@@ -230,23 +230,23 @@ func (m *Model) NewState() *State {
 	return s
 }
 
-// MaxInstantPriorityEnabled returns the instantaneous activities enabled in
-// s at the highest enabled priority level, in a deterministic order. It
-// returns nil when no instantaneous activity is enabled.
-func (m *Model) MaxInstantPriorityEnabled(s *State) []*Activity {
-	return m.MaxInstantPriorityEnabledInto(s, nil)
+// MaxInstantPriorityEnabledInto returns the instantaneous activities
+// enabled in s at the highest enabled priority level, in creation order,
+// appending into buf (which may be nil) so a caller in a hot loop can reuse
+// one scratch slice. The result shares buf's backing array; it is empty
+// when no instantaneous activity is enabled.
+func (m *Model) MaxInstantPriorityEnabledInto(s *State, buf []*Activity) []*Activity {
+	return MaxPriorityEnabledInto(s, m.instants, buf)
 }
 
-// MaxInstantPriorityEnabledInto is MaxInstantPriorityEnabled appending into
-// buf (which may be nil), so a caller in a hot loop can reuse one scratch
-// slice across calls instead of allocating. The returned slice shares buf's
-// backing array; it is empty (len 0, buf's capacity) when no instantaneous
-// activity is enabled.
-func (m *Model) MaxInstantPriorityEnabledInto(s *State, buf []*Activity) []*Activity {
+// MaxPriorityEnabledInto is MaxInstantPriorityEnabledInto over among only,
+// in its order: the same result whenever among holds, in creation order,
+// every instantaneous activity that can be enabled in s.
+func MaxPriorityEnabledInto(s *State, among, buf []*Activity) []*Activity {
 	best := buf[:0]
 	bestPrio := 0
 	found := false
-	for _, a := range m.instants {
+	for _, a := range among {
 		if !a.def.Enabled(s) {
 			continue
 		}

@@ -1,7 +1,7 @@
 // Package san implements stochastic activity networks (SANs), the modeling
 // formalism of Sanders and Meyer used by the Möbius tool: places holding
-// non-negative integer markings, timed activities with (possibly
-// marking-dependent) firing-time distributions, instantaneous activities
+// non-negative integer markings, timed activities with exponential firing
+// times at (possibly marking-dependent) rates, instantaneous activities
 // with priorities and uniform races, cases with static probabilities,
 // enabling predicates, and output gates expressed as Go effect functions.
 //

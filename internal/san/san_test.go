@@ -18,7 +18,7 @@ func buildSimple(t *testing.T) (*Model, *Place, *Place) {
 	m.AddActivity(ActivityDef{
 		Name:    "move",
 		Kind:    Timed,
-		Dist:    func(*State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*State) float64 { return 1 },
 		Enabled: func(s *State) bool { return s.Get(src) > 0 },
 		Reads:   []*Place{src},
 		Cases: []Case{{Prob: 1, Effect: func(ctx *Context) {
@@ -118,7 +118,7 @@ func TestFinalizeValidation(t *testing.T) {
 	}{
 		{"no name", ActivityDef{Kind: Timed}, "has no name"},
 		{"bad kind", ActivityDef{Name: "a"}, "invalid kind"},
-		{"no dist", ActivityDef{Name: "a", Kind: Timed}, "no distribution"},
+		{"no rate", ActivityDef{Name: "a", Kind: Timed}, "no rate"},
 		{"no predicate", ActivityDef{Name: "a", Kind: Instant}, "no enabling predicate"},
 		{"no cases", ActivityDef{Name: "a", Kind: Instant, Enabled: func(*State) bool { return false }}, "no cases"},
 		{"no reads", ActivityDef{
@@ -306,7 +306,7 @@ func TestChooseCaseFrequencies(t *testing.T) {
 	p := m.Place("p", 1)
 	a := m.AddActivity(ActivityDef{
 		Name: "a", Kind: Timed,
-		Dist:    func(*State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*State) float64 { return 1 },
 		Enabled: func(s *State) bool { return s.Get(p) > 0 },
 		Reads:   []*Place{p},
 		Cases:   []Case{{Prob: 0.8}, {Prob: 0.15}, {Prob: 0.05}},

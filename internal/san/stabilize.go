@@ -22,7 +22,7 @@ var ErrUnstable = errors.New("san: instantaneous activities did not stabilize (s
 func Stabilize(m *Model, ctx *Context) (int, error) {
 	fired := 0
 	for {
-		enabled := m.MaxInstantPriorityEnabled(ctx.State)
+		enabled := m.MaxInstantPriorityEnabledInto(ctx.State, nil)
 		if len(enabled) == 0 {
 			return fired, nil
 		}

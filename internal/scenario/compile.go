@@ -373,7 +373,7 @@ func Compile(sc *Scenario, d Defaults) (*Compiled, error) {
 	// The default series stride is the smallest power of ten that covers the
 	// X range, so default grids never collide.
 	defSeries := uint64(10)
-	for defSeries < uint64(len(xs))*maxU64(xStride, 1) {
+	for defSeries < uint64(len(xs))*max(xStride, 1) {
 		defSeries *= 10
 	}
 	series, sParam, sStride = expand(sAxis, defSeries)
@@ -437,13 +437,6 @@ func Compile(sc *Scenario, d Defaults) (*Compiled, error) {
 		c.SeriesNames = []string{norm.Name}
 	}
 	return c, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (sc *Scenario) precisionMode() bool {

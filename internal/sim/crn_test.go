@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -51,14 +50,14 @@ func buildRoleModel(t *testing.T, extraDraws int) *san.Model {
 	fired := m.Place("fired", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "x", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return s.Get(gate) == 1 && s.Get(fired) == 0 },
 		Reads:   []*san.Place{gate, fired},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(fired, 1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "y", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(10) },
+		Rate:    func(*san.State) float64 { return 10 },
 		Enabled: func(s *san.State) bool { return s.Int(count) < 30 },
 		Reads:   []*san.Place{count},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -68,7 +67,7 @@ func buildRoleModel(t *testing.T, extraDraws int) *san.Model {
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "z", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(10) },
+		Rate:    func(*san.State) float64 { return 10 },
 		Enabled: func(s *san.State) bool { return s.Int(zcount) < 30 },
 		Reads:   []*san.Place{zcount},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -224,7 +223,7 @@ func TestCRNReplayReproducesFailure(t *testing.T) {
 	p := m.Place("p", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate:    func(*san.State) float64 { return 1 },
 		Enabled: func(s *san.State) bool { return s.Get(p) == 0 },
 		Reads:   []*san.Place{p},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

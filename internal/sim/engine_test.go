@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,14 +21,14 @@ func buildMM1K(t testing.TB, lambda, mu float64, k int) (*san.Model, *san.Place)
 	q := m.Place("q", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "arrive", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(lambda) },
+		Rate:    func(*san.State) float64 { return lambda },
 		Enabled: func(s *san.State) bool { return s.Int(q) < k },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, 1) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "serve", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(mu) },
+		Rate:    func(*san.State) float64 { return mu },
 		Enabled: func(s *san.State) bool { return s.Get(q) > 0 },
 		Reads:   []*san.Place{q},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(q, -1) }}},
@@ -92,14 +94,14 @@ func buildTwoState(t testing.TB, lambda, mu float64) (*san.Model, *san.Place) {
 	up := m.Place("up", 1)
 	m.AddActivity(san.ActivityDef{
 		Name: "fail", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(lambda) },
+		Rate:    func(*san.State) float64 { return lambda },
 		Enabled: func(s *san.State) bool { return s.Get(up) == 1 },
 		Reads:   []*san.Place{up},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(up, 0) }}},
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "repair", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(mu) },
+		Rate:    func(*san.State) float64 { return mu },
 		Enabled: func(s *san.State) bool { return s.Get(up) == 0 },
 		Reads:   []*san.Place{up},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(up, 1) }}},
@@ -154,56 +156,30 @@ func TestTwoStateFirstPassage(t *testing.T) {
 	}
 }
 
-func TestDeterministicTimes(t *testing.T) {
-	// A deterministic clock ticking every 1.5 units: exactly 6 firings by
-	// t=10 (at 1.5, 3, 4.5, 6, 7.5, 9).
-	m := san.NewModel("det")
-	n := m.Place("n", 0)
-	m.AddActivity(san.ActivityDef{
-		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 1.5} },
-		Enabled: func(s *san.State) bool { return s.Get(n) < 100 },
-		Reads:   []*san.Place{n},
-		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Add(n, 1) }}},
-	})
-	if err := m.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	vars := []reward.Var{
-		&reward.AtTime{VarName: "n", F: func(s *san.State) float64 { return float64(s.Get(n)) }, T: 10},
-	}
-	res, err := Run(Spec{Model: m, Until: 10, Reps: 3, Seed: 4, Vars: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.MustGet("n").Mean; got != 6 {
-		t.Fatalf("deterministic ticks by t=10: %v, want 6", got)
-	}
-}
-
 func TestReactivationOnRateChange(t *testing.T) {
-	// Activity "work" has rate 100 while boost=1, else 0.001. "boost" fires
-	// deterministically at t=1 setting boost=1. The work activity resamples
-	// at t=1 with the fast rate, so it almost surely completes before
-	// t=1.5; kept, its original (slow) sample would almost surely not.
+	// Activity "work" has rate 100 while boost=1, else 0.001. "booster"
+	// fires at rate 10, setting boost=1 almost surely well before t=1.5.
+	// The work activity resamples at that moment with the fast rate, so it
+	// almost surely completes before t=1.5; kept, its original (slow)
+	// sample would almost surely not.
 	build := func() (*san.Model, *san.Place) {
 		m := san.NewModel("react")
 		boost := m.Place("boost", 0)
 		done := m.Place("done", 0)
 		m.AddActivity(san.ActivityDef{
 			Name: "booster", Kind: san.Timed,
-			Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 1} },
+			Rate:    func(*san.State) float64 { return 10 },
 			Enabled: func(s *san.State) bool { return s.Get(boost) == 0 },
 			Reads:   []*san.Place{boost},
 			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(boost, 1) }}},
 		})
 		m.AddActivity(san.ActivityDef{
 			Name: "work", Kind: san.Timed,
-			Dist: func(s *san.State) rng.Dist {
+			Rate: func(s *san.State) float64 {
 				if s.Get(boost) == 1 {
-					return rng.Expo(100)
+					return 100
 				}
-				return rng.Expo(0.001)
+				return 0.001
 			},
 			Enabled: func(s *san.State) bool { return s.Get(done) == 0 },
 			Reads:   []*san.Place{boost, done},
@@ -263,7 +239,7 @@ func TestValidateCatchesUndeclaredRead(t *testing.T) {
 	b := m.Place("b", 1)
 	m.AddActivity(san.ActivityDef{
 		Name: "sneaky", Kind: san.Timed,
-		Dist: func(*san.State) rng.Dist { return rng.Expo(1) },
+		Rate: func(*san.State) float64 { return 1 },
 		// reads b but declares only a
 		Enabled: func(s *san.State) bool { return s.Get(a) > 0 && s.Get(b) > 0 },
 		Reads:   []*san.Place{a},
@@ -280,6 +256,117 @@ func TestValidateCatchesUndeclaredRead(t *testing.T) {
 	}()
 	eng := NewEngine(m, true)
 	_ = eng.RunOnce(1, rng.New(1), nil, 0)
+}
+
+// buildHiddenInstant builds a model whose instantaneous predicate reads
+// place b without declaring it: a timed "arm" writes only b, which enables
+// "fire". A scan that trusts the declared reads never evaluates "fire"
+// after "arm", so only validate mode can notice. With viaMarkings the
+// predicate reads b through the raw marking vector, which read tracing
+// does not attribute to a place, and the full-scan comparison must catch
+// it instead.
+func buildHiddenInstant(t *testing.T, viaMarkings bool) *san.Model {
+	t.Helper()
+	m := san.NewModel("hidden")
+	a := m.Place("a", 1)
+	b := m.Place("b", 0)
+	m.AddActivity(san.ActivityDef{
+		Name: "arm", Kind: san.Timed,
+		Rate:    func(*san.State) float64 { return 1 },
+		Enabled: func(s *san.State) bool { return s.Get(b) == 0 },
+		Reads:   []*san.Place{b},
+		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(b, 1) }}},
+	})
+	m.AddActivity(san.ActivityDef{
+		Name: "fire", Kind: san.Instant,
+		Enabled: func(s *san.State) bool {
+			if viaMarkings {
+				return s.Get(a) > 0 && s.Markings()[b.Index()] > 0
+			}
+			return s.Get(a) > 0 && s.Get(b) > 0
+		},
+		Reads: []*san.Place{a},
+		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(a, 0) }}},
+	})
+	if err := m.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestValidateCatchesUndeclaredInstantRead: validate mode read-traces the
+// instantaneous predicates and checks the incremental scan against a full
+// one, so an undeclared read there fails the replication instead of
+// silently skipping an enabling.
+func TestValidateCatchesUndeclaredInstantRead(t *testing.T) {
+	for _, tc := range []struct {
+		viaMarkings bool
+		want        string
+	}{
+		{false, `activity "fire" Enabled read undeclared place "b"`},
+		{true, "incremental instantaneous scan"},
+	} {
+		res, err := Run(Spec{Model: buildHiddenInstant(t, tc.viaMarkings), Until: 100, Reps: 4, Seed: 1,
+			Validate: true, MaxFailureFrac: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != res.Reps {
+			t.Fatalf("viaMarkings=%v: %d of %d replications failed, want all", tc.viaMarkings, res.Failed, res.Reps)
+		}
+		for _, f := range res.Failures {
+			if msg := fmt.Sprint(f.PanicValue); f.Kind != FailurePanic || !strings.Contains(msg, tc.want) {
+				t.Fatalf("viaMarkings=%v: failure %v %q, want a panic containing %q", tc.viaMarkings, f.Kind, msg, tc.want)
+			}
+		}
+	}
+}
+
+// TestBadRateFailsReplication: an enabled timed activity whose rate is not
+// finite and positive fails the replication with a model error naming the
+// activity, whether it is enabled from the start or becomes enabled later.
+// While disabled its rate is never asked for.
+func TestBadRateFailsReplication(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -1, 0} {
+		for _, later := range []bool{false, true} {
+			m := san.NewModel("bad-rate")
+			p := m.Place("p", 0)
+			if later {
+				m.AddActivity(san.ActivityDef{
+					Name: "tick", Kind: san.Timed,
+					Rate:    func(*san.State) float64 { return 1 },
+					Enabled: func(s *san.State) bool { return s.Get(p) == 0 },
+					Reads:   []*san.Place{p},
+					Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(p, 1) }}},
+				})
+			}
+			m.AddActivity(san.ActivityDef{
+				Name: "bad", Kind: san.Timed,
+				Rate: func(*san.State) float64 { return rate },
+				Enabled: func(s *san.State) bool {
+					return s.Get(p) == 1 || !later
+				},
+				Reads: []*san.Place{p},
+				Cases: []san.Case{{Prob: 1}},
+			})
+			if err := m.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(Spec{Model: m, Until: 100, Reps: 3, Seed: 1, MaxFailureFrac: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed != res.Reps {
+				t.Fatalf("rate %v, later=%v: %d of %d replications failed, want all", rate, later, res.Failed, res.Reps)
+			}
+			for _, f := range res.Failures {
+				if f.Kind != FailureModel || !errors.Is(f.Err, san.ErrRate) || !strings.Contains(f.Err.Error(), `"bad"`) {
+					t.Fatalf("rate %v, later=%v: failure %v %v, want a model error wrapping san.ErrRate naming \"bad\"",
+						rate, later, f.Kind, f.Err)
+				}
+			}
+		}
+	}
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -330,7 +417,7 @@ func TestInitHookAndInstantaneous(t *testing.T) {
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "noop", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(0.0001) },
+		Rate:    func(*san.State) float64 { return 0.0001 },
 		Enabled: func(s *san.State) bool { return s.Get(out) < 100 },
 		Reads:   []*san.Place{out},
 		Cases:   []san.Case{{Prob: 1}},

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -23,7 +22,7 @@ func buildPanicky(t *testing.T, p float64) (*san.Model, *san.Place) {
 	n := m.Place("n", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "tick", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(5) },
+		Rate:    func(*san.State) float64 { return 5 },
 		Enabled: func(s *san.State) bool { return s.Get(n) < 1_000_000 },
 		Reads:   []*san.Place{n},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -39,17 +38,18 @@ func buildPanicky(t *testing.T, p float64) (*san.Model, *san.Place) {
 	return m, n
 }
 
-// buildWedge builds a model that runs normally until t=0.1 and then enters a
-// self-enabling zero-delay instantaneous loop — the pathological case a
-// watchdog or firing budget must catch, because simulation time never
-// advances again.
+// buildWedge builds a model that runs normally until its trigger fires (at
+// rate 10, so almost surely well before any horizon the tests use) and
+// then enters a self-enabling zero-delay instantaneous loop — the
+// pathological case a watchdog or firing budget must catch, because
+// simulation time never advances again.
 func buildWedge(t *testing.T) *san.Model {
 	t.Helper()
 	m := san.NewModel("wedge")
 	trap := m.Place("trap", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "trigger", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 0.1} },
+		Rate:    func(*san.State) float64 { return 10 },
 		Enabled: func(s *san.State) bool { return s.Get(trap) == 0 },
 		Reads:   []*san.Place{trap},
 		Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(trap, 1) }}},
@@ -196,9 +196,9 @@ func TestFailureThreshold(t *testing.T) {
 	}
 }
 
-// buildTimedWedge builds a model whose only activity fires with a
-// vanishingly small deterministic delay: simulation time crawls forward in
-// 1e-12 steps, so the run effectively never reaches its end time. Unlike
+// buildTimedWedge builds a model whose only activity fires at rate 1e12:
+// simulation time crawls forward in steps of about 1e-12, so the run
+// effectively never reaches its end time. Unlike
 // buildWedge there is no instantaneous chain, so neither the livelock
 // detector nor san.Stabilize intervenes — only the wall-clock watchdog or
 // the firing budget can stop it.
@@ -208,7 +208,7 @@ func buildTimedWedge(t *testing.T) *san.Model {
 	n := m.Place("n", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "creep", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Deterministic{V: 1e-12} },
+		Rate:    func(*san.State) float64 { return 1e12 },
 		Enabled: func(s *san.State) bool { return true },
 		Reads:   []*san.Place{n},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

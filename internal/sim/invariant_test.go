@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 )
 
@@ -23,7 +22,7 @@ func buildLeaky(t *testing.T, p float64) (*san.Model, *san.Place, *san.Place) {
 	dst := m.Place("dst", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "fwd", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(5) },
+		Rate:    func(*san.State) float64 { return 5 },
 		Enabled: func(s *san.State) bool { return s.Get(src) > 0 },
 		Reads:   []*san.Place{src},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -37,7 +36,7 @@ func buildLeaky(t *testing.T, p float64) (*san.Model, *san.Place, *san.Place) {
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "back", Kind: san.Timed,
-		Dist:    func(*san.State) rng.Dist { return rng.Expo(5) },
+		Rate:    func(*san.State) float64 { return 5 },
 		Enabled: func(s *san.State) bool { return s.Get(dst) > 0 },
 		Reads:   []*san.Place{dst},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

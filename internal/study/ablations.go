@@ -8,7 +8,6 @@ import (
 	"ituaval/internal/ituadirect"
 	"ituaval/internal/mc"
 	"ituaval/internal/reward"
-	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
 	"ituaval/internal/stats"
@@ -151,9 +150,7 @@ func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err 
 	pending = m.Place("pending", 0)
 	m.AddActivity(san.ActivityDef{
 		Name: "attack", Kind: san.Timed,
-		Dist: func(s *san.State) rng.Dist {
-			return rng.Expo(attack * float64(s.Get(good)))
-		},
+		Rate:    func(s *san.State) float64 { return attack * float64(s.Get(good)) },
 		Enabled: func(s *san.State) bool { return s.Get(good) > 0 },
 		Reads:   []*san.Place{good},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -163,9 +160,7 @@ func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err 
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "detect", Kind: san.Timed,
-		Dist: func(s *san.State) rng.Dist {
-			return rng.Expo(detect * float64(s.Get(bad)))
-		},
+		Rate:    func(s *san.State) float64 { return detect * float64(s.Get(bad)) },
 		Enabled: func(s *san.State) bool { return s.Get(bad) > 0 },
 		Reads:   []*san.Place{bad},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
@@ -175,9 +170,7 @@ func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err 
 	})
 	m.AddActivity(san.ActivityDef{
 		Name: "restart", Kind: san.Timed,
-		Dist: func(s *san.State) rng.Dist {
-			return rng.Expo(recover * float64(s.Get(pending)))
-		},
+		Rate:    func(s *san.State) float64 { return recover * float64(s.Get(pending)) },
 		Enabled: func(s *san.State) bool { return s.Get(pending) > 0 },
 		Reads:   []*san.Place{pending},
 		Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {

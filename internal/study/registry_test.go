@@ -7,6 +7,7 @@ import (
 
 	"ituaval/internal/core"
 	"ituaval/internal/san"
+	"ituaval/internal/sim"
 )
 
 func spreadName(p core.Params) string { return fmt.Sprintf("spread=%g", p.DomainSpreadRate) }
@@ -39,13 +40,20 @@ var lintNames = map[string]func(p core.Params) string{
 }
 
 // lintResult lints one distinct configuration once, however many grids
-// hold it.
+// hold it, and runs a few replications of it in the engine's validate
+// mode up to the shortest horizon its points use.
 type lintResult struct {
 	once     sync.Once
 	params   core.Params
+	until    float64
 	findings []san.LintFinding
 	err      error
 }
+
+// lintValidateReps is the number of validate-mode replications per
+// configuration: each read-traces every predicate and rate evaluation and
+// checks every incremental instantaneous scan against a full one.
+const lintValidateReps = 3
 
 func (r *lintResult) lint() ([]san.LintFinding, error) {
 	r.once.Do(func() {
@@ -55,15 +63,31 @@ func (r *lintResult) lint() ([]san.LintFinding, error) {
 			return
 		}
 		r.findings = m.SAN.Lint()
+		r.err = validateRuns(m.SAN, r.until)
 	})
 	return r.findings, r.err
+}
+
+// validateRuns runs lintValidateReps validate-mode replications of m to
+// the horizon until and returns the first failure.
+func validateRuns(m *san.Model, until float64) error {
+	res, err := sim.Run(sim.Spec{Model: m, Until: until, Reps: lintValidateReps, Seed: 1,
+		Workers: 1, Validate: true, MaxFailureFrac: 1})
+	if err != nil {
+		return err
+	}
+	if res.Failed > 0 {
+		return &res.Failures[0]
+	}
+	return nil
 }
 
 // TestLintRegisteredModels is the model lint lane (`make lint-models`): it
 // builds every point (both arms of a pair) of every registered study's
 // grid, plus numval's reduced model, and fails on any static-analysis
 // finding — an unreachable activity, an orphaned or never-read place, a
-// case distribution off unity, or a violated declared bound. A
+// case distribution off unity, or a violated declared bound — and on any
+// failure of a few validate-mode replications (see lintResult). A
 // configuration that several grids share is linted once.
 func TestLintRegisteredModels(t *testing.T) {
 	lints := map[string]*lintResult{}
@@ -83,9 +107,10 @@ func TestLintRegisteredModels(t *testing.T) {
 				key := string(paramsJSON(p))
 				r := lints[key]
 				if r == nil {
-					r = &lintResult{params: p}
+					r = &lintResult{params: p, until: pt.Until}
 					lints[key] = r
 				}
+				r.until = min(r.until, pt.Until)
 				name := pt.Label
 				if f := lintNames[id]; f != nil {
 					name = f(p)
@@ -120,6 +145,10 @@ func TestLintRegisteredModels(t *testing.T) {
 		}
 		for _, f := range m.Lint() {
 			t.Errorf("%s", f)
+		}
+		// numval's longest horizon.
+		if err := validateRuns(m, 5); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
