@@ -271,6 +271,40 @@ func TestCRNPairingReducesFig5DeltaVariance(t *testing.T) {
 	if d.HalfWidth95 >= indep/2 {
 		t.Fatalf("paired hw %v not at least 2x tighter than independent %v", d.HalfWidth95, indep)
 	}
+	// A shared seed alone already correlates the arms: replication j of
+	// both draws from the same stream, in event order, until their
+	// trajectories part (VRF 4.3 here, against 9.3 with CRN). CRN must do
+	// clearly better than that, or a pair run without it would pass the
+	// checks above.
+	if vrf, shared := pr.Est["unavail.vrf"].Mean, sharedSeedVRF(t, reps, 97); vrf < 1.5*shared {
+		t.Fatalf("CRN variance reduction factor %v is not 1.5x the shared-seed pair's %v", vrf, shared)
+	}
+}
+
+// sharedSeedVRF runs the arms of TestCRNPairingReducesFig5DeltaVariance's
+// pair on the pair's seed without common random numbers and returns the
+// unavailability delta's variance reduction factor.
+func sharedSeedVRF(t *testing.T, reps int, seed uint64) float64 {
+	t.Helper()
+	pt := policyPair("pair", 2, 0, "unavail")
+	var perRep [][]float64
+	for _, p := range []core.Params{pt.Params, *pt.PairedWith} {
+		m, err := core.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(sim.Spec{Model: m.SAN, Until: pt.Until, Reps: reps, Seed: seed + pt.SeedOffset,
+			Vars: pt.Vars(m), KeepPerRep: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRep = append(perRep, res.PerRep[0])
+	}
+	pd, err := stats.PairedT(perRep[0], perRep[1], 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pd.VRF
 }
 
 // TestPairedPointMatchesManualPairedT pins a pair's bookkeeping to the
