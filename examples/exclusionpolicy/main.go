@@ -47,13 +47,14 @@ func main() {
 	fmt.Printf("%7s | %25s %6s | %25s %6s\n", "spread", "delta (host - domain)", "VRF", "delta (host - domain)", "VRF")
 
 	// One CRN pair per spread rate: host exclusion is arm A, domain
-	// exclusion arm B. Every pair runs at root seed 7.
+	// exclusion arm B. The pairs run at root seed 7, each at its own seed
+	// offset, so no two pairs share replication streams.
 	var pts []study.PointSpec
-	for _, spread := range spreads {
+	for i, spread := range spreads {
 		dom := params(spread, core.DomainExclusion)
 		pts = append(pts, study.PointSpec{
 			Label: fmt.Sprintf("spread=%v", spread), Params: params(spread, core.HostExclusion), PairedWith: &dom,
-			Until: horizon, Vars: func(m *core.Model) []reward.Var {
+			Until: horizon, SeedOffset: uint64(i), Vars: func(m *core.Model) []reward.Var {
 				return []reward.Var{
 					m.Unavailability("u", 0, 0, horizon),
 					m.Unreliability("r", 0, horizon),
