@@ -19,7 +19,7 @@ const (
 	// FailureModel: the model or engine returned an error (for example an
 	// unstable instantaneous loop rejected by san.Stabilize).
 	FailureModel FailureKind = iota
-	// FailurePanic: a model callback (gate function, distribution,
+	// FailurePanic: a model callback (gate function, rate,
 	// predicate, observer) panicked; the panic was isolated to the
 	// replication and the study continued.
 	FailurePanic
