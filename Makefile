@@ -8,14 +8,15 @@
 #   bench-build  the separate bench module (see below)
 #   test         the full suite (unit, property, cross-implementation,
 #                vs-analytic), including the allocation gates (engine
-#                replication on a toy model and on every Figure-5 grid
-#                point, live transport send/deliver, client probe) and
-#                every figure runner
+#                replication on a toy model and on every registered grid
+#                point, direct-simulator replication, live transport
+#                send/deliver, client probe) and every figure runner
 #   bench-test   the bench module's tests (see below)
 #   race         the concurrency-heavy packages (parallel runner,
-#                checkpointing) and the symmetry canonicalizer, which
-#                lumped generation calls from every worker, under the
-#                race detector
+#                checkpointing, the direct simulator's replication pool
+#                and the cross-check that drives every arm's pool) and
+#                the symmetry canonicalizer, which lumped generation
+#                calls from every worker, under the race detector
 # Self-checking lanes (also run in CI, except lint-models):
 #   lint-models  static SAN lint over every point of every registered
 #                study's grid (study.Registry's Grid, each distinct
@@ -91,7 +92,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/study/... ./internal/precision/... ./internal/mc/... ./internal/exact/... ./internal/rsm/... ./internal/server/... ./internal/scenario/...
+	$(GO) test -race ./internal/sim/... ./internal/study/... ./internal/precision/... ./internal/mc/... ./internal/exact/... ./internal/rsm/... ./internal/server/... ./internal/scenario/... ./internal/ituadirect/... ./internal/integrity/...
 	$(GO) test -race -run 'Canon' ./internal/core
 
 lint-models:

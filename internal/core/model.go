@@ -431,34 +431,47 @@ func Build(p Params) (*Model, error) {
 	}
 
 	// chooseHost picks a live host of domain d for a new replica according
-	// to the configured placement strategy.
+	// to the configured placement strategy. Uniform and least-loaded
+	// placement walk the domain's hosts instead of collecting the live
+	// ones, so no domain size makes them allocate; the uniform walk to the
+	// k-th live host is the same draw, and under enumeration the same
+	// branches, as indexing a list of them.
 	chooseHost := func(ctx *san.Context, d int) int {
 		st := ctx.State
-		var upBuf [8]int
-		hostsUp := upBuf[:0]
-		for h := 0; h < H; h++ {
-			if st.Get(m.HostExcluded[d*H+h]) == 0 {
-				hostsUp = append(hostsUp, d*H+h)
-			}
-		}
+		live := func(g int) bool { return st.Get(m.HostExcluded[g]) == 0 }
 		switch p.Placement {
 		case LeastLoadedPlacement:
-			best := hostsUp[0]
-			for _, g := range hostsUp[1:] {
-				if st.Get(m.NumReplicas[g]) < st.Get(m.NumReplicas[best]) {
+			best := -1
+			for g := d * H; g < (d+1)*H; g++ {
+				if live(g) && (best < 0 || st.Get(m.NumReplicas[g]) < st.Get(m.NumReplicas[best])) {
 					best = g
 				}
 			}
 			return best
 		case WeightedRandomPlacement:
+			var upBuf [8]int
 			var wBuf [8]float64
-			weights := append(wBuf[:0], make([]float64, len(hostsUp))...)
-			for i, g := range hostsUp {
-				weights[i] = 1 / (1 + float64(st.Get(m.NumReplicas[g])))
+			hostsUp, weights := upBuf[:0], wBuf[:0]
+			for g := d * H; g < (d+1)*H; g++ {
+				if live(g) {
+					hostsUp = append(hostsUp, g)
+					weights = append(weights, 1/(1+float64(st.Get(m.NumReplicas[g]))))
+				}
 			}
 			return hostsUp[ctx.ChooseWeighted(weights)]
 		default:
-			return hostsUp[ctx.Choose(len(hostsUp))]
+			n := 0
+			for g := d * H; g < (d+1)*H; g++ {
+				if live(g) {
+					n++
+				}
+			}
+			g := d*H - 1
+			for k := ctx.Choose(n); k >= 0; k-- {
+				for g++; !live(g); g++ {
+				}
+			}
+			return g
 		}
 	}
 
@@ -789,7 +802,12 @@ func Build(p Params) (*Model, error) {
 			Reads: campaignReads,
 			Cases: []san.Case{{Prob: 1, Effect: func(ctx *san.Context) {
 				st := ctx.State
-				var eligible []int
+				// A stack buffer: the model is shared by every worker's
+				// engine, so the effect holds no scratch of its own. 64
+				// hosts cover every registered grid; append moves a
+				// larger system to the heap.
+				var eligibleBuf [64]int
+				eligible := eligibleBuf[:0]
 				for g := 0; g < nHosts; g++ {
 					if st.Get(m.HostStatus[g]) == 0 && st.Get(m.HostExcluded[g]) == 0 {
 						eligible = append(eligible, g)

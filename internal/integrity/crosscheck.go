@@ -26,7 +26,10 @@ type CrossCheckOptions struct {
 	// Seed is the root seed; the SAN engine uses Seed, the direct
 	// simulator Seed+1, so the two estimates are independent. Default 1.
 	Seed uint64
-	// Workers bounds SAN-engine parallelism (0 = GOMAXPROCS).
+	// Workers bounds the parallelism of every arm (0 = GOMAXPROCS): the
+	// SAN engine, the direct simulator, the live arm and the exact
+	// solver. Each sampled arm folds its replications in replication
+	// order, so the report does not depend on it.
 	Workers int
 	// Live, when true, adds the live arm: the measures estimated on a real
 	// message-passing replica group (internal/rsm) subjected to the model's
@@ -217,7 +220,7 @@ func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*Cross
 			res.Failed, res.Reps, &res.Failures[0])
 	}
 
-	direct, err := ituadirect.Replicate(ctx, p, o.Seed+1, o.Reps, T)
+	direct, err := ituadirect.Replicate(ctx, p, o.Seed+1, o.Reps, T, o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("integrity: direct simulator: %w", err)
 	}

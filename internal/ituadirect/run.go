@@ -285,12 +285,13 @@ func (s *Process) jump() {
 // uniformly chosen eligible (uncorrupted, unexcluded) hosts in one event,
 // mirroring core's env.campaign activity.
 func (s *Process) campaign() {
-	var eligible []int
+	eligible := s.hosts[:0]
 	for g := range s.hostStatus {
 		if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
 			eligible = append(eligible, g)
 		}
 	}
+	s.hosts = eligible
 	k := s.p.CampaignSize
 	if len(eligible) <= k {
 		k = len(eligible)
@@ -484,18 +485,25 @@ func (s *Process) domainQualifies(a, d int) bool {
 }
 
 // recover places one replacement replica of app a on a uniformly chosen
-// qualifying domain and a uniformly chosen live host within it.
+// qualifying domain and a uniformly chosen live host within it. It counts
+// the qualifying domains and walks to the chosen one instead of listing
+// them: the same draw, with nothing allocated.
 func (s *Process) recover(a int) {
-	var doms []int
+	n := 0
 	for d := range s.domExcluded {
 		if s.domainQualifies(a, d) {
-			doms = append(doms, d)
+			n++
 		}
 	}
-	if len(doms) == 0 {
+	if n == 0 {
 		return
 	}
-	g := s.chooseHost(doms[s.rs.Choose(len(doms))])
+	d := -1
+	for k := s.rs.Choose(n); k >= 0; k-- {
+		for d++; !s.domainQualifies(a, d); d++ {
+		}
+	}
+	g := s.chooseHost(d)
 	for r := range s.onHost[a] {
 		if s.onHost[a][r] < 0 {
 			s.onHost[a][r] = g

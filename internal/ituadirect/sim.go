@@ -20,7 +20,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
 	"ituaval/internal/core"
 	"ituaval/internal/rng"
@@ -110,6 +113,11 @@ type Process struct {
 
 	buf   []transition // enabled transitions of the current state
 	total float64      // their summed rate
+
+	// Scratch of weighted placement and campaign, reused across events;
+	// a Process belongs to one replication, so nothing here is shared.
+	hosts   []int
+	weights []float64
 }
 
 // Result collects one replication's measures for the measured application
@@ -185,27 +193,97 @@ type Estimate struct {
 	Unavail, Unrel, FracExcl stats.Accumulator
 }
 
-// Replicate runs reps replications of p to horizon T, replication rep on
-// stream rng.New(seed).Derive(rep), and accumulates their measures in
-// replication order, so the estimate is a function of (p, seed, reps, T)
-// alone. The first failed replication stops the run with its error.
-func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T float64) (*Estimate, error) {
-	var e Estimate
+// Replicate runs reps replications of p to horizon T on workers goroutines
+// (0 = GOMAXPROCS), replication rep on stream rng.New(seed).Derive(rep),
+// and accumulates their measures in replication order once every worker is
+// done, so the estimate is a function of (p, seed, reps, T) alone, whatever
+// the worker count. A failed replication stops the run: no higher index is
+// handed out, the ones in flight finish, and the error returned is that of
+// the lowest-index replication that failed, as a serial loop would report.
+// A context cancelled before every replication was handed out fails the
+// first one not handed out with ctx.Err().
+func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T float64, workers int) (*Estimate, error) {
+	type out struct {
+		unavail, unrel, fracExcl float64
+	}
+	outs := make([]out, max(reps, 0))
 	root := rng.New(seed)
-	for rep := 0; rep < reps; rep++ {
-		r, err := RunContext(ctx, p, root.Derive(uint64(rep)), []float64{T})
+	horizon := []float64{T}
+	err := forEachRep(ctx, reps, workers, func(rep int) error {
+		r, err := RunContext(ctx, p, root.Derive(uint64(rep)), horizon)
 		if err != nil {
-			return nil, fmt.Errorf("ituadirect: replication %d: %w", rep, err)
+			return err
 		}
-		e.Unavail.Add(r.UnavailTime[0] / T)
+		o := out{unavail: r.UnavailTime[0] / T, fracExcl: r.FracDomainsExcluded[0]}
 		if r.ByzantineBy[0] {
-			e.Unrel.Add(1)
-		} else {
-			e.Unrel.Add(0)
+			o.unrel = 1
 		}
-		e.FracExcl.Add(r.FracDomainsExcluded[0])
+		outs[rep] = o
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var e Estimate
+	for _, o := range outs {
+		e.Unavail.Add(o.unavail)
+		e.Unrel.Add(o.unrel)
+		e.FracExcl.Add(o.fracExcl)
 	}
 	return &e, nil
+}
+
+// forEachRep calls run(rep) for rep = 0..n-1 on workers goroutines
+// (0 = GOMAXPROCS), handing the indices out in ascending order. After the
+// first failure it hands out no higher index but lets the calls in flight
+// finish, so every index below a failed one has run to completion and the
+// lowest failed index is the one a serial loop would have stopped at; its
+// error is returned, wrapped with the index. A cancelled ctx counts as a
+// failure of the first index not yet handed out.
+func forEachRep(ctx context.Context, n, workers int, run func(rep int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		mu      sync.Mutex
+		failRep = n // lowest failed index so far
+		failErr error
+		failed  atomic.Bool
+	)
+	fail := func(rep int, err error) {
+		mu.Lock()
+		if rep < failRep {
+			failRep, failErr = rep, err
+		}
+		mu.Unlock()
+		failed.Store(true)
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range next {
+				if err := run(rep); err != nil {
+					fail(rep, err)
+				}
+			}
+		}()
+	}
+	for rep := 0; rep < n && !failed.Load(); rep++ {
+		if err := ctx.Err(); err != nil {
+			fail(rep, err)
+			break
+		}
+		next <- rep
+	}
+	close(next)
+	wg.Wait()
+	if failErr != nil {
+		return fmt.Errorf("ituadirect: replication %d: %w", failRep, failErr)
+	}
+	return nil
 }
 
 // New builds the process in its initial state (replicas placed, no
@@ -309,32 +387,42 @@ func (s *Process) hostLoad(g int) int {
 }
 
 // chooseHost picks a live host of domain d per the placement strategy,
-// mirroring core's semantics.
+// mirroring core's semantics. The live hosts are walked in index order
+// rather than collected, so a placement allocates nothing.
 func (s *Process) chooseHost(d int) int {
 	H := s.p.HostsPerDomain
-	var hostsUp []int
-	for h := 0; h < H; h++ {
-		if !s.hostExcluded[d*H+h] {
-			hostsUp = append(hostsUp, d*H+h)
-		}
-	}
+	lo, hi := d*H, (d+1)*H
 	switch s.p.Placement {
 	case core.LeastLoadedPlacement:
-		best := hostsUp[0]
-		for _, g := range hostsUp[1:] {
-			if s.hostLoad(g) < s.hostLoad(best) {
+		best := -1
+		for g := lo; g < hi; g++ {
+			if !s.hostExcluded[g] && (best < 0 || s.hostLoad(g) < s.hostLoad(best)) {
 				best = g
 			}
 		}
 		return best
 	case core.WeightedRandomPlacement:
-		weights := make([]float64, len(hostsUp))
-		for i, g := range hostsUp {
-			weights[i] = 1 / (1 + float64(s.hostLoad(g)))
+		s.hosts, s.weights = s.hosts[:0], s.weights[:0]
+		for g := lo; g < hi; g++ {
+			if !s.hostExcluded[g] {
+				s.hosts = append(s.hosts, g)
+				s.weights = append(s.weights, 1/(1+float64(s.hostLoad(g))))
+			}
 		}
-		return hostsUp[s.rs.Category(weights)]
+		return s.hosts[s.rs.Category(s.weights)]
 	default:
-		return hostsUp[s.rs.Choose(len(hostsUp))]
+		n := 0
+		for g := lo; g < hi; g++ {
+			if !s.hostExcluded[g] {
+				n++
+			}
+		}
+		g := lo - 1
+		for k := s.rs.Choose(n); k >= 0; k-- {
+			for g++; s.hostExcluded[g]; g++ {
+			}
+		}
+		return g
 	}
 }
 

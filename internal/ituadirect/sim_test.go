@@ -2,8 +2,13 @@ package ituadirect
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ituaval/internal/core"
 	"ituaval/internal/reward"
@@ -180,28 +185,148 @@ func aggregate(t *testing.T, p core.Params, nReps int, T float64, seed uint64) (
 
 // TestReplicate: Replicate folds the same streams in the same order as
 // per-replication Run calls, so its accumulators are bit-identical to
-// theirs, and an invalid configuration fails at the first replication.
+// theirs at every worker count, and an invalid configuration fails at the
+// first replication.
 func TestReplicate(t *testing.T) {
 	p := testParams()
 	const T, reps, seed = 6.0, 200, 77
-	got, err := Replicate(context.Background(), p, seed, reps, T)
-	if err != nil {
-		t.Fatal(err)
-	}
 	unavail, unrel, excl, _ := aggregate(t, p, reps, T, seed)
-	for _, c := range []struct {
-		name      string
-		got, want *stats.Accumulator
-	}{
-		{"Unavail", &got.Unavail, unavail}, {"Unrel", &got.Unrel, unrel}, {"FracExcl", &got.FracExcl, excl},
-	} {
-		if *c.got != *c.want {
-			t.Errorf("%s: Replicate %+v, per-replication Run %+v", c.name, *c.got, *c.want)
+	for _, workers := range []int{1, 2, 8} {
+		got, err := Replicate(context.Background(), p, seed, reps, T, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want *stats.Accumulator
+		}{
+			{"Unavail", &got.Unavail, unavail}, {"Unrel", &got.Unrel, unrel}, {"FracExcl", &got.FracExcl, excl},
+		} {
+			if *c.got != *c.want {
+				t.Errorf("workers %d, %s: Replicate %+v, per-replication Run %+v", workers, c.name, *c.got, *c.want)
+			}
 		}
 	}
 	p.NumDomains = 0
-	if e, err := Replicate(context.Background(), p, seed, reps, T); err == nil || e != nil {
-		t.Fatalf("invalid params: estimate %v, err %v; want nil and an error", e, err)
+	for _, workers := range []int{1, 2, 8} {
+		if e, err := Replicate(context.Background(), p, seed, reps, T, workers); err == nil || e != nil {
+			t.Fatalf("workers %d, invalid params: estimate %v, err %v; want nil and an error", workers, e, err)
+		}
+	}
+}
+
+// TestReplicateCancel: a context cancelled before or during the run makes
+// Replicate return its error and no estimate, and leaves no worker running.
+func TestReplicateCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if e, err := Replicate(ctx, testParams(), 1, 100, 6, 2); !errors.Is(err, context.Canceled) || e != nil {
+		t.Fatalf("cancelled before the run: estimate %v, err %v; want nil and context.Canceled", e, err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	defer cancel()
+	if e, err := Replicate(ctx, testParams(), 1, 100000, 6, 2); !errors.Is(err, context.Canceled) || e != nil {
+		t.Fatalf("cancelled during the run: estimate %v, err %v; want nil and context.Canceled", e, err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestForEachRepLowestFailure pins the failure rule of Replicate's pool:
+// no valid input fails one replication alone, so it drives the dispatch
+// helper directly. Replications 5 and 9 fail, each in its own order: 5
+// first, 9 first (the two wait on each other), or as scheduled. The error
+// is always replication 5's and every lower replication ran. Left to the
+// schedule, dispatch stops soon after the first failure instead of running
+// all n.
+func TestForEachRepLowestFailure(t *testing.T) {
+	errAt := map[int]error{5: errors.New("fail 5"), 9: errors.New("fail 9")}
+	const n = 20000
+	type order int
+	const (
+		scheduled order = iota
+		lowerFirst
+		higherFirst
+	)
+	for _, workers := range []int{1, 2, 8} {
+		for _, ord := range []order{scheduled, lowerFirst, higherFirst} {
+			if workers == 1 && ord != scheduled {
+				continue // one worker cannot run 5 and 9 at once
+			}
+			for range 20 {
+				var calls atomic.Int64
+				ran := make([]atomic.Bool, n)
+				nineStarted, fiveDone, nineDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+				err := forEachRep(context.Background(), n, workers, func(rep int) error {
+					calls.Add(1)
+					ran[rep].Store(true)
+					switch {
+					case rep == 5 && ord == lowerFirst:
+						<-nineStarted
+						defer close(fiveDone)
+					case rep == 9 && ord == lowerFirst:
+						close(nineStarted)
+						<-fiveDone
+					case rep == 5 && ord == higherFirst:
+						<-nineDone
+					case rep == 9 && ord == higherFirst:
+						defer close(nineDone)
+					}
+					return errAt[rep]
+				})
+				if !errors.Is(err, errAt[5]) || !strings.Contains(err.Error(), "replication 5:") {
+					t.Fatalf("workers %d, order %d: err %v, want replication 5's", workers, ord, err)
+				}
+				for rep := 0; rep < 5; rep++ {
+					if !ran[rep].Load() {
+						t.Fatalf("workers %d, order %d: replication %d below the failure did not run", workers, ord, rep)
+					}
+				}
+				if c := calls.Load(); ord == scheduled && c > 1000 {
+					t.Fatalf("workers %d: %d of %d replications ran despite a failure at 5", workers, c, n)
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := forEachRep(ctx, n, 2, func(int) error { t.Error("replication ran under a cancelled context"); return nil })
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "replication 0:") {
+		t.Fatalf("cancelled context: err %v, want replication 0's context.Canceled", err)
+	}
+}
+
+// TestRunAllocs gates the direct simulator's per-event work at the
+// live-xcheck configuration (the Figure-5 topology at spread 4 under
+// domain exclusion, T = 10): placement, recovery and the transition
+// enumeration allocate nothing, so a replication allocates only the state
+// New builds and the Result it returns, a fixed count.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runAllocsPerRep = 67 // measured; 326 when every event allocated its candidate lists
+	p := core.DefaultParams()
+	p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp = 10, 3, 4, 7
+	p.CorruptionMult = 5
+	p.DomainSpreadRate = 4
+	p.Policy = core.DomainExclusion
+	root := rng.New(3)
+	horizons := []float64{10}
+	rep := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := RunContext(context.Background(), p, root.Derive(uint64(rep)), horizons); err != nil {
+			t.Fatal(err)
+		}
+		rep++
+	})
+	if allocs > runAllocsPerRep {
+		t.Fatalf("RunContext allocates %v times per replication, want at most %d", allocs, runAllocsPerRep)
 	}
 }
 

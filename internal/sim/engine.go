@@ -267,10 +267,26 @@ func (e *Engine) rate(a *san.Activity) float64 {
 }
 
 func (e *Engine) checkTrace(a *san.Activity, what string) {
+	declared := func(idx int) bool {
+		return slices.ContainsFunc(a.Reads(), func(p *san.Place) bool { return p.Index() == idx })
+	}
 	for idx := range e.state.StopTrace() {
-		if !slices.ContainsFunc(a.Reads(), func(p *san.Place) bool { return p.Index() == idx }) {
+		if !declared(idx) {
 			panic(fmt.Sprintf("sim: activity %q %s read undeclared place %q",
 				a.Name(), what, e.model.Places()[idx].Name()))
+		}
+	}
+	// Through Markings the closure may read any place, so a timed activity
+	// that calls it must declare them all, or a write to one it left out
+	// never refreshes it. (An instantaneous predicate is checked by
+	// checkInstantScan's full scan.)
+	if !e.state.ReadAllTraced() || a.Kind() != san.Timed {
+		return
+	}
+	for _, p := range e.model.Places() {
+		if !declared(p.Index()) {
+			panic(fmt.Sprintf("sim: activity %q %s read the whole marking but does not declare place %q",
+				a.Name(), what, p.Name()))
 		}
 	}
 }

@@ -322,6 +322,67 @@ func TestValidateCatchesUndeclaredInstantRead(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesWholeMarkingTimedRead: a timed activity whose Enabled
+// or Rate reads through State.Markings may depend on any place, so validate
+// mode fails the replication unless the activity declares every place.
+// Here "watch" reads b that way but declares only a, so the write of b by
+// "arm" would never refresh it.
+func TestValidateCatchesWholeMarkingTimedRead(t *testing.T) {
+	for _, tc := range []struct {
+		what       string
+		declareAll bool
+	}{{"Enabled", false}, {"Rate", false}, {"Enabled", true}, {"Rate", true}} {
+		m := san.NewModel("hidden-timed")
+		a := m.Place("a", 1)
+		b := m.Place("b", 0)
+		m.AddActivity(san.ActivityDef{
+			Name: "arm", Kind: san.Timed,
+			Rate:    func(*san.State) float64 { return 1 },
+			Enabled: func(s *san.State) bool { return s.Get(b) == 0 },
+			Reads:   []*san.Place{b},
+			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(b, 1) }}},
+		})
+		watch := san.ActivityDef{
+			Name: "watch", Kind: san.Timed,
+			Rate:    func(*san.State) float64 { return 1 },
+			Enabled: func(s *san.State) bool { return s.Get(a) > 0 },
+			Reads:   []*san.Place{a},
+			Cases:   []san.Case{{Prob: 1, Effect: func(ctx *san.Context) { ctx.State.Set(a, 0) }}},
+		}
+		if tc.what == "Enabled" {
+			watch.Enabled = func(s *san.State) bool { return s.Get(a) > 0 && s.Markings()[b.Index()] > 0 }
+		} else {
+			watch.Rate = func(s *san.State) float64 { return 1 + float64(s.Markings()[b.Index()]) }
+		}
+		if tc.declareAll {
+			watch.Reads = []*san.Place{a, b}
+		}
+		m.AddActivity(watch)
+		if err := m.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Spec{Model: m, Until: 100, Reps: 4, Seed: 1, Validate: true, MaxFailureFrac: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.declareAll {
+			if res.Failed != 0 {
+				t.Fatalf("%s declaring every place: %d replications failed: %v", tc.what, res.Failed, &res.Failures[0])
+			}
+			continue
+		}
+		if res.Failed != res.Reps {
+			t.Fatalf("%s: %d of %d replications failed, want all", tc.what, res.Failed, res.Reps)
+		}
+		want := fmt.Sprintf(`activity "watch" %s read the whole marking but does not declare place "b"`, tc.what)
+		for _, f := range res.Failures {
+			if msg := fmt.Sprint(f.PanicValue); f.Kind != FailurePanic || !strings.Contains(msg, want) {
+				t.Fatalf("%s: failure %v %q, want a panic containing %q", tc.what, f.Kind, msg, want)
+			}
+		}
+	}
+}
+
 // TestBadRateFailsReplication: an enabled timed activity whose rate is not
 // finite and positive fails the replication with a model error naming the
 // activity, whether it is enabled from the start or becomes enabled later.

@@ -63,7 +63,7 @@ func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
 		AppendPoint(&sanS[1], x, "unrel", prs[i])
 		AppendPoint(&sanS[2], x, "excl", prs[i])
 
-		dir, err := ituadirect.Replicate(ctx, pt.Params, cfg.Seed+uint64(4100+i), cfg.Reps, pt.Until)
+		dir, err := ituadirect.Replicate(ctx, pt.Params, cfg.Seed+uint64(4100+i), cfg.Reps, pt.Until, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,7 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 			p, T := pts[pi].Params, pts[pi].Until
 
 			// Direct arm: the independently coded Gillespie simulator.
-			dres, err := ituadirect.Replicate(ctx, p, cfg.Seed+uint64(8100+pi), cfg.Reps, T)
+			dres, err := ituadirect.Replicate(ctx, p, cfg.Seed+uint64(8100+pi), cfg.Reps, T, cfg.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("faults camp=%g part=%g: direct: %w", camp, part, err)
 			}
