@@ -156,15 +156,15 @@ func Build(p Params) (*Model, error) {
 		m.SpreadSys = s.Place("attack_spread_system", 0)
 	}
 	m.Intrusions = s.Place("intrusions", 0)
-	// recordIntrusion counts a successful attack. The measures and guards
-	// only ever test intrusions == 0, so in analytic mode the counter
-	// saturates at 1 — keeping the state space finite for the numerical
-	// solver without changing any observable behaviour.
+	// recordIntrusion latches the first successful attack. The measures
+	// and guards only ever test intrusions == 0, so the place saturates at
+	// 1: that keeps the state space finite for the numerical solver, and
+	// a later intrusion writes nothing, so the simulator does not
+	// re-evaluate the false alarms' guards, which stay false.
 	recordIntrusion := func(st *san.State) {
-		if p.Analytic && st.Get(m.Intrusions) > 0 {
-			return
+		if st.Get(m.Intrusions) == 0 {
+			st.Add(m.Intrusions, 1)
 		}
-		st.Add(m.Intrusions, 1)
 	}
 	m.UndetMgrs = s.Place("undetected_corr_mgrs", 0)
 	m.MgrsRunning = s.Place("mgrs_running", san.Marking(nHosts))
@@ -1146,12 +1146,8 @@ func Build(p Params) (*Model, error) {
 	if D < k {
 		k = D // replicas per app: one per distinct domain
 	}
-	// Intrusions saturates at 1 in analytic mode (see recordIntrusion);
-	// otherwise it is deliberately unbounded: recovered replicas can be
-	// corrupted again, so the counter grows without limit.
-	if p.Analytic {
-		s.Bound(m.Intrusions, 1)
-	}
+	// Intrusions latches at 1 (see recordIntrusion), in every mode.
+	s.Bound(m.Intrusions, 1)
 	if m.SpreadSys != nil {
 		s.Bound(m.SpreadSys, san.Marking(nHosts))
 	}

@@ -176,13 +176,12 @@ type Params struct {
 	// the default; EXPERIMENTS.md discusses the discrepancy.
 	ExcludeOnReplicaConviction bool
 
-	// Analytic marks the model for numerical (CTMC) solution rather than
-	// simulation. The only behavioural difference is that the intrusions
-	// counter saturates at 1 instead of growing without bound — every
-	// guard and measure tests intrusions == 0 only, so all observable
-	// quantities are untouched while the reachable state space becomes
-	// finite. Simulation of an Analytic model is still valid and agrees
-	// with the non-Analytic one on every measure.
+	// Analytic marked the model for numerical (CTMC) solution, where the
+	// intrusions counter had to saturate at 1 to keep the state space
+	// finite. The counter now latches at 1 in every mode (every guard and
+	// measure tests intrusions == 0 only), so the field changes nothing
+	// Build makes: it is inert, kept only because checkpoint keys
+	// serialize Params and the benchmark's exact workloads set it.
 	Analytic bool
 
 	// Environment faults (all zero by default, reproducing the paper's

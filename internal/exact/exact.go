@@ -6,11 +6,11 @@
 // and the direct simulator: on configurations small enough to generate,
 // both simulators' estimates must bracket these values.
 //
-// The solver forces Params.Analytic, which saturates the intrusions
-// counter at 1 so the reachable state space is finite; every guard and
-// measure only tests intrusions == 0, so the simulated and analytic
-// models agree on all observables (core.Params.Analytic documents the
-// argument).
+// The composed model latches its intrusions counter at 1 (every guard
+// and measure only tests intrusions == 0), so the reachable state space
+// is finite and the chain solved here is the very model the simulators
+// sample. The solver still sets Params.Analytic, which no longer changes
+// the model (core.Params.Analytic documents why it stays).
 //
 // By default the solver generates the symmetry-lumped quotient chain
 // (core.NewCanonicalizer): hosts within a domain and whole domains are
@@ -73,10 +73,10 @@ type Solver struct {
 	byzantine []*mc.Walk // by app: the walk absorbing on Byzantine(app)
 }
 
-// NewSolver builds the composed ITUA model for p (with Analytic forced
-// on) and generates its CTMC — the symmetry-lumped quotient when the
-// configuration admits one and opts.NoLump is unset. Configurations that
-// are too large surface as the mc.Generate MaxStates error.
+// NewSolver builds the composed ITUA model for p and generates its CTMC —
+// the symmetry-lumped quotient when the configuration admits one and
+// opts.NoLump is unset. Configurations that are too large surface as the
+// mc.Generate MaxStates error.
 func NewSolver(p core.Params, opts Options) (*Solver, error) {
 	p.Analytic = true
 	m, err := core.Build(p)

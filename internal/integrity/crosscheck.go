@@ -248,10 +248,9 @@ func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*Cross
 		}
 	}
 
-	// Optional third arm: the numerically exact values. Saturating the
-	// intrusions counter (Params.Analytic, forced by exact.NewSolver) does
-	// not change any observable, so the exact chain solves the same model
-	// the two simulators just sampled.
+	// Optional third arm: the numerically exact values. The intrusions
+	// counter latches at 1 in every mode, so the exact chain solves the
+	// same model the two simulators just sampled.
 	var exactVals map[string]float64
 	if o.Exact {
 		if err := ctx.Err(); err != nil {

@@ -114,8 +114,10 @@ type Process struct {
 	buf   []transition // enabled transitions of the current state
 	total float64      // their summed rate
 
-	// Scratch of weighted placement and campaign, reused across events;
-	// a Process belongs to one replication, so nothing here is shared.
+	// Scratch of initial placement, weighted placement and campaign,
+	// reused across events and resets; a Process is driven by one
+	// goroutine at a time, so nothing here is shared.
+	perm    []int
 	hosts   []int
 	weights []float64
 }
@@ -151,19 +153,27 @@ func Run(p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
 // attaching a deadline to it) aborts a runaway replication with ctx.Err()
 // instead of hanging the sweep, and a panic inside the process is returned
 // as an error carrying the stack.
-func RunContext(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64) (res Result, err error) {
+func RunContext(ctx context.Context, p core.Params, seed *rng.Stream, horizons []float64) (Result, error) {
+	if err := checkHorizons(horizons); err != nil {
+		return Result{}, err
+	}
+	s, err := newProcess(p, Hooks{})
+	if err != nil {
+		return Result{}, err
+	}
+	return s.replicate(ctx, seed, horizons)
+}
+
+// replicate resets s onto stream rs and runs one replication to the last
+// horizon, returning a panic inside the process as an error carrying the
+// stack.
+func (s *Process) replicate(ctx context.Context, rs *rng.Stream, horizons []float64) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = Result{}, fmt.Errorf("ituadirect: panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if err := checkHorizons(horizons); err != nil {
-		return Result{}, err
-	}
-	s, err := New(p, seed, Hooks{})
-	if err != nil {
-		return Result{}, err
-	}
+	s.reset(rs)
 	return s.run(ctx, horizons)
 }
 
@@ -201,7 +211,8 @@ type Estimate struct {
 // handed out, the ones in flight finish, and the error returned is that of
 // the lowest-index replication that failed, as a serial loop would report.
 // A context cancelled before every replication was handed out fails the
-// first one not handed out with ctx.Err().
+// first one not handed out with ctx.Err(). Each worker builds one Process
+// at its first replication and resets it in place for the next ones.
 func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T float64, workers int) (*Estimate, error) {
 	type out struct {
 		unavail, unrel, fracExcl float64
@@ -209,17 +220,29 @@ func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T floa
 	outs := make([]out, max(reps, 0))
 	root := rng.New(seed)
 	horizon := []float64{T}
-	err := forEachRep(ctx, reps, workers, func(rep int) error {
-		r, err := RunContext(ctx, p, root.Derive(uint64(rep)), horizon)
-		if err != nil {
-			return err
+	err := forEachRep(ctx, reps, workers, func() func(rep int) error {
+		var s *Process
+		return func(rep int) error {
+			if s == nil {
+				if err := checkHorizons(horizon); err != nil {
+					return err
+				}
+				var err error
+				if s, err = newProcess(p, Hooks{}); err != nil {
+					return err
+				}
+			}
+			r, err := s.replicate(ctx, root.Derive(uint64(rep)), horizon)
+			if err != nil {
+				return err
+			}
+			o := out{unavail: r.UnavailTime[0] / T, fracExcl: r.FracDomainsExcluded[0]}
+			if r.ByzantineBy[0] {
+				o.unrel = 1
+			}
+			outs[rep] = o
+			return nil
 		}
-		o := out{unavail: r.UnavailTime[0] / T, fracExcl: r.FracDomainsExcluded[0]}
-		if r.ByzantineBy[0] {
-			o.unrel = 1
-		}
-		outs[rep] = o
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -234,13 +257,14 @@ func Replicate(ctx context.Context, p core.Params, seed uint64, reps int, T floa
 }
 
 // forEachRep calls run(rep) for rep = 0..n-1 on workers goroutines
-// (0 = GOMAXPROCS), handing the indices out in ascending order. After the
-// first failure it hands out no higher index but lets the calls in flight
-// finish, so every index below a failed one has run to completion and the
-// lowest failed index is the one a serial loop would have stopped at; its
-// error is returned, wrapped with the index. A cancelled ctx counts as a
-// failure of the first index not yet handed out.
-func forEachRep(ctx context.Context, n, workers int, run func(rep int) error) error {
+// (0 = GOMAXPROCS), each calling the run newRun returned to it, handing
+// the indices out in ascending order. After the first failure it hands
+// out no higher index but lets the calls in flight finish, so every index
+// below a failed one has run to completion and the lowest failed index is
+// the one a serial loop would have stopped at; its error is returned,
+// wrapped with the index. A cancelled ctx counts as a failure of the first
+// index not yet handed out.
+func forEachRep(ctx context.Context, n, workers int, newRun func() func(rep int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -264,6 +288,7 @@ func forEachRep(ctx context.Context, n, workers int, run func(rep int) error) er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			run := newRun()
 			for rep := range next {
 				if err := run(rep); err != nil {
 					fail(rep, err)
@@ -289,13 +314,24 @@ func forEachRep(ctx context.Context, n, workers int, run func(rep int) error) er
 // New builds the process in its initial state (replicas placed, no
 // corruption) and fires StartReplica for every initial placement.
 func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
+	s, err := newProcess(p, h)
+	if err != nil {
+		return nil, err
+	}
+	s.reset(rs)
+	return s, nil
+}
+
+// newProcess validates p and allocates the entity state of p's topology;
+// reset puts it in a replication's initial state.
+func newProcess(p core.Params, h Hooks) (*Process, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("ituadirect: %w", err)
 	}
 	D, H, A, R := p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp
 	n := D * H
 	s := &Process{
-		p: p, rs: rs, h: h,
+		p: p, h: h,
 		hostStatus:   make([]int, n),
 		hostExcluded: make([]bool, n),
 		hostDetected: make([]bool, n),
@@ -310,9 +346,18 @@ func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
 		undet:        make([]int, A),
 		grpFail:      make([]bool, A),
 		needRec:      make([]int, A),
-		partA:        -1,
-		partB:        -1,
 		inService:    make([]bool, A),
+		onHost:       make([][]int, A),
+		repCorrupt:   make([][]bool, A),
+		repConvicted: make([][]bool, A),
+		repDetected:  make([][]bool, A),
+		perm:         make([]int, D),
+	}
+	for a := 0; a < A; a++ {
+		s.onHost[a] = make([]int, R)
+		s.repCorrupt[a] = make([]bool, R)
+		s.repConvicted[a] = make([]bool, R)
+		s.repDetected[a] = make([]bool, R)
 	}
 	// Per-entity rates: recompute the same division core.Params performs,
 	// but independently (from the documented semantics, not shared code
@@ -338,29 +383,52 @@ func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
 	s.repFalseRate = p.TotalFalseAlarmRate * p.FalseSplitReplica / fSum / replicas
 	s.pClass = [3]float64{p.PScript, p.PExploratory, p.PInnovative}
 	s.detectClass = [3]float64{p.DetectScript, p.DetectExploratory, p.DetectInnovative}
+	return s, nil
+}
 
-	// Initial placement: min(R, D) replicas per app on distinct uniformly
-	// chosen domains, uniform host within each.
-	s.onHost = make([][]int, A)
-	s.repCorrupt = make([][]bool, A)
-	s.repConvicted = make([][]bool, A)
-	s.repDetected = make([][]bool, A)
-	perm := make([]int, D)
-	for a := 0; a < A; a++ {
-		s.onHost[a] = make([]int, R)
+// reset returns s to a replication's initial state on stream rs, in place:
+// every entity healthy and unexcluded, then min(R, D) replicas per app
+// placed on distinct uniformly chosen domains, uniform host within each,
+// firing StartReplica for each. It makes the same draws in the same order
+// whatever s ran before, so a reset Process follows the trajectory of a new
+// one on the same stream.
+func (s *Process) reset(rs *rng.Stream) {
+	s.rs = rs
+	clear(s.hostStatus)
+	clear(s.hostExcluded)
+	clear(s.hostDetected)
+	clear(s.propDomDone)
+	clear(s.propSysDone)
+	clear(s.mgrCorrupt)
+	clear(s.mgrRemoved)
+	clear(s.mgrDetected)
+	clear(s.domExcluded)
+	clear(s.spreadDom)
+	s.spreadSys, s.intrusions = 0, 0
+	clear(s.running)
+	clear(s.undet)
+	clear(s.grpFail)
+	clear(s.needRec)
+	s.exclEvents, s.exclCorruptFrac = 0, 0
+	s.partA, s.partB = -1, -1
+	clear(s.inService)
+	s.crewBusy = 0
+
+	// Every slot is emptied before any is placed: least-loaded and
+	// weighted placement count the replicas of every app on a host.
+	for a := range s.onHost {
 		for r := range s.onHost[a] {
 			s.onHost[a][r] = -1
 		}
-		s.repCorrupt[a] = make([]bool, R)
-		s.repConvicted[a] = make([]bool, R)
-		s.repDetected[a] = make([]bool, R)
-		rs.Perm(perm)
-		k := R
-		if D < k {
-			k = D
-		}
+		clear(s.repCorrupt[a])
+		clear(s.repConvicted[a])
+		clear(s.repDetected[a])
+	}
+	k := min(s.p.RepsPerApp, s.p.NumDomains)
+	for a := range s.onHost {
+		rs.Perm(s.perm)
 		for i := 0; i < k; i++ {
-			g := s.chooseHost(perm[i])
+			g := s.chooseHost(s.perm[i])
 			s.onHost[a][i] = g
 			s.running[a]++
 			if s.h.StartReplica != nil {
@@ -368,7 +436,6 @@ func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
 			}
 		}
 	}
-	return s, nil
 }
 
 func (s *Process) domainOf(g int) int { return g / s.p.HostsPerDomain }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -262,7 +263,7 @@ func TestForEachRepLowestFailure(t *testing.T) {
 				var calls atomic.Int64
 				ran := make([]atomic.Bool, n)
 				nineStarted, fiveDone, nineDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
-				err := forEachRep(context.Background(), n, workers, func(rep int) error {
+				err := forEachRep(context.Background(), n, workers, shared(func(rep int) error {
 					calls.Add(1)
 					ran[rep].Store(true)
 					switch {
@@ -278,7 +279,7 @@ func TestForEachRepLowestFailure(t *testing.T) {
 						defer close(nineDone)
 					}
 					return errAt[rep]
-				})
+				}))
 				if !errors.Is(err, errAt[5]) || !strings.Contains(err.Error(), "replication 5:") {
 					t.Fatalf("workers %d, order %d: err %v, want replication 5's", workers, ord, err)
 				}
@@ -295,22 +296,31 @@ func TestForEachRepLowestFailure(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := forEachRep(ctx, n, 2, func(int) error { t.Error("replication ran under a cancelled context"); return nil })
+	err := forEachRep(ctx, n, 2, shared(func(int) error { t.Error("replication ran under a cancelled context"); return nil }))
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "replication 0:") {
 		t.Fatalf("cancelled context: err %v, want replication 0's context.Canceled", err)
 	}
 }
 
+// shared gives every worker of forEachRep the same run.
+func shared(run func(rep int) error) func() func(rep int) error {
+	return func() func(rep int) error { return run }
+}
+
 // TestRunAllocs gates the direct simulator's per-event work at the
 // live-xcheck configuration (the Figure-5 topology at spread 4 under
 // domain exclusion, T = 10): placement, recovery and the transition
-// enumeration allocate nothing, so a replication allocates only the state
-// New builds and the Result it returns, a fixed count.
+// enumeration allocate nothing, and a reset reuses the Process's state,
+// so a replication on a Replicate worker's Process allocates only the
+// Result it returns. RunContext still builds a Process per call.
 func TestRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const runAllocsPerRep = 67 // measured; 326 when every event allocated its candidate lists
+	const (
+		replicateAllocsPerRep = 3  // the Result's three slices; 67 when each replication built its Process
+		runAllocsPerRep       = 67 // measured; 326 when every event allocated its candidate lists
+	)
 	p := core.DefaultParams()
 	p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp = 10, 3, 4, 7
 	p.CorruptionMult = 5
@@ -318,16 +328,80 @@ func TestRunAllocs(t *testing.T) {
 	p.Policy = core.DomainExclusion
 	root := rng.New(3)
 	horizons := []float64{10}
+	const runs = 200
+	streams := make([]*rng.Stream, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range streams {
+		streams[i] = root.Derive(uint64(i))
+	}
+	s, err := newProcess(p, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.replicate(context.Background(), streams[rep], horizons); err != nil {
+			t.Fatal(err)
+		}
+		rep++
+	})
+	t.Logf("%.1f allocations per reset replication", allocs)
+	if allocs > replicateAllocsPerRep {
+		t.Fatalf("a reset replication allocates %v times, want at most %d", allocs, replicateAllocsPerRep)
+	}
+	rep = 0
+	allocs = testing.AllocsPerRun(runs, func() {
 		if _, err := RunContext(context.Background(), p, root.Derive(uint64(rep)), horizons); err != nil {
 			t.Fatal(err)
 		}
 		rep++
 	})
+	t.Logf("%.1f allocations per RunContext replication", allocs)
 	if allocs > runAllocsPerRep {
 		t.Fatalf("RunContext allocates %v times per replication, want at most %d", allocs, runAllocsPerRep)
 	}
+}
+
+// TestResetMatchesNew: a Process reset onto a stream after running a
+// replication holds exactly the state New builds on an equal stream, so
+// the trajectories a Replicate worker runs are those of fresh Processes.
+func TestResetMatchesNew(t *testing.T) {
+	p := testParams()
+	p.PartitionRate, p.PartitionHealRate = 0.5, 1
+	p.CampaignRate, p.CampaignSize, p.CampaignProb = 0.3, 3, 0.5
+	p.RepairCrew = 1
+	for _, placement := range []core.Placement{core.UniformPlacement, core.LeastLoadedPlacement, core.WeightedRandomPlacement} {
+		p.Placement = placement
+		root := rng.New(11)
+		s, err := newProcess(p, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := range 20 {
+			fresh, err := New(p, root.Derive(uint64(rep)), Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.reset(root.Derive(uint64(rep)))
+			if !sameState(s, fresh) {
+				t.Fatalf("placement %v, rep %d: reset state differs from New's\nreset %+v\nnew   %+v", placement, rep, *s, *fresh)
+			}
+			if _, err := s.run(context.Background(), []float64{20}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// sameState compares two Processes on everything but their scratch
+// buffers, which carry no state between events.
+func sameState(a, b *Process) bool {
+	a2, b2 := *a, *b
+	for _, x := range []*Process{&a2, &b2} {
+		x.buf, x.total, x.perm, x.hosts, x.weights = nil, 0, nil, nil, nil
+	}
+	ars, brs := *a2.rs, *b2.rs
+	a2.rs, b2.rs = nil, nil
+	return ars == brs && reflect.DeepEqual(a2, b2)
 }
 
 // TestAgreesWithSANModel is the X1 cross-validation experiment: the SAN

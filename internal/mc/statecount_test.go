@@ -13,8 +13,8 @@ import (
 // group S_4, order 24), the analytic study's corruption multiplier, at the
 // spread-0 structural corner with the false-alarm and manager-attack
 // channels disabled so the full chain stays generateable for the
-// comparison. Analytic saturates the intrusion counter, as the exact path
-// requires.
+// comparison. Analytic is set as the exact path sets it; the intrusion
+// counter latches at 1 either way.
 func benchITUAParams() core.Params {
 	p := core.DefaultParams()
 	p.NumDomains = 4

@@ -119,8 +119,9 @@ type Model struct {
 	RateBaseReplicas int `json:"rateBaseReplicas,omitempty"`
 
 	ExcludeOnReplicaConviction bool `json:"excludeOnReplicaConviction,omitempty"`
-	// Analytic saturates the intrusions counter so the CTMC stays finite
-	// (see core.Params.Analytic); observables are unchanged.
+	// Analytic sets core.Params.Analytic, which is inert: the intrusions
+	// counter latches at 1 in every mode. The field is kept so existing
+	// scenario documents still decode.
 	Analytic bool `json:"analytic,omitempty"`
 }
 

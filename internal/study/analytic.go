@@ -45,11 +45,11 @@ const AnalyticAnchorMaxStates = 1 << 21
 // spread rates on the largest ITUA configuration whose CTMC stays
 // comfortably generateable (~3·10^5 states with spread enabled): two
 // domains of one host, one application with two replicas, corruption
-// multiplier 5, domain exclusion. Analytic is set so the intrusions counter
-// saturates (finite state space); the simulated arm runs the same
-// saturated model, which agrees with the unbounded one on every
-// observable. The measures are those the exact arm computes, on
-// application 0 like study 3.
+// multiplier 5, domain exclusion. The intrusions counter latches at 1, so
+// the simulated arm runs the very model the exact arm solves; Analytic is
+// still set (it is inert) so the points' checkpoint keys stay as they
+// were. The measures are those the exact arm computes, on application 0
+// like study 3.
 func analyticGrid() []PointSpec {
 	const T = 10.0
 	pts := make([]PointSpec, len(Fig5SpreadRates))

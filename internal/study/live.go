@@ -21,8 +21,7 @@ func liveVars(T float64) func(m *core.Model) []reward.Var {
 }
 
 // liveGrid is the model arm of the live study: the Figure-5 spread rates on
-// the same small two-domain topology as the analytic study (without
-// intrusion-counter saturation, since nothing is generated), so the live
+// the same small two-domain topology as the analytic study, so the live
 // service's replica groups stay cheap enough to run thousands of protocol
 // executions per sweep point.
 func liveGrid() []PointSpec {
