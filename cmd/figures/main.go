@@ -5,11 +5,12 @@
 //
 // Usage:
 //
-//	figures [-reps N] [-seed S] [-precision R] [-analytic] [-live] [-faults] [-csv dir] [-checkpoint file] [-resume] [experiment ...]
+//	figures [-reps N] [-seed S] [-precision R] [-csv dir] [-checkpoint file] [-resume] [experiment ...]
 //
-// With no experiment arguments every registered experiment runs. Text
-// tables go to stdout; -csv additionally writes one CSV file per
-// experiment into the given directory.
+// With no experiment arguments every registered experiment runs except
+// analytic, live and faults, which run only when named. Text tables go to
+// stdout; -csv additionally writes one CSV file per experiment into the
+// given directory.
 //
 // -precision R switches every sweep point from a fixed replication count
 // to sequential stopping: replications grow geometrically from -reps until
@@ -21,27 +22,19 @@
 // variance-reduction factors; under -precision its targets apply to the
 // deltas.
 //
-// -analytic adds the exact-vs-simulated study (experiment id "analytic"):
-// on a two-domain, one-host-per-domain configuration every Figure-5 spread
-// rate is evaluated both by simulation and by numerically exact
-// uniformization of the generated CTMC (internal/exact), and the figure
-// shows the two series side by side. It is excluded from the default
-// experiment set because each sweep point solves a chain of a few hundred
-// thousand states.
-//
-// -live adds the model-vs-measurement study (experiment id "live"): the
-// same small configuration is evaluated both by simulating the SAN model
-// and by running a real message-passing replica group under the model's
-// attack process (internal/rsm), a synthetic client measuring the service
-// it actually receives. Also excluded from the default set because each
-// sweep point executes thousands of live agreement-protocol runs.
-//
-// -faults adds the environment-fault study (experiment id "faults"): a
-// partition-rate x campaign-rate grid on the same small configuration,
-// with network partitions, correlated attack campaigns, and a bounded
-// repair crew active, cross-validated SAN vs direct simulation vs live
-// replica group, with an exact uniformization anchor at one grid point.
-// Excluded from the default set for the same cost reasons as -live.
+// The three named-only studies are costly. analytic evaluates every
+// Figure-5 spread rate on a two-domain, one-host-per-domain configuration
+// both by simulation and by numerically exact uniformization of the
+// generated CTMC (internal/exact), solving a chain of a few hundred
+// thousand states per sweep point. live evaluates the same small
+// configuration by simulating the SAN model and by running a real
+// message-passing replica group under the model's attack process
+// (internal/rsm), thousands of live agreement-protocol runs per sweep
+// point. faults sweeps a partition-rate x campaign-rate grid on that
+// configuration, with network partitions, correlated attack campaigns and
+// a bounded repair crew active, cross-validated SAN vs direct simulation
+// vs live replica group, with an exact uniformization anchor at one grid
+// point.
 //
 // Long sweeps are fault tolerant: with -checkpoint, every completed sweep
 // point is persisted atomically, Ctrl-C (SIGINT) or SIGTERM stops the run
@@ -91,9 +84,6 @@ func run() int {
 	relHW := flag.Float64("precision", 0, "relative 95% half-width target per measure; grows replications from -reps until met (0 = fixed -reps)")
 	absHW := flag.Float64("abs-precision", 0, "absolute 95% half-width target per measure (0 = none)")
 	maxReps := flag.Int("max-reps", 0, "replication cap per sweep point in precision mode (0 = 16x -reps)")
-	analytic := flag.Bool("analytic", false, "include the analytic study: exact (uniformization) vs simulated measures on a small configuration")
-	live := flag.Bool("live", false, "include the live study: SAN model vs a real fault-injected replica group on a small configuration")
-	faults := flag.Bool("faults", false, "include the environment-fault study: partitions x campaigns x repair crew, SAN vs direct vs live with an exact anchor")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -147,34 +137,9 @@ func run() int {
 	defer stop()
 
 	ids := flag.Args()
-	// The analytic study solves CTMCs of a few hundred thousand states per
-	// sweep point, the live study runs real protocol executions, and the
-	// faults study does both across a two-axis grid; each joins the default
-	// set only when its flag is given (any can still be named explicitly as
-	// an argument).
-	optIn := map[string]bool{"analytic": *analytic, "live": *live, "faults": *faults}
 	if len(ids) == 0 {
-		ids = study.IDs()
-		kept := ids[:0]
-		for _, id := range ids {
-			if on, gated := optIn[id]; !gated || on {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	} else {
-		for _, id := range []string{"analytic", "live", "faults"} {
-			if !optIn[id] {
-				continue
-			}
-			found := false
-			for _, have := range ids {
-				if have == id {
-					found = true
-					break
-				}
-			}
-			if !found {
+		for _, id := range study.IDs() {
+			if !namedOnly[id] {
 				ids = append(ids, id)
 			}
 		}
@@ -219,6 +184,10 @@ func run() int {
 	}
 	return 0
 }
+
+// namedOnly are the studies left out of the default set for their cost
+// (see the package doc); naming one as an argument runs it.
+var namedOnly = map[string]bool{"analytic": true, "live": true, "faults": true}
 
 // printExperimentList writes the sorted registry with one-line
 // descriptions, one experiment per line.

@@ -7,7 +7,7 @@
 // simulation. The full composed ITUA model is also solvable this way on
 // small configurations (the generator enumerates its random placement
 // and exclusion choices exhaustively, and the model latches its intrusion
-// counter at 1); see internal/exact and `figures -analytic` for that
+// counter at 1); see internal/exact and `figures analytic` for that
 // heavier end of the analytic path.
 package main
 

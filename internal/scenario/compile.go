@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"ituaval/internal/core"
@@ -371,12 +373,21 @@ func Compile(sc *Scenario, d Defaults) (*Compiled, error) {
 	}
 	xs, xParam, xStride = expand(xAxis, 1)
 	// The default series stride is the smallest power of ten that covers the
-	// X range, so default grids never collide.
-	defSeries := uint64(10)
-	for defSeries < uint64(len(xs))*max(xStride, 1) {
-		defSeries *= 10
+	// X range, so default grids never collide; it stays 0 when no uint64
+	// power of ten does (a range past 10^19).
+	var defSeries uint64
+	if hi, span := bits.Mul64(uint64(len(xs)), max(xStride, 1)); hi == 0 {
+		for defSeries = 10; defSeries < span; defSeries *= 10 {
+			if defSeries > math.MaxUint64/10 {
+				defSeries = 0
+				break
+			}
+		}
 	}
 	series, sParam, sStride = expand(sAxis, defSeries)
+	if len(series) > 1 && sStride == 0 {
+		return nil, fmt.Errorf("scenario: sweep.x spans more seed offsets than any default sweep.series seedStride covers; set one")
+	}
 
 	c.NumX = len(xs)
 	apply := func(p *core.Params, ax *Axis, prm axisParam, v axisVal) error {
@@ -409,7 +420,10 @@ func Compile(sc *Scenario, d Defaults) (*Compiled, error) {
 			if xAxis != nil {
 				label += fmt.Sprintf(" %s=%g", xAxis.Param, xv.num)
 			}
-			off := norm.Run.SeedOffset + uint64(si)*sStride + uint64(xi)*xStride
+			off, ok := seedOffset(norm.Run.SeedOffset, uint64(si), sStride, uint64(xi), xStride)
+			if !ok {
+				return nil, fmt.Errorf("scenario: seed offset of %q overflows uint64; reduce run.seedOffset or the sweep seedStrides", label)
+			}
 			if prev, dup := seen[off]; dup {
 				return nil, fmt.Errorf("scenario: seed offset %d collides between %q and %q; adjust sweep seedStride", off, prev, label)
 			}
@@ -437,6 +451,16 @@ func Compile(sc *Scenario, d Defaults) (*Compiled, error) {
 		c.SeriesNames = []string{norm.Name}
 	}
 	return c, nil
+}
+
+// seedOffset returns base + si·sStride + xi·xStride, and false when the sum
+// does not fit in uint64.
+func seedOffset(base, si, sStride, xi, xStride uint64) (uint64, bool) {
+	shi, s := bits.Mul64(si, sStride)
+	xhi, x := bits.Mul64(xi, xStride)
+	off, c1 := bits.Add64(base, s, 0)
+	off, c2 := bits.Add64(off, x, 0)
+	return off, shi|xhi|c1|c2 == 0
 }
 
 func (sc *Scenario) precisionMode() bool {

@@ -44,11 +44,9 @@ func measureNames(t *testing.T, pt study.PointSpec) []string {
 func TestGoldenShapes(t *testing.T) {
 	for _, tc := range []struct{ file, study string }{
 		{"fig5.json", "fig5"},
-		{"fig5.yaml", "fig5"},
 		{"analytic.json", "analytic"},
 		{"live.json", "live"},
 		{"faults.json", "faults"},
-		{"faults.yaml", "faults"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			got := compileFile(t, tc.file, Defaults{}).PointSpecs()

@@ -1,19 +1,20 @@
-// Package scenario is the declarative study layer: a JSON (or YAML-subset)
-// file describes a complete ITUA study — topology, attack mix, exclusion
-// policy, detection and spread distributions, the measures to estimate, the
-// sweep axes, seeds, and precision targets — and compiles into the exact
-// core.Params / study.PointSpec shapes the hand-written figure runners
-// build in Go. New workloads (partitioned topologies, correlated spread
-// campaigns, policy grids) then become data instead of code, which is what
-// the job server (internal/server) serves at scale.
+// Package scenario is the declarative study layer: a JSON file describes a
+// complete ITUA study — topology, attack mix, exclusion policy, detection
+// and spread distributions, the measures to estimate, the sweep axes,
+// seeds, and precision targets — and compiles into the exact core.Params /
+// study.PointSpec shapes the hand-written figure runners build in Go. New
+// workloads (partitioned topologies, correlated spread campaigns, policy
+// grids) then become data instead of code, which is what the job server
+// (internal/server) serves at scale.
 //
-// Parsing is strict: unknown fields are rejected, every rate and
-// probability is bound-checked (including NaN/Inf, which encoding/json's
-// number grammar cannot produce but the YAML path could), every grid point
-// must pass core.Params.Validate, and seed offsets across the grid must be
-// collision-free. Compiled scenarios canonicalize deterministically, so a
-// SHA-256 of the canonical bytes content-addresses the study's results:
-// equal hashes guarantee bit-identical results.
+// Parsing is strict: unknown fields and trailing data are rejected, every
+// rate and probability is bound-checked (including NaN/Inf, which JSON
+// cannot spell but a Scenario built in Go can carry into Compile), every
+// grid point must pass core.Params.Validate, and seed offsets across the
+// grid must fit in uint64 and be collision-free. Compiled scenarios
+// canonicalize deterministically, so a SHA-256 of the canonical bytes
+// content-addresses the study's results: equal hashes guarantee
+// bit-identical results.
 package scenario
 
 import (
@@ -197,25 +198,13 @@ type Run struct {
 // anything larger is rejected before JSON work begins.
 const MaxBytes = 1 << 20
 
-// Parse decodes a scenario from JSON or from the YAML subset (the format is
-// sniffed: input whose first significant byte is '{' is JSON). Decoding is
-// strict — unknown fields, duplicate keys (YAML), and trailing data are
-// errors — and the result is validated structurally; grid-level checks
-// (parameter bounds per point, seed collisions) run in Compile.
+// Parse decodes a scenario from JSON. Decoding is strict — unknown fields
+// and trailing data are errors — and the result is validated structurally;
+// grid-level checks (parameter bounds per point, seed offsets) run in
+// Compile.
 func Parse(data []byte) (*Scenario, error) {
 	if len(data) > MaxBytes {
 		return nil, fmt.Errorf("scenario: input exceeds %d bytes", MaxBytes)
-	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("scenario: empty input")
-	}
-	if trimmed[0] != '{' {
-		jsonBytes, err := yamlToJSON(data)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		data = jsonBytes
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -274,9 +263,10 @@ func (sc *Scenario) validate() error {
 	return nil
 }
 
-// check validates the pointer-rate fields for NaN/Inf — the bound checks
-// proper happen per grid point via core.Params.Validate, which cannot see
-// non-finite values (NaN compares false against every bound).
+// check validates the pointer-rate fields for NaN/Inf, which only a
+// Scenario built in Go can carry — the bound checks proper happen per grid
+// point via core.Params.Validate, which cannot see non-finite values (NaN
+// compares false against every bound).
 func (m *Model) check(bad func(string, ...any)) {
 	for _, f := range []struct {
 		name string

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,7 +73,7 @@ func TestExemplarsCompile(t *testing.T) {
 	n := 0
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasSuffix(name, ".json") && !strings.HasSuffix(name, ".yaml") {
+		if !strings.HasSuffix(name, ".json") {
 			continue
 		}
 		n++
@@ -86,20 +87,6 @@ func TestExemplarsCompile(t *testing.T) {
 	}
 	if n < 3 {
 		t.Fatalf("expected at least 3 exemplar scenarios, found %d", n)
-	}
-}
-
-// TestYAMLTwinHash proves the YAML spelling of each twinned exemplar
-// canonicalizes to the same bytes — and so the same content address — as
-// its JSON spelling.
-func TestYAMLTwinHash(t *testing.T) {
-	for _, name := range []string{"fig5", "faults"} {
-		j := compileFile(t, name+".json", Defaults{})
-		y := compileFile(t, name+".yaml", Defaults{})
-		if jh, yh := j.Hash(), y.Hash(); jh != yh {
-			t.Fatalf("%s.yaml hash %s != %s.json hash %s\njson: %s\nyaml: %s",
-				name, yh, name, jh, j.Canonical(), y.Canonical())
-		}
 	}
 }
 
@@ -145,8 +132,7 @@ func TestParseRejects(t *testing.T) {
 		"bad policy":                 `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"policy":"none"},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
 		"negative rate":              `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2,"totalAttackRate":-1},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
 		"enum x axis":                `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"sweep":{"x":{"param":"policy","strings":["host-exclusion"]}}}`,
-		"yaml nan rate":              "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\n  totalAttackRate: .nan\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
-		"yaml dup key":               "name: x\nname: y\n",
+		"yaml input":                 "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
 		"oversized input":            `{"name":"` + strings.Repeat("a", MaxBytes) + `"}`,
 		"maxReps below reps":         `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"run":{"reps":100,"maxReps":50,"targetRelHW":0.1}}`,
 		"maxReps below default reps": `{"name":"x","model":{"domains":2,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}],"run":{"maxReps":50,"targetAbsHW":0.1}}`,
@@ -159,6 +145,39 @@ func TestParseRejects(t *testing.T) {
 			if _, cerr := Compile(sc, Defaults{}); cerr == nil {
 				t.Errorf("%s: accepted", label)
 			}
+		}
+	}
+}
+
+// TestCompileRejectsNonFinite: JSON cannot spell NaN or ±Inf, but a
+// Scenario built in Go can carry them into Compile, where NaN would slip
+// past every bound check of core.Params.Validate.
+func TestCompileRejectsNonFinite(t *testing.T) {
+	valid := func() *Scenario {
+		return &Scenario{
+			Name:     "x",
+			Model:    Model{Domains: 2, HostsPerDomain: 1, Apps: 1, RepsPerApp: 2},
+			Horizon:  5,
+			Measures: []Measure{{Name: "u", Kind: "unavailability"}},
+			Sweep:    &Sweep{X: Axis{Param: "domainSpreadRate", Values: []float64{0, 1}}},
+		}
+	}
+	if _, err := Compile(valid(), Defaults{}); err != nil {
+		t.Fatalf("baseline scenario rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for label, mutate := range map[string]func(sc *Scenario){
+		"NaN rate":        func(sc *Scenario) { sc.Model.TotalAttackRate = &nan },
+		"Inf rate":        func(sc *Scenario) { sc.Model.RecoveryRate = &inf },
+		"Inf measure to":  func(sc *Scenario) { sc.Measures[0].To = inf },
+		"NaN measure to":  func(sc *Scenario) { sc.Measures[0].To = nan },
+		"NaN sweep value": func(sc *Scenario) { sc.Sweep.X.Values[1] = nan },
+		"Inf sweep value": func(sc *Scenario) { sc.Sweep.X.Values[0] = -inf },
+	} {
+		sc := valid()
+		mutate(sc)
+		if _, err := Compile(sc, Defaults{}); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: Compile returned %v, want a finiteness error", label, err)
 		}
 	}
 }

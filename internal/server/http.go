@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"ituaval/internal/scenario"
 	"ituaval/internal/study"
@@ -17,10 +16,10 @@ import (
 //
 //	GET    /v1/healthz          liveness
 //	GET    /v1/studies          registered experiments with descriptions
-//	POST   /v1/jobs             submit a scenario (JSON or YAML)
+//	POST   /v1/jobs             submit a scenario (JSON)
 //	GET    /v1/jobs             list known jobs
 //	GET    /v1/jobs/{id}        job status
-//	GET    /v1/jobs/{id}/stream progress stream (NDJSON; SSE via Accept)
+//	GET    /v1/jobs/{id}/stream progress stream (NDJSON)
 //	GET    /v1/jobs/{id}/result finished result document (cache bytes)
 //	DELETE /v1/jobs/{id}        cancel a queued/running job
 func (s *Server) routes() {
@@ -93,7 +92,8 @@ func (s *Server) statusOf(j *job) jobStatus {
 }
 
 // handleSubmit admits a scenario. A body over scenario.MaxBytes is
-// answered 413; any other failure to read it, 400.
+// answered 413; any other failure to read it, 400. A spec that cannot be
+// persisted is the server's fault (500), not the client's.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scenario.MaxBytes))
 	if err != nil {
@@ -109,6 +109,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, errQueueFull) || errors.Is(err, errShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	case errors.Is(err, errPersist):
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
@@ -185,29 +188,26 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statusOf(j))
 }
 
-// handleStream serves the job's full event log and then follows it live
-// until the job reaches a terminal state. The default framing is NDJSON
-// (one event object per line); clients sending Accept: text/event-stream
-// get Server-Sent Events with the event type mirrored into the SSE event
-// field. Every subscriber sees the identical sequence regardless of when
+// handleStream serves the job's full event log as NDJSON (one event object
+// per line) and then follows it live until the job reaches a terminal
+// state. Every subscriber sees the identical sequence regardless of when
 // it connected, because events replay from the job's append-only log.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	j := s.lookup(id)
 	if j == nil {
 		if doc := s.cacheGet(id); doc != nil {
 			// A cache-served job streams as a single terminal event — the
 			// same final frame a live subscriber would have seen.
 			ev, _ := json.Marshal(resultEvent{Type: "result", Job: id, Cached: true, Result: doc})
-			writeStreamHeader(w, sse)
-			writeStreamEvent(w, sse, ev)
+			writeStreamHeader(w)
+			writeStreamEvent(w, ev)
 			return
 		}
 		writeError(w, http.StatusNotFound, errors.New("unknown job "+id))
 		return
 	}
-	writeStreamHeader(w, sse)
+	writeStreamHeader(w)
 	flusher, _ := w.(http.Flusher)
 	// cond.Wait cannot watch the request context directly; a cancellation
 	// callback wakes the waiters so the loop can notice and drop out.
@@ -221,7 +221,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		events, done := j.wait(r.Context(), idx)
 		for _, ev := range events {
-			writeStreamEvent(w, sse, ev)
+			writeStreamEvent(w, ev)
 		}
 		idx += len(events)
 		if len(events) > 0 && flusher != nil {
@@ -241,12 +241,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeStreamHeader(w http.ResponseWriter, sse bool) {
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+func writeStreamHeader(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	if f, ok := w.(http.Flusher); ok {
@@ -254,21 +250,10 @@ func writeStreamHeader(w http.ResponseWriter, sse bool) {
 	}
 }
 
-// writeStreamEvent frames one event. SSE frames carry the event's type in
-// the SSE event field (parsed cheaply from the payload, which always
-// starts {"type":"..."). ev belongs to the job's shared replay log, which
-// concurrent subscribers read, so it is never written to.
-func writeStreamEvent(w http.ResponseWriter, sse bool, ev json.RawMessage) {
-	if !sse {
-		_, _ = w.Write(ev)
-		_, _ = w.Write([]byte("\n"))
-		return
-	}
-	var head struct {
-		Type string `json:"type"`
-	}
-	_ = json.Unmarshal(ev, &head)
-	_, _ = w.Write([]byte("event: " + head.Type + "\ndata: "))
+// writeStreamEvent writes one event line. ev belongs to the job's shared
+// replay log, which concurrent subscribers read, so it is never written
+// to.
+func writeStreamEvent(w http.ResponseWriter, ev json.RawMessage) {
 	_, _ = w.Write(ev)
-	_, _ = w.Write([]byte("\n\n"))
+	_, _ = w.Write([]byte("\n"))
 }

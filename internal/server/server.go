@@ -218,7 +218,7 @@ func (s *Server) admit(body []byte) (j *job, id string, cached bool, err error) 
 	}
 	j = newJob(id, c, c.Canonical())
 	if err := s.persistSpec(j); err != nil {
-		return nil, id, false, err
+		return nil, id, false, fmt.Errorf("%w: %w", errPersist, err)
 	}
 	select {
 	case s.queue <- j:
@@ -234,6 +234,7 @@ func (s *Server) admit(body []byte) (j *job, id string, cached bool, err error) 
 var (
 	errQueueFull    = errors.New("job queue is full")
 	errShuttingDown = errors.New("server is shutting down")
+	errPersist      = errors.New("persisting the job spec")
 )
 
 func (s *Server) specPath(id string) string {

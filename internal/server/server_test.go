@@ -226,7 +226,8 @@ func TestConcurrentJobsStream(t *testing.T) {
 }
 
 // TestStreamReplay: a subscriber that connects after completion sees the
-// identical event sequence an early subscriber saw.
+// identical event sequence an early subscriber saw, as NDJSON whatever its
+// Accept header says.
 func TestStreamReplay(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	st := submit(t, ts, tinyScenario("replay", 31))
@@ -239,6 +240,28 @@ func TestStreamReplay(t *testing.T) {
 		if !bytes.Equal(early[i], late[i]) {
 			t.Fatalf("replay event %d differs:\nearly: %s\nlate:  %s", i, early[i], late[i])
 		}
+	}
+
+	// NDJSON is the only framing: a client asking for Server-Sent Events
+	// gets the same lines.
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+st.ID+"/stream", nil)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("stream content type %q under Accept: text/event-stream", ct)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	var want bytes.Buffer
+	for _, ev := range early {
+		want.Write(ev)
+		want.WriteByte('\n')
+	}
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("stream under Accept: text/event-stream:\n%s\nwant:\n%s", raw, want.Bytes())
 	}
 }
 
@@ -284,36 +307,21 @@ func TestConcurrentSubscribersOneJob(t *testing.T) {
 	}
 }
 
-// TestStreamSSE checks the Server-Sent Events framing of the same stream.
-func TestStreamSSE(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	st := submit(t, ts, tinyScenario("sse", 41))
-	streamEvents(t, ts, st.ID) // wait for completion
-
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+st.ID+"/stream", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type %q", ct)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), "event: result\ndata: {\"type\":\"result\"") {
-		t.Fatalf("SSE framing missing result frame:\n%s", raw)
-	}
-}
-
+// TestSubmitRejects: a body that is not a valid JSON scenario is a client
+// error (400), answered promptly: a seed stride that once made Compile
+// loop forever on the request goroutine must not pin it.
 func TestSubmitRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	client := &http.Client{Timeout: 10 * time.Second}
 	for label, body := range map[string]string{
 		"not a scenario": `{"bogus":true}`,
 		"zero topology":  `{"name":"x","model":{"domains":0,"hostsPerDomain":1,"apps":1,"repsPerApp":2},"horizon":5,"measures":[{"name":"u","kind":"unavailability"}]}`,
 		"garbage":        `}{`,
+		"yaml":           "name: x\nmodel:\n  domains: 2\n  hostsPerDomain: 1\n  apps: 1\n  repsPerApp: 2\nhorizon: 5\nmeasures:\n  - name: u\n    kind: unavailability\n",
+		"huge seed stride": `{"name":"a","horizon":1,"model":{"domains":1,"hostsPerDomain":1,"apps":1,"repsPerApp":1},"measures":[{"name":"m","kind":"hosts-up"}],
+			"sweep":{"x":{"param":"recoveryRate","values":[0.1,0.2],"seedStride":9000000000000000000},"series":{"param":"policy","strings":["domain-exclusion","host-exclusion"]}}}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := client.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,6 +350,36 @@ func TestSubmitBodyErrors(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", failingReader{}))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("failing body: status %d, want 400", rec.Code)
+	}
+}
+
+// TestSubmitPersistFailure: a spec that cannot be written to DataDir/jobs
+// is a server fault (500), and the job is neither listed nor queued.
+func TestSubmitPersistFailure(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// A regular file where the jobs directory was makes every spec write
+	// fail, even for a process that may write anywhere.
+	jobs := s.cfg.jobsDir()
+	if err := os.RemoveAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tinyScenario("unpersisted", 61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("unpersistable spec: status %s (%s), want 500", resp.Status, raw)
+	}
+	s.mu.Lock()
+	known, queued := len(s.jobs), len(s.queue)
+	s.mu.Unlock()
+	if known != 0 || queued != 0 {
+		t.Fatalf("failed submission left %d job(s) known and %d queued", known, queued)
 	}
 }
 
