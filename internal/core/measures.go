@@ -53,11 +53,19 @@ func (m *Model) improperIndicator(app int) func(s *san.State) float64 {
 	}
 }
 
+// UnavailabilityVar is Unavailability's reward variable. It names its
+// application, so the engines that compute the measure without observers
+// (the direct simulator, the live replica group, the exact solver) can.
+type UnavailabilityVar struct {
+	reward.TimeAverage
+	App int
+}
+
 // Unavailability is the paper's "unavailability for an interval": the
 // expected fraction of [from, to] during which application app's service is
 // improper.
-func (m *Model) Unavailability(name string, app int, from, to float64) reward.Var {
-	return &reward.TimeAverage{VarName: name, F: m.improperIndicator(app), From: from, To: to}
+func (m *Model) Unavailability(name string, app int, from, to float64) *UnavailabilityVar {
+	return &UnavailabilityVar{reward.TimeAverage{VarName: name, F: m.improperIndicator(app), From: from, To: to}, app}
 }
 
 // Byzantine returns the Byzantine-fault predicate for application app: at
@@ -73,11 +81,18 @@ func (m *Model) Byzantine(app int) func(s *san.State) bool {
 	}
 }
 
+// UnreliabilityVar is Unreliability's reward variable (see
+// UnavailabilityVar).
+type UnreliabilityVar struct {
+	reward.FirstPassage
+	App int
+}
+
 // Unreliability is the paper's "unreliability for an interval": the
 // probability that the application suffered a Byzantine fault (the
 // rep_grp_failure condition) at least once in [0, by].
-func (m *Model) Unreliability(name string, app int, by float64) reward.Var {
-	return &reward.FirstPassage{VarName: name, Pred: m.Byzantine(app), By: by}
+func (m *Model) Unreliability(name string, app int, by float64) *UnreliabilityVar {
+	return &UnreliabilityVar{reward.FirstPassage{VarName: name, Pred: m.Byzantine(app), By: by}, app}
 }
 
 // ImproperEver is the probability that service was improper — Byzantine
@@ -125,14 +140,18 @@ func (m *Model) LoadPerHost(name string, t float64) reward.Var {
 	}}
 }
 
+// FracExcludedVar is FracDomainsExcluded's reward variable (see
+// UnavailabilityVar).
+type FracExcludedVar struct{ reward.AtTime }
+
 // FracDomainsExcluded is the fraction of security domains excluded by time
 // t.
-func (m *Model) FracDomainsExcluded(name string, t float64) reward.Var {
+func (m *Model) FracDomainsExcluded(name string, t float64) *FracExcludedVar {
 	excluded := m.DomainsExcluded
 	n := float64(m.Params.NumDomains)
-	return &reward.AtTime{VarName: name, T: t, F: func(s *san.State) float64 {
+	return &FracExcludedVar{reward.AtTime{VarName: name, T: t, F: func(s *san.State) float64 {
 		return float64(s.Get(excluded)) / n
-	}}
+	}}}
 }
 
 // FracCorruptHostsAtExclusion is the paper's "fraction of corrupt hosts in

@@ -7,12 +7,8 @@ import (
 	"strings"
 
 	"ituaval/internal/core"
-	"ituaval/internal/exact"
-	"ituaval/internal/ituadirect"
 	"ituaval/internal/reward"
-	"ituaval/internal/rsm"
-	"ituaval/internal/sim"
-	"ituaval/internal/stats"
+	"ituaval/internal/study"
 )
 
 // CrossCheckOptions tunes a cross-engine validation run. Zero values select
@@ -185,127 +181,73 @@ func (r *CrossCheckReport) String() string {
 // is a hand-written Gillespie loop over its own state records — so
 // agreement within confidence intervals is strong evidence against an
 // engine-level bug. The SAN run also carries the full ITUAInvariants
-// monitor set, so a conservation-law violation surfaces as an error here
-// rather than as a silent skew. With Options.Exact set a third arm — the
-// uniformization solution of the generated CTMC — anchors both sampled
-// estimates to the numerically exact values (small configurations only).
-// With Options.Live set a fourth arm runs the attack process against a real
-// message-passing replica group (internal/rsm) and checks that the measured
-// service — not a model of it — lands in the same confidence region.
+// monitor set, and tolerates no failed replication, so a conservation-law
+// violation surfaces as an error here rather than as a silent skew. With
+// Options.Exact set a third arm — the uniformization solution of the
+// generated CTMC — anchors both sampled estimates to the numerically exact
+// values (small configurations only). With Options.Live set a fourth arm
+// runs the attack process against a real message-passing replica group
+// (internal/rsm) and checks that the measured service — not a model of it
+// — lands in the same confidence region.
+//
+// The check is a one-point sweep with one point per arm (study.RunSweep),
+// at seed offsets 0 (SAN), 1 (direct) and 2 (live); the live arm runs in
+// a second sweep, with LiveReps replications.
 func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*CrossCheckReport, error) {
 	o.fill()
-	m, err := core.Build(p)
-	if err != nil {
-		return nil, err
-	}
 	T := o.T
-	res, err := sim.RunContext(ctx, sim.Spec{
-		Model:   m.SAN,
-		Until:   T,
-		Reps:    o.Reps,
-		Seed:    o.Seed,
-		Workers: o.Workers,
-		Vars: []reward.Var{
+	point := study.PointSpec{Params: p, Until: T, Vars: func(m *core.Model) []reward.Var {
+		return []reward.Var{
 			m.Unavailability("unavail", 0, 0, T),
 			m.Unreliability("unrel", 0, T),
 			m.FracDomainsExcluded("excl", T),
-		},
-		Invariants: ITUAInvariants(m),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("integrity: SAN engine: %w", err)
-	}
-	if res.Failed > 0 {
-		return nil, fmt.Errorf("integrity: SAN engine failed %d of %d replications: %w",
-			res.Failed, res.Reps, &res.Failures[0])
-	}
-
-	direct, err := ituadirect.Replicate(ctx, p, o.Seed+1, o.Reps, T, o.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("integrity: direct simulator: %w", err)
-	}
-
-	// Optional live arm: the same measures observed on a real replica group
-	// under fault injection. The injector replays the model's stochastic law
-	// against live Bracha-broadcast replicas, so the client's empirical
-	// unavailability/unreliability estimate the same quantities — and every
-	// probe is additionally checked against the model oracle event-wise.
-	var liveRes *rsm.Result
-	if o.Live {
-		liveReps := o.LiveReps
-		if liveReps <= 0 {
-			liveReps = o.Reps
 		}
-		liveRes, err = rsm.Run(ctx, rsm.Spec{
-			Params:  p,
-			T:       T,
-			Reps:    liveReps,
-			Seed:    o.Seed + 2,
-			Workers: o.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("integrity: live arm: %w", err)
-		}
+	}}
+	arm := func(label string, a study.Arm, offset uint64) study.PointSpec {
+		pt := point
+		pt.Label, pt.Arm, pt.SeedOffset = "integrity: "+label, a, offset
+		return pt
 	}
-
-	// Optional third arm: the numerically exact values. The intrusions
-	// counter latches at 1 in every mode, so the exact chain solves the
-	// same model the two simulators just sampled.
-	var exactVals map[string]float64
+	san := arm("SAN engine", study.ArmSAN, 0)
+	san.Invariants = ITUAInvariants
+	pts := []study.PointSpec{san, arm("direct simulator", study.ArmDirect, 1)}
 	if o.Exact {
-		if err := ctx.Err(); err != nil {
+		ex := arm("exact arm", study.ArmExact, 0)
+		ex.MaxStates = o.ExactMaxStates
+		pts = append(pts, ex)
+	}
+	cfg := study.Config{Reps: o.Reps, Seed: o.Seed, Workers: o.Workers, MaxFailureFrac: -1}
+	prs, err := study.RunSweep(ctx, cfg, pts, study.SweepHooks{})
+	if err != nil {
+		return nil, err
+	}
+	report := &CrossCheckReport{Policy: p.Policy, Reps: o.Reps}
+	var live *study.PointResult
+	if o.Live {
+		// The injector replays the model's stochastic law against live
+		// Bracha-broadcast replicas, so the client's empirical measures
+		// estimate the same quantities, and every probe is also checked
+		// against the model oracle.
+		cfg = study.Config{Reps: o.LiveReps, Seed: o.Seed, Workers: o.Workers}
+		if cfg.Reps <= 0 {
+			cfg.Reps = o.Reps
+		}
+		lprs, err := study.RunSweep(ctx, cfg, []study.PointSpec{arm("live arm", study.ArmLive, 2)}, study.SweepHooks{})
+		if err != nil {
 			return nil, err
 		}
-		s, err := exact.NewSolver(p, exact.Options{MaxStates: o.ExactMaxStates, Workers: o.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("integrity: exact arm: %w", err)
-		}
-		ua, err := s.Unavailability(0, T)
-		if err != nil {
-			return nil, fmt.Errorf("integrity: exact unavailability: %w", err)
-		}
-		ur, err := s.Unreliability(0, T)
-		if err != nil {
-			return nil, fmt.Errorf("integrity: exact unreliability: %w", err)
-		}
-		ex, err := s.FracDomainsExcluded(T)
-		if err != nil {
-			return nil, fmt.Errorf("integrity: exact exclusion fraction: %w", err)
-		}
-		exactVals = map[string]float64{"unavail": ua, "unrel": ur, "excl": ex}
+		live = lprs[0]
+		report.LiveProbes, report.LiveDivergences = live.Counts["probes"], live.Counts["divergences"]
 	}
-
-	report := &CrossCheckReport{Policy: p.Policy, Reps: o.Reps}
-	var liveAccs map[string]*stats.Accumulator
-	if liveRes != nil {
-		report.LiveProbes = liveRes.Probes
-		report.LiveDivergences = liveRes.Divergences
-		liveAccs = map[string]*stats.Accumulator{
-			"unavail": &liveRes.Unavail,
-			"unrel":   &liveRes.Unrel,
-			"excl":    &liveRes.FracExcl,
+	for _, name := range []string{"unavail", "unrel", "excl"} {
+		s, d := prs[0].Est[name], prs[1].Est[name]
+		ma := MeasureAgreement{Name: name, SANMean: s.Mean, SANHalf: s.HalfWidth95, DirectMean: d.Mean, DirectHalf: d.HalfWidth95}
+		if live != nil {
+			l := live.Est[name]
+			ma.LiveMean, ma.LiveHalf, ma.HasLive = l.Mean, l.HalfWidth95, true
 		}
-	}
-	for _, c := range []struct {
-		name string
-		acc  *stats.Accumulator
-	}{
-		{"unavail", &direct.Unavail}, {"unrel", &direct.Unrel}, {"excl", &direct.FracExcl},
-	} {
-		est := res.MustGet(c.name)
-		ma := MeasureAgreement{
-			Name:       c.name,
-			SANMean:    est.Mean,
-			SANHalf:    est.HalfWidth95,
-			DirectMean: c.acc.Mean(),
-			DirectHalf: c.acc.HalfWidth(0.95),
-		}
-		if liveAccs != nil {
-			la := liveAccs[c.name]
-			ma.LiveMean, ma.LiveHalf, ma.HasLive = la.Mean(), la.HalfWidth(0.95), true
-		}
-		if exactVals != nil {
-			ma.Exact, ma.HasExact = exactVals[c.name], true
+		if o.Exact {
+			ma.Exact, ma.HasExact = prs[2].Est[name].Mean, true
 		}
 		report.Measures = append(report.Measures, ma)
 	}

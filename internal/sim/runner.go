@@ -297,16 +297,22 @@ func (r *Results) setEstimates(names []string, accums []*stats.Accumulator) {
 	r.Estimates = make([]Estimate, len(names))
 	r.byName = make(map[string]*Estimate, len(names))
 	for i, a := range accums {
-		est := &r.Estimates[i]
-		est.Name, est.N = names[i], a.N()
-		if a.N() > 0 {
-			est.Mean, est.Min, est.Max = a.Mean(), a.Min(), a.Max()
-		}
-		if a.N() >= 2 {
-			est.HalfWidth95 = a.HalfWidth(0.95)
-		}
-		r.byName[est.Name] = est
+		r.Estimates[i] = Summarize(names[i], a)
+		r.byName[names[i]] = &r.Estimates[i]
 	}
+}
+
+// Summarize is the estimate of the observations a holds: zero statistics
+// without observations, and a zero half-width below two.
+func Summarize(name string, a *stats.Accumulator) Estimate {
+	e := Estimate{Name: name, N: a.N()}
+	if a.N() > 0 {
+		e.Mean, e.Min, e.Max = a.Mean(), a.Min(), a.Max()
+	}
+	if a.N() >= 2 {
+		e.HalfWidth95 = a.HalfWidth(0.95)
+	}
+	return e
 }
 
 // finishErr is the error a finished study reports alongside its (always

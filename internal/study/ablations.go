@@ -3,14 +3,13 @@ package study
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ituaval/internal/core"
-	"ituaval/internal/ituadirect"
 	"ituaval/internal/mc"
 	"ituaval/internal/reward"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
-	"ituaval/internal/stats"
 )
 
 // xvalGrid is the SAN arm of the cross-validation: the 4×2 baseline under
@@ -43,38 +42,18 @@ func xvalGrid() []PointSpec {
 // series indexed by policy (x = 1 for domain exclusion, 2 for host
 // exclusion).
 func CrossValidation(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
 	fig := &Figure{ID: "X1", Title: "SAN model vs independent direct simulator"}
 	panels := []Panel{
 		{ID: "X1-unavail", Measure: "Unavailability [0,6]", XLabel: "policy (1=domain 2=host)"},
 		{ID: "X1-unrel", Measure: "Unreliability [0,6]", XLabel: "policy (1=domain 2=host)"},
 		{ID: "X1-excl", Measure: "Fraction domains excluded at 6", XLabel: "policy (1=domain 2=host)"},
 	}
-	sanS := [3]Series{{Name: "SAN"}, {Name: "SAN"}, {Name: "SAN"}}
-	dirS := [3]Series{{Name: "direct"}, {Name: "direct"}, {Name: "direct"}}
 	pts := xvalGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	prs, err := RunSweep(ctx, cfg, slices.Concat(pts, onArm(pts, ArmDirect, 100)), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		x := float64(i + 1)
-		AppendPoint(&sanS[0], x, "unavail", prs[i])
-		AppendPoint(&sanS[1], x, "unrel", prs[i])
-		AppendPoint(&sanS[2], x, "excl", prs[i])
-
-		dir, err := ituadirect.Replicate(ctx, pt.Params, cfg.Seed+uint64(4100+i), cfg.Reps, pt.Until, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		for j, acc := range []*stats.Accumulator{&dir.Unavail, &dir.Unrel, &dir.FracExcl} {
-			appendCell(&dirS[j], x, acc.Mean(), acc.HalfWidth(0.95), acc.N(),
-				cfg.Reps, cfg.Reps, 0, 0)
-		}
-	}
-	for i := range panels {
-		panels[i].Series = []Series{sanS[i], dirS[i]}
-	}
+	layout(panels, []string{"unavail", "unrel", "excl"}, []string{"SAN", "direct"}, []int{1, 2}, prs)
 	fig.Panels = panels
 	return fig, nil
 }
@@ -322,21 +301,9 @@ func AblationConviction(ctx context.Context, cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for mi, excludeOnConviction := range convictModes {
-		name := "restart replica (default)"
-		if excludeOnConviction {
-			name = "exclude on conviction"
-		}
-		su := Series{Name: name}
-		se := Series{Name: name}
-		for pi, hpd := range Fig3HostsPerDomain {
-			pr := prs[mi*len(Fig3HostsPerDomain)+pi]
-			AppendPoint(&su, float64(hpd), "u", pr)
-			AppendPoint(&se, float64(hpd), "e", pr)
-		}
-		panels[0].Series = append(panels[0].Series, su)
-		panels[1].Series = append(panels[1].Series, se)
-	}
+	// One series per mode, in convictModes order.
+	layout(panels, []string{"u", "e"}, []string{"restart replica (default)", "exclude on conviction"},
+		Fig3HostsPerDomain, prs)
 	fig.Panels = panels
 	return fig, nil
 }
@@ -391,17 +358,11 @@ func AblationPlacement(ctx context.Context, cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for mi, placement := range placements {
-		su := Series{Name: placement.String()}
-		sl := Series{Name: placement.String()}
-		for pi, spread := range placementSpreads {
-			pr := prs[mi*len(placementSpreads)+pi]
-			AppendPoint(&su, spread, "u", pr)
-			AppendPoint(&sl, spread, "load", pr)
-		}
-		panels[0].Series = append(panels[0].Series, su)
-		panels[1].Series = append(panels[1].Series, sl)
+	var names []string
+	for _, placement := range placements {
+		names = append(names, placement.String())
 	}
+	layout(panels, []string{"u", "load"}, names, placementSpreads, prs)
 	fig.Panels = panels
 	return fig, nil
 }

@@ -3,10 +3,9 @@ package study
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 
 	"ituaval/internal/core"
-	"ituaval/internal/exact"
 	"ituaval/internal/reward"
 )
 
@@ -83,10 +82,8 @@ func analyticGrid() []PointSpec {
 // series per panel. The exact series carries zero half-widths; the notes
 // record the chain sizes and the worst simulated deviation in units of the
 // simulation's 95% half-width, so a bias in either path is visible at a
-// glance. Exact values are not checkpointed: recomputing them is cheap and
-// they are deterministic.
+// glance. Both arms are points of one checkpointable sweep.
 func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
 	fig := &Figure{ID: "A", Title: "Exact (Uniformization) versus Simulated Measures, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "Aa", Measure: "Unavailability for the first 5 hours", XLabel: "spread rate"},
@@ -94,57 +91,23 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "Ac", Measure: "Unreliability for the first 5 hours", XLabel: "spread rate"},
 		{ID: "Ad", Measure: "Unreliability for the first 10 hours", XLabel: "spread rate"},
 	}
-
-	// Simulated arm: an ordinary checkpointable sweep.
+	// The exact points come first, as their series do; they run after the
+	// simulated ones all the same.
 	pts := analyticGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	n := len(pts)
+	prs, err := RunSweep(ctx, cfg, slices.Concat(onArm(pts, ArmExact, 0), pts), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-
-	// Exact arm: generate and solve each configuration's CTMC.
-	var exSeries, simSeries [4]Series
-	for i := range panels {
-		exSeries[i].Name = "exact (uniformization)"
-		simSeries[i].Name = "simulation"
-	}
+	layout(panels, fig5MeasureNames, []string{"exact (uniformization)", "simulation"}, Fig5SpreadRates, prs)
 	worstSigma := 0.0
-	for pi, pt := range pts {
-		spread := pt.Params.DomainSpreadRate
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := exact.NewSolver(pt.Params, exact.Options{Workers: cfg.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("analytic spread=%v: %w", spread, err)
-		}
-		ex := make(map[string]float64, 4)
-		for _, horizon := range []float64{5, 10} {
-			u, err := s.Unavailability(0, horizon)
-			if err != nil {
-				return nil, fmt.Errorf("analytic spread=%v unavailability[0,%g]: %w", spread, horizon, err)
-			}
-			r, err := s.Unreliability(0, horizon)
-			if err != nil {
-				return nil, fmt.Errorf("analytic spread=%v unreliability[0,%g]: %w", spread, horizon, err)
-			}
-			ex[fmt.Sprintf("u%g", horizon)] = u
-			ex[fmt.Sprintf("r%g", horizon)] = r
-		}
+	for pi, spread := range Fig5SpreadRates {
+		ex := prs[pi]
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"spread %g: %d states, %d transitions", spread, s.C.NumStates(), s.C.NumTransitions()))
-		for i, name := range fig5MeasureNames {
-			appendCell(&exSeries[i], spread, ex[name], 0, 0, 0, 0, 0, 0)
-			AppendPoint(&simSeries[i], spread, name, prs[pi])
-			if e := prs[pi].Est[name]; e.HalfWidth95 > 0 {
-				if sig := math.Abs(e.Mean-ex[name]) / e.HalfWidth95; sig > worstSigma {
-					worstSigma = sig
-				}
-			}
+			"spread %g: %d states, %d transitions", spread, ex.Counts["states"], ex.Counts["transitions"]))
+		for _, name := range fig5MeasureNames {
+			worstSigma = max(worstSigma, gap(prs[n+pi].Est[name], ex.Est[name]))
 		}
-	}
-	for i := range panels {
-		panels[i].Series = []Series{exSeries[i], simSeries[i]}
 	}
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
 		"worst |simulated - exact| across all points: %.2f simulation half-widths (expect ~1 at 95%%)", worstSigma))

@@ -330,11 +330,16 @@ func precKey(cfg Config) string {
 // pointKey fingerprints everything that determines a sweep point's result:
 // the model parameters, the horizon, the names of the measures (vars holds
 // them per arm), the replication schedule, and the effective root seed. A
-// pair's key carries both arms' parameters and measure lists. Two points
-// with equal keys are guaranteed equal results, which is what makes resume
-// exact.
+// pair's key carries both arms' parameters and measure lists. A point on
+// another engine than the SAN simulator names it, and its schedule is
+// cfg.Reps alone. Two points with equal keys are guaranteed equal results,
+// which is what makes resume exact.
 func pointKey(cfg Config, p *PointSpec, vars [][]reward.Var) string {
 	seed := cfg.Seed + p.SeedOffset
+	if p.Arm != ArmSAN {
+		return fmt.Sprintf("v%d|%v|reps=%d|seed=%d|until=%g|vars=%q|params=%s",
+			checkpointVersion, p.Arm, cfg.Reps, seed, p.Until, varNames(vars[0]), paramsJSON(p.Params))
+	}
 	if p.PairedWith == nil {
 		return fmt.Sprintf("v%d|%s|seed=%d|until=%g|vars=%q|params=%s",
 			checkpointVersion, precKey(cfg), seed, p.Until, varNames(vars[0]), paramsJSON(p.Params))

@@ -137,6 +137,86 @@ func TestCheckpointSkipsSimulation(t *testing.T) {
 	}
 }
 
+// armSweep is one point per engine on the live study's spread-0
+// configuration, whose exact chain is small.
+func armSweep() []PointSpec {
+	pt := liveGrid()[0]
+	pts := []PointSpec{pt}
+	for i, arm := range []Arm{ArmDirect, ArmLive, ArmExact} {
+		pts = append(pts, onArm(pts[:1], arm, uint64(i+1))...)
+	}
+	return pts
+}
+
+// armSweepCSV lays out a sweep's results as a figure, one series per
+// point, and renders it.
+func armSweepCSV(t *testing.T, prs []*PointResult) []byte {
+	t.Helper()
+	fig := &Figure{ID: "arms", Panels: []Panel{{ID: "unavail"}, {ID: "unrel"}}}
+	for i := range fig.Panels {
+		for pi, pr := range prs {
+			s := Series{Name: Arm(pi).String()}
+			AppendPoint(&s, 0, fig.Panels[i].ID, pr)
+			fig.Panels[i].Series = append(fig.Panels[i].Series, s)
+		}
+	}
+	var b bytes.Buffer
+	if err := fig.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestCheckpointRestoresEveryArm: a sweep with a SAN, a direct, a live and
+// an exact point checkpoints all four; rerun on the reloaded checkpoint
+// under a cancelled context, it restores every point without calling an
+// engine and gives the same results, counts and figure bytes.
+func TestCheckpointRestoresEveryArm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arms.ckpt")
+	ck, err := OpenCheckpoint(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Reps: 40, Seed: 5, Workers: 2, Checkpoint: ck}
+	first, err := RunSweep(context.Background(), cfg, armSweep(), SweepHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Len() != 4 {
+		t.Fatalf("checkpointed %d points, want all 4", ck.Len())
+	}
+	if first[2].Counts["probes"] == 0 || first[3].Counts["states"] == 0 {
+		t.Fatalf("live or exact counts missing: %v, %v", first[2].Counts, first[3].Counts)
+	}
+
+	ck2, err := OpenCheckpoint(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := 0
+	ck2.onSave = func() { stores++ }
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	restored, reps := 0, 0
+	cfg.Checkpoint = ck2
+	second, err := RunSweep(ctx, cfg, armSweep(), SweepHooks{
+		OnRep:   func(int) { reps++ },
+		OnPoint: func(int, *PointResult) { restored++ },
+	})
+	if err != nil {
+		t.Fatalf("restoring run called an engine: %v", err)
+	}
+	if restored != 4 || reps != 0 || stores != 0 {
+		t.Fatalf("restoring run: %d points restored, %d replications, %d stores; want 4, 0, 0", restored, reps, stores)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("restored results differ:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+	if a, b := armSweepCSV(t, first), armSweepCSV(t, second); !bytes.Equal(a, b) {
+		t.Fatalf("restored figure differs:\n%s\n%s", a, b)
+	}
+}
+
 // TestCheckpointKeyDiscriminates ensures the point key fingerprints
 // everything that determines a result, so a checkpoint written under one
 // configuration can never satisfy another.

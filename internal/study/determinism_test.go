@@ -12,7 +12,8 @@ package study
 //   - fixed-seed figure panels (fig3/fig4/fig5);
 //   - sim.RunContext in CRN and non-CRN mode;
 //   - an integrity.CrossCheck smoke (SAN engine vs the independent direct
-//     simulator).
+//     simulator), in crosscheck_golden_test.go: integrity imports study,
+//     so that case lives in the external test package.
 //
 // Every float is compared by its IEEE-754 bit pattern, not by tolerance.
 // Regenerate with `go test ./internal/study -run TestDeterminismGolden
@@ -30,7 +31,6 @@ import (
 	"testing"
 
 	"ituaval/internal/core"
-	"ituaval/internal/integrity"
 	"ituaval/internal/reward"
 	"ituaval/internal/sim"
 )
@@ -109,31 +109,13 @@ func detSim(t *testing.T, workers int, crn bool) []string {
 	return out
 }
 
-// detCross pins the integrity.CrossCheck smoke: both the SAN-engine
-// estimates and the independent direct simulator's.
-func detCross(t *testing.T, workers int) []string {
-	t.Helper()
-	rep, err := integrity.CrossCheck(context.Background(), detParams(),
-		integrity.CrossCheckOptions{Reps: 120, T: 4, Seed: 3, Workers: workers})
-	if err != nil {
-		t.Fatalf("crosscheck (workers=%d): %v", workers, err)
-	}
-	var out []string
-	for _, m := range rep.Measures {
-		out = append(out, fmt.Sprintf("%s|san=%016x|sanhw=%016x|direct=%016x|directhw=%016x",
-			m.Name, math.Float64bits(m.SANMean), math.Float64bits(m.SANHalf),
-			math.Float64bits(m.DirectMean), math.Float64bits(m.DirectHalf)))
-	}
-	return out
-}
-
 // detWorkers are the worker counts every scenario must reproduce its
 // Workers=1 reference at.
 var detWorkers = []int{1, 2, 8}
 
 // captureGolden produces the reference scenarios, all at Workers=1 (the
-// sequential order every worker count must reproduce). The sim and
-// crosscheck keys keep their historical "workers=1" names.
+// sequential order every worker count must reproduce). The sim keys keep
+// their historical "workers=1" names.
 func captureGolden(t *testing.T) map[string][]string {
 	g := make(map[string][]string)
 	for _, id := range detFigureIDs {
@@ -142,8 +124,50 @@ func captureGolden(t *testing.T) map[string][]string {
 	for _, crn := range []bool{false, true} {
 		g[fmt.Sprintf("sim/workers=1/crn=%v", crn)] = detSim(t, 1, crn)
 	}
-	g["crosscheck/workers=1"] = detCross(t, 1)
 	return g
+}
+
+// readGolden reads a golden file's scenarios.
+func readGolden(t *testing.T, path, flag string) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -%s): %v", flag, err)
+	}
+	var g map[string][]string
+	if err := json.Unmarshal(data, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// updateGoldenKeys rewrites the given scenarios of the golden file at path
+// and keeps every other one, so the two tests that share
+// determinism_golden.json can each update their own keys.
+func updateGoldenKeys(t *testing.T, path string, g map[string][]string) {
+	t.Helper()
+	all := make(map[string][]string)
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &all); err != nil {
+			t.Fatal(err)
+		}
+	} else if !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	for k, v := range g {
+		all[k] = v
+	}
+	data, err := json.MarshalIndent(all, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d scenarios of %s", len(g), path)
 }
 
 func compareLines(t *testing.T, scenario string, got, want []string) {
@@ -167,29 +191,10 @@ func compareLines(t *testing.T, scenario string, got, want []string) {
 
 func TestDeterminismGolden(t *testing.T) {
 	if *updateGolden {
-		g := captureGolden(t)
-		data, err := json.MarshalIndent(g, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d scenarios)", goldenPath, len(g))
+		updateGoldenKeys(t, goldenPath, captureGolden(t))
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
-	}
-	var want map[string][]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-
+	want := readGolden(t, goldenPath, "update-golden")
 	for _, w := range detWorkers {
 		for _, id := range detFigureIDs {
 			compareLines(t, fmt.Sprintf("%s/workers=%d", id, w), detFigure(t, id, w), want[id])
@@ -198,7 +203,6 @@ func TestDeterminismGolden(t *testing.T) {
 			key := fmt.Sprintf("sim/workers=1/crn=%v", crn)
 			compareLines(t, fmt.Sprintf("sim/workers=%d/crn=%v", w, crn), detSim(t, w, crn), want[key])
 		}
-		compareLines(t, fmt.Sprintf("crosscheck/workers=%d", w), detCross(t, w), want["crosscheck/workers=1"])
 	}
 }
 

@@ -3,13 +3,9 @@ package study
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 
 	"ituaval/internal/core"
-	"ituaval/internal/exact"
-	"ituaval/internal/ituadirect"
-	"ituaval/internal/rsm"
-	"ituaval/internal/stats"
 )
 
 // FaultPartitionRates is the X grid of the environment-fault study: the
@@ -71,131 +67,51 @@ func faultSeriesName(arm string, campRate float64) string {
 // record the live probe/divergence counts, the worst pairwise deviation in
 // combined 95% half-widths, and the exact-anchor coverage; the companion
 // test (faults_test.go) and `make faultcheck` turn those into assertions.
-// Only the SAN arm is checkpointed; the other arms are cheap to recompute
-// at study effort and the exact values are deterministic.
+// Every arm is a point of one checkpointable sweep.
 func Faults(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
 	fig := &Figure{ID: "X9", Title: "Environment Faults: Partitions, Campaigns, and a Bounded Repair Crew, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "X9a", Measure: "Unavailability for the first 6 hours", XLabel: "partition rate (1/h)"},
 		{ID: "X9b", Measure: "Unreliability for the first 6 hours", XLabel: "partition rate (1/h)"},
 	}
 	measures := []string{"unavail", "unrel"}
-	nX := len(FaultPartitionRates)
 
-	// SAN arm: an ordinary checkpointable sweep.
+	// The SAN sweep, then the direct simulator and the live replica group
+	// at every point, then the exact anchor: the partition-only point at
+	// rate FaultPartitionRates[1] (the first series has no campaigns)
+	// stays generateable (~6·10^5 states), pinning the sampled arms to the
+	// uniformization values of the same fault-extended model.
 	pts := faultsGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	n := len(pts)
+	prs, err := RunSweep(ctx, cfg, slices.Concat(pts, onArm(pts, ArmDirect, 100), onArm(pts, ArmLive, 1000),
+		onArm(pts[1:2], ArmExact, 0)), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
 
-	// Direct and live arms, plus the agreement notes.
-	sanSeries := make([][2]Series, len(FaultCampaignRates))
-	dirSeries := make([][2]Series, len(FaultCampaignRates))
-	liveSeries := make([][2]Series, len(FaultCampaignRates))
-	for si, camp := range FaultCampaignRates {
-		for i := range panels {
-			sanSeries[si][i].Name = faultSeriesName("SAN", camp)
-			dirSeries[si][i].Name = faultSeriesName("direct", camp)
-			liveSeries[si][i].Name = faultSeriesName("live", camp)
+	var names []string
+	for _, arm := range []string{"SAN", "direct", "live"} {
+		for _, camp := range FaultCampaignRates {
+			names = append(names, faultSeriesName(arm, camp))
 		}
 	}
+	layout(panels, measures, names, FaultPartitionRates, prs)
 	var probes, divergences int64
 	worstSigma := 0.0
-	for si, camp := range FaultCampaignRates {
-		for xi, part := range FaultPartitionRates {
-			pi := si*nX + xi
-			p, T := pts[pi].Params, pts[pi].Until
-
-			// Direct arm: the independently coded Gillespie simulator.
-			dres, err := ituadirect.Replicate(ctx, p, cfg.Seed+uint64(8100+pi), cfg.Reps, T, cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("faults camp=%g part=%g: direct: %w", camp, part, err)
-			}
-			dir := [2]*stats.Accumulator{&dres.Unavail, &dres.Unrel}
-
-			// Live arm: fault-injected replica groups whose transport is
-			// really partitioned and healed by the environment process.
-			lres, err := rsm.Run(ctx, rsm.Spec{
-				Params:         p,
-				T:              T,
-				Reps:           cfg.Reps,
-				Seed:           cfg.Seed + uint64(9000+pi),
-				Workers:        cfg.Workers,
-				RepDeadline:    cfg.RepDeadline,
-				MaxFailureFrac: cfg.MaxFailureFrac,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("faults camp=%g part=%g: live: %w", camp, part, err)
-			}
-			if lres.Failed > 0 {
-				cfg.warnf("faults camp=%g part=%g: %d of %d live replications failed (%v)",
-					camp, part, lres.Failed, cfg.Reps, lres.Failures)
-			}
-			probes += lres.Probes
-			divergences += lres.Divergences
-
-			live := [2]interface {
-				Mean() float64
-				HalfWidth(float64) float64
-			}{&lres.Unavail, &lres.Unrel}
-			for i, name := range measures {
-				AppendPoint(&sanSeries[si][i], part, name, prs[pi])
-				appendCell(&dirSeries[si][i], part, dir[i].Mean(), dir[i].HalfWidth(0.95), dir[i].N(), cfg.Reps, cfg.Reps, 0, 0)
-				appendCell(&liveSeries[si][i], part, live[i].Mean(), live[i].HalfWidth(0.95),
-					int64(lres.Reps), cfg.Reps, lres.Reps, lres.Failed, 0)
-				e := prs[pi].Est[name]
-				for _, pair := range [][2]float64{
-					{dir[i].Mean(), dir[i].HalfWidth(0.95)},
-					{live[i].Mean(), live[i].HalfWidth(0.95)},
-				} {
-					if hw := e.HalfWidth95 + pair[1]; hw > 0 {
-						if sig := math.Abs(e.Mean-pair[0]) / hw; sig > worstSigma {
-							worstSigma = sig
-						}
-					}
-				}
-			}
+	for pi := range pts {
+		san, dir, live := prs[pi], prs[n+pi], prs[2*n+pi]
+		probes += live.Counts["probes"]
+		divergences += live.Counts["divergences"]
+		for _, name := range measures {
+			worstSigma = max(worstSigma, gap(san.Est[name], dir.Est[name]), gap(san.Est[name], live.Est[name]))
 		}
 	}
-	for i := range panels {
-		for si := range FaultCampaignRates {
-			panels[i].Series = append(panels[i].Series, sanSeries[si][i])
-		}
-		for si := range FaultCampaignRates {
-			panels[i].Series = append(panels[i].Series, dirSeries[si][i])
-		}
-		for si := range FaultCampaignRates {
-			panels[i].Series = append(panels[i].Series, liveSeries[si][i])
-		}
-	}
-
-	// Exact anchor: the partition-only point at rate FaultPartitionRates[1]
-	// (the first series has no campaigns) stays generateable (~6·10^5
-	// states), pinning the sampled arms to the uniformization values of the
-	// same fault-extended model.
-	anchor := pts[1]
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := exact.NewSolver(anchor.Params, exact.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("faults exact anchor: %w", err)
-	}
-	exU, err := s.Unavailability(0, anchor.Until)
-	if err != nil {
-		return nil, fmt.Errorf("faults exact anchor unavailability: %w", err)
-	}
-	exR, err := s.Unreliability(0, anchor.Until)
-	if err != nil {
-		return nil, fmt.Errorf("faults exact anchor unreliability: %w", err)
-	}
+	ex := prs[3*n]
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences),
 		fmt.Sprintf("worst pairwise |SAN - other arm| across all points: %.2f combined half-widths (expect < 1 at 95%%)", worstSigma),
 		fmt.Sprintf("exact anchor (camp=0, part=%g, %d states): unavail %.6g, unrel %.6g",
-			anchor.Params.PartitionRate, s.C.NumStates(), exU, exR))
+			pts[1].Params.PartitionRate, ex.Counts["states"], ex.Est["unavail"].Mean, ex.Est["unrel"].Mean))
 	fig.Panels = panels
 	return fig, nil
 }

@@ -65,23 +65,11 @@ func Fig3(ctx context.Context, cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ai, apps := range Fig3Apps {
-		series := make([]Series, len(panels))
-		for i := range series {
-			series[i].Name = fmt.Sprintf("%d applications", apps)
-		}
-		for pi, hpd := range Fig3HostsPerDomain {
-			pr := prs[ai*len(Fig3HostsPerDomain)+pi]
-			x := float64(hpd)
-			AppendPoint(&series[0], x, "unavail", pr)
-			AppendPoint(&series[1], x, "unrel", pr)
-			AppendPoint(&series[2], x, "corrfrac", pr)
-			AppendPoint(&series[3], x, "exclfrac", pr)
-		}
-		for i := range panels {
-			panels[i].Series = append(panels[i].Series, series[i])
-		}
+	var names []string
+	for _, apps := range Fig3Apps {
+		names = append(names, fmt.Sprintf("%d applications", apps))
 	}
+	layout(panels, []string{"unavail", "unrel", "corrfrac", "exclfrac"}, names, Fig3HostsPerDomain, prs)
 	fig.Panels = panels
 	return fig, nil
 }
@@ -228,22 +216,8 @@ func Fig5(ctx context.Context, cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for si, policy := range fig5Policies {
-		name := map[core.Policy]string{
-			core.HostExclusion:   "Host exclusion",
-			core.DomainExclusion: "Domain exclusion",
-		}[policy]
-		series := [4]Series{{Name: name}, {Name: name}, {Name: name}, {Name: name}}
-		for pi, spread := range Fig5SpreadRates {
-			pr := prs[si*len(Fig5SpreadRates)+pi]
-			for i, v := range fig5MeasureNames {
-				AppendPoint(&series[i], spread, v, pr)
-			}
-		}
-		for i := range panels {
-			panels[i].Series = append(panels[i].Series, series[i])
-		}
-	}
+	// One series per policy, in fig5Policies order.
+	layout(panels, fig5MeasureNames, []string{"Host exclusion", "Domain exclusion"}, Fig5SpreadRates, prs)
 	fig.Panels = panels
 	return fig, nil
 }

@@ -1,4 +1,4 @@
-package study
+package study_test
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"ituaval/internal/rng"
 	"ituaval/internal/san"
 	"ituaval/internal/sim"
+	"ituaval/internal/study"
 )
 
 // intrusionWatch records the largest intrusions marking seen after any
@@ -31,8 +32,8 @@ func (*intrusionWatch) Results(func(float64))    {}
 
 // latchPoints is every Figure-5 and faults grid point: the sweeps that
 // simulate the model without Params.Analytic.
-func latchPoints(t *testing.T) []PointSpec {
-	pts := append(fig5Grid(), faultsGrid()...)
+func latchPoints(t *testing.T) []study.PointSpec {
+	pts := append(study.Fig5Grid(), study.FaultsGrid()...)
 	for _, pt := range pts {
 		if pt.Params.Analytic {
 			t.Fatalf("%s: grid point sets Analytic", pt.Label)

@@ -3,11 +3,10 @@ package study
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 
 	"ituaval/internal/core"
 	"ituaval/internal/reward"
-	"ituaval/internal/rsm"
 )
 
 // liveVars are the SAN counterparts of the live service's measures.
@@ -49,70 +48,31 @@ func liveGrid() []PointSpec {
 // service a synthetic client actually receives — and plots both series per
 // panel. The notes record the live probe count, the probe-vs-oracle
 // divergences (zero under the worst-case adversary), and the worst
-// model-vs-live deviation in units of the combined 95% half-widths. Live
-// points are not checkpointed: a sweep point is a few thousand in-process
-// protocol runs and recomputing it is cheap.
+// model-vs-live deviation in units of the combined 95% half-widths. Both
+// arms are points of one checkpointable sweep.
 func Live(ctx context.Context, cfg Config) (*Figure, error) {
-	cfg = cfg.withDefaults()
 	fig := &Figure{ID: "L", Title: "Model versus Live Replicated Service, 2 Domains x 1 Host"}
 	panels := []Panel{
 		{ID: "La", Measure: "Unavailability for the first 6 hours", XLabel: "spread rate"},
 		{ID: "Lb", Measure: "Unreliability for the first 6 hours", XLabel: "spread rate"},
 	}
 	measures := []string{"unavail", "unrel"}
-
-	// Model arm: an ordinary checkpointable SAN sweep.
 	pts := liveGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	n := len(pts)
+	prs, err := RunSweep(ctx, cfg, slices.Concat(pts, onArm(pts, ArmLive, 1000)), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-
-	// Live arm: fault-injected replica groups, probed by a synthetic client.
-	var liveSeries, sanSeries [2]Series
-	for i := range panels {
-		liveSeries[i].Name = "live service"
-		sanSeries[i].Name = "SAN simulation"
-	}
+	layout(panels, measures, []string{"SAN simulation", "live service"}, Fig5SpreadRates, prs)
 	var probes, divergences int64
 	worstSigma := 0.0
-	for pi, pt := range pts {
-		spread := pt.Params.DomainSpreadRate
-		res, err := rsm.Run(ctx, rsm.Spec{
-			Params:         pt.Params,
-			T:              pt.Until,
-			Reps:           cfg.Reps,
-			Seed:           cfg.Seed + uint64(7000+pi),
-			Workers:        cfg.Workers,
-			RepDeadline:    cfg.RepDeadline,
-			MaxFailureFrac: cfg.MaxFailureFrac,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("live spread=%v: %w", spread, err)
+	for pi := range pts {
+		san, live := prs[pi], prs[n+pi]
+		probes += live.Counts["probes"]
+		divergences += live.Counts["divergences"]
+		for _, name := range measures {
+			worstSigma = max(worstSigma, gap(san.Est[name], live.Est[name]))
 		}
-		if res.Failed > 0 {
-			cfg.warnf("live spread=%v: %d of %d replications failed (%v)",
-				spread, res.Failed, cfg.Reps, res.Failures)
-		}
-		probes += res.Probes
-		divergences += res.Divergences
-		for i, acc := range []interface {
-			Mean() float64
-			HalfWidth(float64) float64
-		}{&res.Unavail, &res.Unrel} {
-			appendCell(&liveSeries[i], spread, acc.Mean(), acc.HalfWidth(0.95),
-				int64(res.Reps), cfg.Reps, res.Reps, res.Failed, 0)
-			AppendPoint(&sanSeries[i], spread, measures[i], prs[pi])
-			e := prs[pi].Est[measures[i]]
-			if hw := e.HalfWidth95 + acc.HalfWidth(0.95); hw > 0 {
-				if sig := math.Abs(e.Mean-acc.Mean()) / hw; sig > worstSigma {
-					worstSigma = sig
-				}
-			}
-		}
-	}
-	for i := range panels {
-		panels[i].Series = []Series{sanSeries[i], liveSeries[i]}
 	}
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences),

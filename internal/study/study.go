@@ -93,6 +93,10 @@ type PointResult struct {
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
 	Skipped   int `json:"skipped"`
+	// Counts carries an engine's own tallies for the figure notes: a live
+	// point's "probes" and "divergences", an exact point's "states" and
+	// "transitions". Nil for a SAN point.
+	Counts map[string]int64 `json:"counts,omitempty"`
 }
 
 // Series is one curve of a figure panel. The count slices are parallel to
@@ -239,4 +243,19 @@ func appendCell(s *Series, x, y, hw float64, n int64, reps, completed, failed, s
 func AppendPoint(s *Series, x float64, name string, pr *PointResult) {
 	e := pr.Est[name]
 	appendCell(s, x, e.Mean, e.HalfWidth95, e.N, pr.Reps, pr.Completed, pr.Failed, pr.Skipped)
+}
+
+// layout gives every panel one series per name, in order: series s of
+// panel i is measures[i] of the points prs[s*len(xs):] at abscissas xs,
+// the order of a series-major grid.
+func layout[X int | float64](panels []Panel, measures, names []string, xs []X, prs []*PointResult) {
+	for i := range panels {
+		for s, name := range names {
+			se := Series{Name: name}
+			for j, x := range xs {
+				AppendPoint(&se, float64(x), measures[i], prs[s*len(xs)+j])
+			}
+			panels[i].Series = append(panels[i].Series, se)
+		}
+	}
 }

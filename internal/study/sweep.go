@@ -15,10 +15,11 @@ import (
 )
 
 // PointSpec describes one sweep point for RunSweep: a model configuration,
-// the simulation horizon, the reward variables to estimate, and the seed
-// offset that keeps the point's replication streams disjoint from every
-// other point's. The registered figure runners build their sweeps from it,
-// and the scenario DSL (internal/scenario) compiles to it.
+// the engine that runs it, the simulation horizon, the reward variables to
+// estimate, and the seed offset that keeps the point's replication streams
+// disjoint from every other point's. The registered figure runners build
+// their sweeps from it, and the scenario DSL (internal/scenario) compiles
+// to it. Comparing engines is laying out points that differ only in Arm.
 type PointSpec struct {
 	// Label prefixes any error attributed to this point.
 	Label string
@@ -31,6 +32,17 @@ type PointSpec struct {
 	SeedOffset uint64
 	// Vars builds the reward variables on the constructed model.
 	Vars func(m *core.Model) []reward.Var
+	// Arm is the engine that runs the point (default ArmSAN). A point on
+	// another engine runs Config.Reps replications once, whatever the
+	// precision target, and measures only what its engine computes (see
+	// Arm).
+	Arm Arm
+	// Invariants, when set, builds monitors the SAN engine checks in every
+	// replication (sim.Spec.Invariants). They never change a result, so the
+	// checkpoint key leaves them out.
+	Invariants func(m *core.Model) []sim.Invariant
+	// MaxStates bounds the exact engine's state space (0 = the mc default).
+	MaxStates int
 	// PairedWith, when set, makes the point a CRN pair of two arms: arm A
 	// runs Params and arm B runs *PairedWith, both with the point's Until,
 	// SeedOffset and Vars, on common random numbers (replication i of
@@ -54,26 +66,29 @@ type SweepHooks struct {
 	// OnRep is called after every finished replication (completed, failed,
 	// or drained after cancellation) of the given point index, of either
 	// arm of a pair. It is not called under a precision target, whose
-	// replication schedule is adaptive.
+	// replication schedule is adaptive, nor for a point on another engine
+	// than the SAN simulator.
 	OnRep func(point int)
 	// OnPoint is called once per point with its aggregated result: when a
 	// checkpointed point is restored without simulating; without a
 	// precision target, when the worker pool finishes the point's last
 	// replication (before the point's checkpoint is stored); under a
-	// precision target, and for a pair, after the point's checkpoint is
-	// stored, in point order within a round. Points that error are not
-	// reported.
+	// precision target, for a pair, and for a point on another engine,
+	// after the point's checkpoint is stored, in point order within a
+	// round. Points that error are not reported.
 	OnPoint func(point int, pr *PointResult)
 }
 
 // sweepPoint is a point RunSweep still has to run: its index, checkpoint
 // key and the simulation spec of each arm (one, or two for a pair), plus,
-// under a precision target, the batches each arm has merged so far.
+// under a precision target, the batches each arm has merged so far; or, on
+// another engine than the SAN simulator, its measures.
 type sweepPoint struct {
 	i    int
 	key  string
 	arms []sim.Spec
 	acc  []*sim.Results
+	ms   []armMeasure
 }
 
 // RunSweep executes a set of sweep points under one configuration; it is
@@ -93,8 +108,12 @@ type sweepPoint struct {
 // replication count. Either way every result is bit-identical at every
 // worker count.
 //
+// Points on another engine (PointSpec.Arm) run after the last round, one
+// at a time in point order, each on its engine's own pool of cfg.Workers.
+//
 // Points already present in cfg.Checkpoint are restored without
-// simulating, and each computed point is persisted before RunSweep returns,
+// simulating, whatever their engine, and each computed point is persisted
+// before RunSweep returns,
 // so an interrupted sweep resumed with the same checkpoint loses none of
 // its finished work; a point whose replications all completed before a
 // cancellation counts as finished. A point whose batch fails or is
@@ -116,7 +135,19 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 		}
 	}
 	prs := make([]*PointResult, len(points))
-	var running []*sweepPoint
+	var running, others []*sweepPoint
+	// Points of one configuration share its model, which engines only read.
+	models := make(map[core.Params]*core.Model)
+	build := func(params core.Params) (*core.Model, error) {
+		if m, ok := models[params]; ok {
+			return m, nil
+		}
+		m, err := core.Build(params)
+		if err == nil {
+			models[params] = m
+		}
+		return m, err
+	}
 	for i := range points {
 		p := &points[i]
 		arms := []core.Params{p.Params}
@@ -126,13 +157,16 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 		pt := &sweepPoint{i: i}
 		var vars [][]reward.Var
 		for _, params := range arms {
-			m, err := core.Build(params)
+			m, err := build(params)
 			if err != nil {
 				return prs, fmt.Errorf("%s: %w", p.Label, err)
 			}
 			v := p.Vars(m)
 			vars = append(vars, v)
-			pt.arms = append(pt.arms, sim.Spec{
+			if p.Arm != ArmSAN {
+				continue
+			}
+			spec := sim.Spec{
 				Model:          m.SAN,
 				Until:          p.Until,
 				Reps:           cfg.Reps,
@@ -143,10 +177,20 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 				MaxFailureFrac: cfg.MaxFailureFrac,
 				CRN:            len(arms) == 2,
 				KeepPerRep:     precise || len(arms) == 2,
-			})
+			}
+			if p.Invariants != nil {
+				spec.Invariants = p.Invariants(m)
+			}
+			pt.arms = append(pt.arms, spec)
 		}
 		if len(arms) == 2 && !slices.Equal(varNames(vars[0]), varNames(vars[1])) {
 			return prs, fmt.Errorf("%s: the arms of a pair measure %q and %q", p.Label, varNames(vars[0]), varNames(vars[1]))
+		}
+		if p.Arm != ArmSAN {
+			var err error
+			if pt.ms, err = armMeasures(p, vars[0]); err != nil {
+				return prs, err
+			}
 		}
 		if cfg.Checkpoint != nil {
 			pt.key = pointKey(cfg, p, vars)
@@ -158,7 +202,11 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 				continue
 			}
 		}
-		running = append(running, pt)
+		if p.Arm != ArmSAN {
+			others = append(others, pt)
+		} else {
+			running = append(running, pt)
+		}
 	}
 
 	var firstErr error
@@ -213,6 +261,24 @@ func RunSweep(ctx context.Context, cfg Config, points []PointSpec, hooks SweepHo
 			}
 		}
 		running = next
+	}
+
+	for _, pt := range others {
+		p := &points[pt.i]
+		pr, err := runArm(ctx, cfg, p, pt.ms)
+		if err == nil && cfg.Checkpoint != nil {
+			err = cfg.Checkpoint.store(pt.key, pr)
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", p.Label, err)
+			}
+			continue
+		}
+		prs[pt.i] = pr
+		if hooks.OnPoint != nil {
+			hooks.OnPoint(pt.i, pr)
+		}
 	}
 	return prs, firstErr
 }

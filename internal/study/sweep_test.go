@@ -512,3 +512,56 @@ func TestPairedPointNeedsTwoPairs(t *testing.T) {
 		t.Fatalf("want one unmet paired-target warning, got %q", warnings)
 	}
 }
+
+// TestArmPointValidation: a point on the direct, live or exact engine that
+// asks for a measure its engine does not compute (any measure but the
+// three core ones; on the sampled arms another application or horizon; on
+// any of them an interval that does not start at 0), a pair, or an
+// unknown engine is refused with an error naming it before any
+// replication runs, even of the SAN point ahead of it.
+func TestArmPointValidation(t *testing.T) {
+	base := liveGrid()[0]
+	base.Params.NumApps = 2
+	T := base.Until
+	point := func(arm Arm, vars func(m *core.Model) []reward.Var) PointSpec {
+		pt := base
+		pt.Label, pt.Arm, pt.Vars = "bad "+arm.String(), arm, vars
+		return pt
+	}
+	load := point(ArmDirect, func(m *core.Model) []reward.Var { return []reward.Var{m.LoadPerHost("load", T)} })
+	pair := point(ArmDirect, liveVars(T))
+	pair.PairedWith = &pair.Params
+	for name, pt := range map[string]PointSpec{
+		"direct load per host": load,
+		"live load per host":   point(ArmLive, load.Vars),
+		"direct app 1": point(ArmDirect, func(m *core.Model) []reward.Var {
+			return []reward.Var{m.Unavailability("u", 1, 0, T)}
+		}),
+		"live app 1": point(ArmLive, func(m *core.Model) []reward.Var { return []reward.Var{m.Unreliability("r", 1, T)} }),
+		"direct unreliability by T/2": point(ArmDirect, func(m *core.Model) []reward.Var {
+			return []reward.Var{m.Unreliability("r", 0, T/2)}
+		}),
+		"live exclusion at T/2": point(ArmLive, func(m *core.Model) []reward.Var {
+			return []reward.Var{m.FracDomainsExcluded("e", T/2)}
+		}),
+		"live unavailability to T/2": point(ArmLive, func(m *core.Model) []reward.Var {
+			return []reward.Var{m.Unavailability("u", 0, 0, T/2)}
+		}),
+		"exact unavailability from 1": point(ArmExact, func(m *core.Model) []reward.Var {
+			return []reward.Var{m.Unavailability("u", 0, 1, T)}
+		}),
+		"exact load per host": point(ArmExact, load.Vars),
+		"direct pair":         pair,
+		"unknown engine":      point(Arm(9), liveVars(T)),
+	} {
+		reps, points := 0, 0
+		hooks := SweepHooks{OnRep: func(int) { reps++ }, OnPoint: func(int, *PointResult) { points++ }}
+		_, err := RunSweep(context.Background(), Config{Reps: 16, Workers: 1}, []PointSpec{liveGrid()[0], pt}, hooks)
+		if err == nil || !strings.HasPrefix(err.Error(), pt.Label+": ") {
+			t.Errorf("%s: err = %v, want an error naming %q", name, err, pt.Label)
+		}
+		if reps != 0 || points != 0 {
+			t.Errorf("%s: %d replications and %d points ran before the refusal", name, reps, points)
+		}
+	}
+}
