@@ -163,12 +163,15 @@ func reducedValidationModel() (m *san.Model, good, bad, pending *san.Place, err 
 	return m, good, bad, pending, nil
 }
 
+// detectRates are the detection rates the detection ablation sweeps.
+var detectRates = []float64{0.1, 0.25, 0.5, 1, 2, 4}
+
 // detectGrid is the sweep of the detection ablation: the host, replica and
 // manager detection rates set together, on 12 single-host domains.
 func detectGrid() []PointSpec {
 	const T = 5.0
 	var pts []PointSpec
-	for i, rate := range []float64{0.1, 0.25, 0.5, 1, 2, 4} {
+	for i, rate := range detectRates {
 		p := core.DefaultParams()
 		p.NumDomains = 12
 		p.HostsPerDomain = 1
@@ -194,31 +197,25 @@ func detectGrid() []PointSpec {
 // exclusion dynamics.
 func AblationDetectionRate(ctx context.Context, cfg Config) (*Figure, error) {
 	fig := &Figure{ID: "X3", Title: "Sensitivity to the detection pipeline rate"}
-	unavail := Series{Name: "unavailability [0,5]"}
-	unrel := Series{Name: "unreliability [0,5]"}
-	excl := Series{Name: "domains excluded at 5"}
-	pts := detectGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	prs, err := RunSweep(ctx, cfg, detectGrid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		rate := pt.Params.HostDetectRate
-		AppendPoint(&unavail, rate, "u", prs[i])
-		AppendPoint(&unrel, rate, "r", prs[i])
-		AppendPoint(&excl, rate, "e", prs[i])
-	}
 	fig.Panels = []Panel{{ID: "X3", Measure: "Measures vs IDS rate (12×1 hosts, 4 apps)",
-		XLabel: "detection rate (1/h)", Series: []Series{unavail, unrel, excl}}}
+		XLabel: "detection rate (1/h)", Series: curves([]string{"unavailability [0,5]", "unreliability [0,5]",
+			"domains excluded at 5"}, []string{"u", "r", "e"}, detectRates, prs)}}
 	return fig, nil
 }
+
+// splitWeights are the replica attack weights the split ablation sweeps.
+var splitWeights = []float64{0, 0.5, 1, 2, 4, 8}
 
 // splitGrid is the sweep of the split ablation: the replica share of the
 // attack budget, on 12 single-host domains.
 func splitGrid() []PointSpec {
 	const T = 5.0
 	var pts []PointSpec
-	for i, wr := range []float64{0, 0.5, 1, 2, 4, 8} {
+	for i, wr := range splitWeights {
 		p := core.DefaultParams()
 		p.NumDomains = 12
 		p.HostsPerDomain = 1
@@ -240,20 +237,12 @@ func splitGrid() []PointSpec {
 // aimed directly at replicas (splitGrid).
 func AblationRateSplit(ctx context.Context, cfg Config) (*Figure, error) {
 	fig := &Figure{ID: "X4", Title: "Sensitivity to the attack-budget split"}
-	unavail := Series{Name: "unavailability [0,5]"}
-	unrel := Series{Name: "unreliability [0,5]"}
-	pts := splitGrid()
-	prs, err := RunSweep(ctx, cfg, pts, SweepHooks{})
+	prs, err := RunSweep(ctx, cfg, splitGrid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
-		wr := pt.Params.AttackSplitReplica
-		AppendPoint(&unavail, wr, "u", prs[i])
-		AppendPoint(&unrel, wr, "r", prs[i])
-	}
-	fig.Panels = []Panel{{ID: "X4", Measure: "Measures vs replica attack weight (12×1 hosts)",
-		XLabel: "AttackSplitReplica", Series: []Series{unavail, unrel}}}
+	fig.Panels = []Panel{{ID: "X4", Measure: "Measures vs replica attack weight (12×1 hosts)", XLabel: "AttackSplitReplica",
+		Series: curves([]string{"unavailability [0,5]", "unreliability [0,5]"}, []string{"u", "r"}, splitWeights, prs)}}
 	return fig, nil
 }
 

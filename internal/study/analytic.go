@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"ituaval/internal/core"
-	"ituaval/internal/reward"
 )
 
 // AnalyticAnchorParams is the full-scale exact anchor made reachable by
@@ -42,9 +41,8 @@ const AnalyticAnchorMaxStates = 1 << 21
 
 // analyticGrid is the simulated arm of the analytic study: the Figure-5
 // spread rates on the largest ITUA configuration whose CTMC stays
-// comfortably generateable (~3·10^5 states with spread enabled): two
-// domains of one host, one application with two replicas, corruption
-// multiplier 5, domain exclusion. The intrusions counter latches at 1, so
+// comfortably generateable (~3·10^5 states with spread enabled),
+// smallParams. The intrusions counter latches at 1, so
 // the simulated arm runs the very model the exact arm solves; Analytic is
 // still set (it is inert) so the points' checkpoint keys stay as they
 // were. The measures are those the exact arm computes, on application 0
@@ -53,24 +51,11 @@ func analyticGrid() []PointSpec {
 	const T = 10.0
 	pts := make([]PointSpec, len(Fig5SpreadRates))
 	for pi, spread := range Fig5SpreadRates {
-		p := core.DefaultParams()
-		p.NumDomains = 2
-		p.HostsPerDomain = 1
-		p.NumApps = 1
-		p.RepsPerApp = 2
-		p.CorruptionMult = 5
+		p := smallParams()
 		p.DomainSpreadRate = spread
-		p.Policy = core.DomainExclusion
 		p.Analytic = true
 		pts[pi] = PointSpec{Label: fmt.Sprintf("analytic spread=%v", spread), Params: p, Until: T,
-			SeedOffset: uint64(4000 + pi), Vars: func(m *core.Model) []reward.Var {
-				return []reward.Var{
-					m.Unavailability("u5", 0, 0, 5),
-					m.Unavailability("u10", 0, 0, 10),
-					m.Unreliability("r5", 0, 5),
-					m.Unreliability("r10", 0, 10),
-				}
-			}}
+			SeedOffset: uint64(4000 + pi), Vars: fig5Vars}
 	}
 	return pts
 }
@@ -100,17 +85,13 @@ func Analytic(ctx context.Context, cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	layout(panels, fig5MeasureNames, []string{"exact (uniformization)", "simulation"}, Fig5SpreadRates, prs)
-	worstSigma := 0.0
 	for pi, spread := range Fig5SpreadRates {
-		ex := prs[pi]
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
-			"spread %g: %d states, %d transitions", spread, ex.Counts["states"], ex.Counts["transitions"]))
-		for _, name := range fig5MeasureNames {
-			worstSigma = max(worstSigma, gap(prs[n+pi].Est[name], ex.Est[name]))
-		}
+			"spread %g: %d states, %d transitions", spread, prs[pi].Counts["states"], prs[pi].Counts["transitions"]))
 	}
 	fig.Notes = append(fig.Notes, fmt.Sprintf(
-		"worst |simulated - exact| across all points: %.2f simulation half-widths (expect ~1 at 95%%)", worstSigma))
+		"worst |simulated - exact| across all points: %.2f simulation half-widths (expect ~1 at 95%%)",
+		worstGap(fig5MeasureNames, prs[n:], prs[:n])))
 	fig.Panels = panels
 	return fig, nil
 }

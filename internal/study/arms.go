@@ -52,13 +52,30 @@ func onArm(pts []PointSpec, arm Arm, shift uint64) []PointSpec {
 	return out
 }
 
-// gap is |a − b| in units of the two estimates' summed 95% half-widths,
-// or 0 when both are 0.
-func gap(a, b sim.Estimate) float64 {
-	if hw := a.HalfWidth95 + b.HalfWidth95; hw > 0 {
-		return math.Abs(a.Mean-b.Mean) / hw
+// worstGap is the largest |a − b| over the measures of the points a[i] and
+// b[i], in units of the two estimates' summed 95% half-widths (0 when both
+// are 0).
+func worstGap(measures []string, a, b []*PointResult) float64 {
+	w := 0.0
+	for i := range a {
+		for _, name := range measures {
+			ea, eb := a[i].Est[name], b[i].Est[name]
+			if hw := ea.HalfWidth95 + eb.HalfWidth95; hw > 0 {
+				w = max(w, math.Abs(ea.Mean-eb.Mean)/hw)
+			}
+		}
 	}
-	return 0
+	return w
+}
+
+// liveNote is the figure note on the live points' probes and divergences.
+func liveNote(live []*PointResult) string {
+	var probes, divergences int64
+	for _, pr := range live {
+		probes += pr.Counts["probes"]
+		divergences += pr.Counts["divergences"]
+	}
+	return fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences)
 }
 
 // armMeasure is one measure of a point on another engine: which kind, of

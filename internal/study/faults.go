@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-
-	"ituaval/internal/core"
 )
 
 // FaultPartitionRates is the X grid of the environment-fault study: the
@@ -18,8 +16,8 @@ var FaultCampaignRates = []float64{0, 0.5}
 
 // faultsGrid is the SAN arm of the environment-fault study, series-major
 // like the compiled scenario grid (seed offsets 8000+pi): the partition
-// rates for each campaign rate, on the same small two-domain topology as
-// the live study with the full environment vocabulary armed —
+// rates for each campaign rate, on smallParams with the full environment
+// vocabulary armed —
 // exponential-healing partitions, correlated attack campaigns (inert while
 // CampaignRate is zero), and a single-member repair crew (with one
 // application, capacity one is distributionally identical to the unbounded
@@ -30,13 +28,7 @@ func faultsGrid() []PointSpec {
 	pts := make([]PointSpec, len(FaultCampaignRates)*nX)
 	for si, camp := range FaultCampaignRates {
 		for xi, part := range FaultPartitionRates {
-			p := core.DefaultParams()
-			p.NumDomains = 2
-			p.HostsPerDomain = 1
-			p.NumApps = 1
-			p.RepsPerApp = 2
-			p.CorruptionMult = 5
-			p.Policy = core.DomainExclusion
+			p := smallParams()
 			p.PartitionRate = part
 			p.PartitionHealRate = 2
 			p.CampaignRate = camp
@@ -96,20 +88,10 @@ func Faults(ctx context.Context, cfg Config) (*Figure, error) {
 		}
 	}
 	layout(panels, measures, names, FaultPartitionRates, prs)
-	var probes, divergences int64
-	worstSigma := 0.0
-	for pi := range pts {
-		san, dir, live := prs[pi], prs[n+pi], prs[2*n+pi]
-		probes += live.Counts["probes"]
-		divergences += live.Counts["divergences"]
-		for _, name := range measures {
-			worstSigma = max(worstSigma, gap(san.Est[name], dir.Est[name]), gap(san.Est[name], live.Est[name]))
-		}
-	}
-	ex := prs[3*n]
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences),
-		fmt.Sprintf("worst pairwise |SAN - other arm| across all points: %.2f combined half-widths (expect < 1 at 95%%)", worstSigma),
+	san, ex := prs[:n], prs[3*n]
+	fig.Notes = append(fig.Notes, liveNote(prs[2*n:3*n]),
+		fmt.Sprintf("worst pairwise |SAN - other arm| across all points: %.2f combined half-widths (expect < 1 at 95%%)",
+			max(worstGap(measures, san, prs[n:2*n]), worstGap(measures, san, prs[2*n:3*n]))),
 		fmt.Sprintf("exact anchor (camp=0, part=%g, %d states): unavail %.6g, unrel %.6g",
 			pts[1].Params.PartitionRate, ex.Counts["states"], ex.Est["unavail"].Mean, ex.Est["unrel"].Mean))
 	fig.Panels = panels

@@ -124,13 +124,6 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "4c", Measure: "Fraction of corrupt hosts in an excluded domain (steady state)", XLabel: "hosts/domain"},
 		{ID: "4d", Measure: "Fraction of domains excluded", XLabel: "hosts/domain"},
 	}
-	s5 := Series{Name: "for interval [0,5]"}
-	s10 := Series{Name: "for interval [0,10]"}
-	r5 := Series{Name: "for interval [0,5]"}
-	r10 := Series{Name: "for interval [0,10]"}
-	ss := Series{Name: "steady state"}
-	e5 := Series{Name: "at time 5"}
-	e10 := Series{Name: "at time 10"}
 	cfg = cfg.withDefaults()
 	longCfg := cfg
 	if longCfg.Reps > 500 {
@@ -145,20 +138,11 @@ func Fig4(ctx context.Context, cfg Config) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for pi, hpd := range Fig4HostsPerDomain {
-		x := float64(hpd)
-		AppendPoint(&s5, x, "u5", prs[pi])
-		AppendPoint(&s10, x, "u10", prs[pi])
-		AppendPoint(&r5, x, "r5", prs[pi])
-		AppendPoint(&r10, x, "r10", prs[pi])
-		AppendPoint(&ss, x, "cf", prSSs[pi])
-		AppendPoint(&e5, x, "e5", prs[pi])
-		AppendPoint(&e10, x, "e10", prs[pi])
-	}
-	panels[0].Series = []Series{s5, s10}
-	panels[1].Series = []Series{r5, r10}
-	panels[2].Series = []Series{ss}
-	panels[3].Series = []Series{e5, e10}
+	intervals := []string{"for interval [0,5]", "for interval [0,10]"}
+	panels[0].Series = curves(intervals, []string{"u5", "u10"}, Fig4HostsPerDomain, prs)
+	panels[1].Series = curves(intervals, []string{"r5", "r10"}, Fig4HostsPerDomain, prs)
+	panels[2].Series = curves([]string{"steady state"}, []string{"cf"}, Fig4HostsPerDomain, prSSs)
+	panels[3].Series = curves([]string{"at time 5", "at time 10"}, []string{"e5", "e10"}, Fig4HostsPerDomain, prs)
 	fig.Panels = panels
 	return fig, nil
 }
@@ -171,6 +155,16 @@ var fig5Policies = []core.Policy{core.HostExclusion, core.DomainExclusion}
 
 // fig5MeasureNames are the measures of study 3, in order.
 var fig5MeasureNames = []string{"u5", "u10", "r5", "r10"}
+
+// fig5Vars builds the measures of study 3, fig5MeasureNames.
+func fig5Vars(m *core.Model) []reward.Var {
+	return []reward.Var{
+		m.Unavailability("u5", 0, 0, 5),
+		m.Unavailability("u10", 0, 0, 10),
+		m.Unreliability("r5", 0, 5),
+		m.Unreliability("r10", 0, 10),
+	}
+}
 
 // fig5Grid is the sweep of study 3: 10 domains of 3 hosts, 4 applications
 // with 7 replicas, corruption multiplier 5, over the intra-domain spread
@@ -189,14 +183,7 @@ func fig5Grid() []PointSpec {
 			p.DomainSpreadRate = spread
 			p.Policy = policy
 			pts = append(pts, PointSpec{Label: fmt.Sprintf("fig5 %v spread=%v", policy, spread),
-				Params: p, Until: T, SeedOffset: uint64(3000 + 100*si + pi), Vars: func(m *core.Model) []reward.Var {
-					return []reward.Var{
-						m.Unavailability("u5", 0, 0, 5),
-						m.Unavailability("u10", 0, 0, 10),
-						m.Unreliability("r5", 0, 5),
-						m.Unreliability("r10", 0, 10),
-					}
-				}})
+				Params: p, Until: T, SeedOffset: uint64(3000 + 100*si + pi), Vars: fig5Vars})
 		}
 	}
 	return pts
@@ -258,31 +245,21 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 		{ID: "5pc", Measure: "Unreliability for the first 5 hours", XLabel: "spread rate"},
 		{ID: "5pd", Measure: "Unreliability for the first 10 hours", XLabel: "spread rate"},
 	}
-	var host, dom, delta [4]Series
-	for i := range panels {
-		host[i].Name = "Host exclusion"
-		dom[i].Name = "Domain exclusion"
-		delta[i].Name = "delta (host - domain)"
-	}
 	prs, err := RunSweep(ctx, cfg, fig5PairedGrid(), SweepHooks{})
 	if err != nil {
 		return nil, err
 	}
-	var meanCorr, meanVRF [4]float64
 	n := len(Fig5SpreadRates)
-	for pi, spread := range Fig5SpreadRates {
-		pr := prs[pi]
-		for i, v := range fig5MeasureNames {
-			AppendPoint(&host[i], spread, v+".a", pr)
-			AppendPoint(&dom[i], spread, v+".b", pr)
-			AppendPoint(&delta[i], spread, v+".delta", pr)
-			meanCorr[i] += pr.Est[v+".corr"].Mean / float64(n)
-			meanVRF[i] += pr.Est[v+".vrf"].Mean / float64(n)
+	for i, v := range fig5MeasureNames {
+		panels[i].Series = curves([]string{"Host exclusion", "Domain exclusion", "delta (host - domain)"},
+			[]string{v + ".a", v + ".b", v + ".delta"}, Fig5SpreadRates, prs)
+		var meanCorr, meanVRF float64
+		for _, pr := range prs {
+			meanCorr += pr.Est[v+".corr"].Mean / float64(n)
+			meanVRF += pr.Est[v+".vrf"].Mean / float64(n)
 		}
-	}
-	for i := range panels {
-		panels[i].Series = []Series{host[i], dom[i], delta[i]}
-		crossings := precision.Crossovers(delta[i].X, delta[i].Y, delta[i].HW)
+		delta := panels[i].Series[2]
+		crossings := precision.Crossovers(delta.X, delta.Y, delta.HW)
 		for _, c := range crossings {
 			state := "within noise"
 			if c.Resolved {
@@ -297,7 +274,7 @@ func Fig5Paired(ctx context.Context, cfg Config) (*Figure, error) {
 		}
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"%s: CRN pairing: mean correlation %.2f, mean variance-reduction factor %.1f",
-			panels[i].ID, meanCorr[i], meanVRF[i]))
+			panels[i].ID, meanCorr, meanVRF))
 	}
 	fig.Panels = panels
 	return fig, nil

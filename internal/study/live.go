@@ -19,22 +19,30 @@ func liveVars(T float64) func(m *core.Model) []reward.Var {
 	}
 }
 
+// smallParams is the topology of the analytic, live and faults studies:
+// two domains of one host, one application with two replicas, corruption
+// multiplier 5, domain exclusion. Its chains stay generateable, and its
+// live replica groups cheap enough to run thousands of protocol executions
+// per sweep point.
+func smallParams() core.Params {
+	p := core.DefaultParams()
+	p.NumDomains = 2
+	p.HostsPerDomain = 1
+	p.NumApps = 1
+	p.RepsPerApp = 2
+	p.CorruptionMult = 5
+	p.Policy = core.DomainExclusion
+	return p
+}
+
 // liveGrid is the model arm of the live study: the Figure-5 spread rates on
-// the same small two-domain topology as the analytic study, so the live
-// service's replica groups stay cheap enough to run thousands of protocol
-// executions per sweep point.
+// smallParams.
 func liveGrid() []PointSpec {
 	const T = 6.0
 	pts := make([]PointSpec, len(Fig5SpreadRates))
 	for pi, spread := range Fig5SpreadRates {
-		p := core.DefaultParams()
-		p.NumDomains = 2
-		p.HostsPerDomain = 1
-		p.NumApps = 1
-		p.RepsPerApp = 2
-		p.CorruptionMult = 5
+		p := smallParams()
 		p.DomainSpreadRate = spread
-		p.Policy = core.DomainExclusion
 		pts[pi] = PointSpec{Label: fmt.Sprintf("live spread=%v", spread),
 			Params: p, Until: T, SeedOffset: uint64(6000 + pi), Vars: liveVars(T)}
 	}
@@ -64,19 +72,9 @@ func Live(ctx context.Context, cfg Config) (*Figure, error) {
 		return nil, err
 	}
 	layout(panels, measures, []string{"SAN simulation", "live service"}, Fig5SpreadRates, prs)
-	var probes, divergences int64
-	worstSigma := 0.0
-	for pi := range pts {
-		san, live := prs[pi], prs[n+pi]
-		probes += live.Counts["probes"]
-		divergences += live.Counts["divergences"]
-		for _, name := range measures {
-			worstSigma = max(worstSigma, gap(san.Est[name], live.Est[name]))
-		}
-	}
-	fig.Notes = append(fig.Notes,
-		fmt.Sprintf("live arm: %d client probes, %d oracle divergences (expect 0)", probes, divergences),
-		fmt.Sprintf("worst |model - live| across all points: %.2f combined half-widths (expect < 1 at 95%%)", worstSigma))
+	fig.Notes = append(fig.Notes, liveNote(prs[n:]), fmt.Sprintf(
+		"worst |model - live| across all points: %.2f combined half-widths (expect < 1 at 95%%)",
+		worstGap(measures, prs[:n], prs[n:])))
 	fig.Panels = panels
 	return fig, nil
 }

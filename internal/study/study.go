@@ -245,17 +245,26 @@ func AppendPoint(s *Series, x float64, name string, pr *PointResult) {
 	appendCell(s, x, e.Mean, e.HalfWidth95, e.N, pr.Reps, pr.Completed, pr.Failed, pr.Skipped)
 }
 
+// curves gives one series per name: series k is measures[k] of the points
+// prs at abscissas xs.
+func curves[X int | float64](names, measures []string, xs []X, prs []*PointResult) []Series {
+	out := make([]Series, len(names))
+	for k, name := range names {
+		out[k].Name = name
+		for j, x := range xs {
+			AppendPoint(&out[k], float64(x), measures[k], prs[j])
+		}
+	}
+	return out
+}
+
 // layout gives every panel one series per name, in order: series s of
 // panel i is measures[i] of the points prs[s*len(xs):] at abscissas xs,
 // the order of a series-major grid.
 func layout[X int | float64](panels []Panel, measures, names []string, xs []X, prs []*PointResult) {
 	for i := range panels {
 		for s, name := range names {
-			se := Series{Name: name}
-			for j, x := range xs {
-				AppendPoint(&se, float64(x), measures[i], prs[s*len(xs)+j])
-			}
-			panels[i].Series = append(panels[i].Series, se)
+			panels[i].Series = append(panels[i].Series, curves([]string{name}, measures[i:i+1], xs, prs[s*len(xs):])...)
 		}
 	}
 }

@@ -113,10 +113,9 @@ type sweepPoint struct {
 //
 // Points already present in cfg.Checkpoint are restored without
 // simulating, whatever their engine, and each computed point is persisted
-// before RunSweep returns,
-// so an interrupted sweep resumed with the same checkpoint loses none of
-// its finished work; a point whose replications all completed before a
-// cancellation counts as finished. A point whose batch fails or is
+// before RunSweep returns, so an interrupted sweep resumed with the same
+// checkpoint loses none of its finished work; a point whose replications
+// all completed before a cancellation counts as finished. A point whose batch fails or is
 // cancelled, in either arm, stops; the other points run on, and RunSweep
 // returns the first error.
 //
